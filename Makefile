@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-engine chaos serve-chaos serve-smoke bench-serve vet lint lint-json lint-sarif lint-fixtures bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
+.PHONY: all build test race race-engine chaos serve-chaos serve-smoke bench-serve vet fmt-check lint lint-json lint-sarif lint-fixtures benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
 
 all: check
 
@@ -62,6 +62,13 @@ bench-serve:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: every Go file outside testdata directories (whose lint
+# fixtures are laid out by hand) and the benchmark's build output must be
+# gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name testdata -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
 lint:
 	$(GO) run ./cmd/teclint ./...
 
@@ -88,17 +95,30 @@ lint-sarif:
 lint-fixtures:
 	$(GO) run ./cmd/teclint -expect cmd/teclint/testdata/fixture_counts.json internal/lint/testdata/*/
 
+# The repository benchmark (benchmark/, run by benchmark/run.sh) is a Go
+# module of its own, so the ./... patterns above do not reach it: vet it
+# and run its tests, every workload at toy size, from its directory.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Benchmark snapshot: runs the Table I and h_kl-sweep engine benchmarks
-# (default-path, explicit-SMW, and explicit-direct variants) through
+# (default-path, explicit-SMW, and explicit-direct variants) and the
+# solver layer benchmarks (SMW setup, eigendecomposition, band
+# factorization, band solves, SMW correction) through
 # `go test -bench -json` and distills name / ns/op / allocs into
 # BENCH_solver.json (committed; EXPERIMENTS.md tracks history).
-# -benchtime=1x because Table I is a full paper reproduction per
-# iteration — one timed run is the snapshot. -merge keeps snapshot
+# -benchtime=1x for the engine benchmarks because Table I is a full
+# paper reproduction per iteration — one timed run is the snapshot; the
+# layer benchmarks take the default benchtime. -merge keeps snapshot
 # entries a partial run did not re-measure; the temp file exists
 # because the merge reads the same file the pipeline writes.
+LAYER_BENCH = ^Benchmark(SMWSetup|EigenSym|BandFactor|BandSolve|BandSolveUnits|SMWCorrect)$$
+
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine_(TableI|HklSweep)(_SMW|_Direct)?$$' \
-		-benchmem -benchtime=1x -json ./internal/bench ./internal/core \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine_(TableI|HklSweep)(_SMW|_Direct)?$$' \
+		-benchmem -benchtime=1x -json ./internal/bench ./internal/core; \
+	  $(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchmem -json ./internal/sparse ./internal/eigen; } \
 		| $(GO) run ./cmd/benchjson -merge BENCH_solver.json > BENCH_solver.json.tmp
 	mv BENCH_solver.json.tmp BENCH_solver.json
 	@cat BENCH_solver.json
@@ -141,4 +161,4 @@ trace-golden:
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
 
 # The full gate, in the order CI runs it.
-check: build vet lint lint-fixtures test race chaos serve-chaos serve-smoke
+check: build vet fmt-check lint lint-fixtures test benchmark-check race chaos serve-chaos serve-smoke

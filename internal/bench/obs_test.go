@@ -127,25 +127,24 @@ func TestObsOverheadOnTableI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Best-of-N wall time: the minimum is the least load-contaminated
-	// estimate of the true cost.
-	best := func(n int) time.Duration {
-		min := time.Duration(1<<63 - 1)
-		for i := 0; i < n; i++ {
-			start := time.Now()
-			run()
-			if d := time.Since(start); d < min {
-				min = d
-			}
-		}
-		return min
+	timed := func() time.Duration {
+		start := time.Now()
+		run()
+		return time.Since(start)
 	}
-	const reps = 3
+	// Best-of-N wall time per side: the minimum is the least
+	// load-contaminated estimate of the true cost. The sides alternate
+	// run by run, so a slow episode of the host hits both alike, and N
+	// keeps about 4 s of runs per side (a row takes ~0.35 s).
+	const reps = 12
 	run() // warm-up: page in code and data before either measurement
-	off := best(reps)
-	prev := obs.SetGlobal(obs.New(nil))
-	on := best(reps)
-	obs.SetGlobal(prev)
+	off, on := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < reps; i++ {
+		off = min(off, timed())
+		prev := obs.SetGlobal(obs.New(nil))
+		on = min(on, timed())
+		obs.SetGlobal(prev)
+	}
 
 	overhead := float64(on-off) / float64(off)
 	t.Logf("obs off %v, on %v, overhead %.2f%%", off, on, 100*overhead)

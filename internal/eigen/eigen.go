@@ -32,6 +32,13 @@ var ErrNotConverged = errors.New("eigen: iteration did not converge")
 // SymEig computes all eigenvalues (ascending) and, when wantVectors is
 // set, the corresponding orthonormal eigenvectors (as matrix columns) of
 // the symmetric matrix a. Only the lower triangle is read.
+//
+// The work runs on a flat row-major copy of a: tred2 reduces it to
+// tridiagonal form and accumulates Q with A = Q T Q', then the QL
+// iteration rotates Q' (Q transposed), so that every Givens rotation
+// updates two contiguous rows. The results are bitwise those of the
+// textbook column-oriented loops: each value sees the same operations in
+// the same order (DESIGN.md section 12).
 func SymEig(a *mat.Dense, wantVectors bool) (values []float64, vectors *mat.Dense, err error) {
 	if !a.IsSquare() {
 		return nil, nil, fmt.Errorf("eigen: non-square %dx%d matrix", a.Rows(), a.Cols())
@@ -40,8 +47,25 @@ func SymEig(a *mat.Dense, wantVectors bool) (values []float64, vectors *mat.Dens
 	if n == 0 {
 		return nil, nil, nil
 	}
-	d, e, q := householderTridiag(a, wantVectors)
-	if err := tql(d, e, q); err != nil {
+	z := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		copy(z[i*n:(i+1)*n], a.RawRow(i))
+	}
+	// Symmetrize, (A + A')/2, as mat.Symmetrize does.
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := 0.5 * (z[i*n+j] + z[j*n+i])
+			z[i*n+j] = v
+			z[j*n+i] = v
+		}
+	}
+	d, e := tred2(z, n, wantVectors)
+	var qt []float64
+	if wantVectors {
+		transpose(z, n)
+		qt = z
+	}
+	if err := tql(d, e, qt); err != nil {
 		return nil, nil, err
 	}
 	// Sort ascending (tql leaves them unsorted in general).
@@ -60,108 +84,147 @@ func SymEig(a *mat.Dense, wantVectors bool) (values []float64, vectors *mat.Dens
 	}
 	if wantVectors {
 		vectors = mat.NewDense(n, n)
-		for j, k := range idx {
-			for i := 0; i < n; i++ {
-				vectors.Set(i, j, q.At(i, k))
+		for i := 0; i < n; i++ {
+			row := vectors.RawRow(i)
+			for j, k := range idx {
+				row[j] = qt[k*n+i]
 			}
 		}
 	}
 	return values, vectors, nil
 }
 
-// householderTridiag reduces the symmetric matrix a to tridiagonal form,
-// returning the diagonal d, subdiagonal e (e[0] unused), and — when
-// wantQ — the accumulated orthogonal transform Q with A = Q T Q'.
-func householderTridiag(a *mat.Dense, wantQ bool) (d, e []float64, q *mat.Dense) {
-	n := a.Rows()
-	// Work on a copy; classic Numerical-Recipes-style tred2.
-	z := a.Clone()
-	mat.Symmetrize(z)
+// tred2 reduces the symmetric n x n row-major matrix z in place to
+// tridiagonal form (the Numerical Recipes tred2), returning the diagonal
+// d and subdiagonal e (e[0] unused). When wantQ is set it then
+// accumulates the orthogonal transform into z, leaving Q with A = Q T Q';
+// otherwise z is left as scratch. The diagonal does not depend on the
+// accumulation, which never writes z[i][i] before reading it.
+func tred2(z []float64, n int, wantQ bool) (d, e []float64) {
 	d = make([]float64, n)
 	e = make([]float64, n)
-
+	g := make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		zi := z[i*n : i*n+i] // row i, columns 0..l
 		var h, scale float64
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(z.At(i, k))
+			for _, v := range zi {
+				scale += math.Abs(v)
 			}
 			if num.IsZero(scale) {
-				e[i] = z.At(i, l)
+				e[i] = zi[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					z.Set(i, k, z.At(i, k)/scale)
-					h += z.At(i, k) * z.At(i, k)
+				for k := range zi {
+					zi[k] /= scale
+					h += zi[k] * zi[k]
 				}
-				f := z.At(i, l)
-				g := math.Sqrt(h)
+				f := zi[l]
+				gg := math.Sqrt(h)
 				if f > 0 {
-					g = -g
+					gg = -gg
 				}
-				e[i] = scale * g
-				h -= f * g
-				z.Set(i, l, f-g)
+				e[i] = scale * gg
+				h -= f * gg
+				zi[l] = f - gg
+				// g = A u over the lower triangle of the leading block,
+				// one row at a time: row j adds its own terms k <= j to
+				// g[j] and its terms below the diagonal to g[k], k < j.
+				// Each g[j] thus sums k = 0..l in ascending order, as
+				// the column-wise loop does.
+				gs := g[:i]
+				for j := range gs {
+					z[j*n+i] = zi[j] / h
+					gs[j] = 0
+				}
+				for j := range gs {
+					zj := z[j*n : j*n+j]
+					zij := zi[j]
+					acc := gs[j]
+					for k, v := range zj {
+						acc += v * zi[k]
+						gs[k] += v * zij
+					}
+					gs[j] = acc + z[j*n+j]*zij
+				}
 				f = 0
-				for j := 0; j <= l; j++ {
-					z.Set(j, i, z.At(i, j)/h)
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
-					}
-					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
-					}
-					e[j] = g / h
-					f += e[j] * z.At(i, j)
+				for j, gj := range gs {
+					e[j] = gj / h
+					f += e[j] * zi[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f = z.At(i, j)
-					g = e[j] - hh*f
-					e[j] = g
-					for k := 0; k <= j; k++ {
-						z.Set(j, k, z.At(j, k)-f*e[k]-g*z.At(i, k))
+					f = zi[j]
+					gg = e[j] - hh*f
+					e[j] = gg
+					zj := z[j*n : j*n+j+1]
+					for k := range zj {
+						zj[k] = zj[k] - f*e[k] - gg*zi[k]
 					}
 				}
 			}
 		} else {
-			e[i] = z.At(i, l)
+			e[i] = zi[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0
 	e[0] = 0
-	// Accumulate transforms.
+	if !wantQ {
+		for i := 0; i < n; i++ {
+			d[i] = z[i*n+i]
+		}
+		return d, e
+	}
+	// Accumulate transforms. Step i computes g[j] = sum_k z[i][k] z[k][j]
+	// for every j before updating any column: the updates write rows
+	// 0..i-1 only, never row i, so g is the same as when each column's
+	// update follows its own sum.
 	for i := 0; i < n; i++ {
-		l := i - 1
+		zi := z[i*n : i*n+i]
 		if !num.IsZero(d[i]) {
-			for j := 0; j <= l; j++ {
-				var g float64
-				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+			gs := g[:i]
+			for j := range gs {
+				gs[j] = 0
+			}
+			for k, zik := range zi {
+				zk := z[k*n : k*n+i]
+				for j := range gs {
+					gs[j] += zik * zk[j]
 				}
-				for k := 0; k <= l; k++ {
-					z.Set(k, j, z.At(k, j)-g*z.At(k, i))
+			}
+			for k := range zi {
+				zk := z[k*n : k*n+i+1]
+				zki := zk[i]
+				for j, gj := range gs {
+					zk[j] -= gj * zki
 				}
 			}
 		}
-		d[i] = z.At(i, i)
-		z.Set(i, i, 1)
-		for j := 0; j <= l; j++ {
-			z.Set(j, i, 0)
-			z.Set(i, j, 0)
+		d[i] = z[i*n+i]
+		z[i*n+i] = 1
+		for j := range zi {
+			z[j*n+i] = 0
+			zi[j] = 0
 		}
 	}
-	if wantQ {
-		q = z
-	}
-	return d, e, q
+	return d, e
 }
 
-// tql runs implicit-shift QL on the tridiagonal (d, e), optionally
-// rotating the columns of q alongside (q may be nil).
-func tql(d, e []float64, q *mat.Dense) error {
+// transpose transposes the n x n row-major matrix z in place.
+func transpose(z []float64, n int) {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			z[i*n+j], z[j*n+i] = z[j*n+i], z[i*n+j]
+		}
+	}
+}
+
+// tql runs implicit-shift QL on the tridiagonal (d, e). When qt is
+// non-nil it holds Q' as an n x n row-major matrix (row k is the k-th
+// column of Q), and each rotation of columns i and i+1 of Q updates the
+// contiguous rows i and i+1 of qt.
+func tql(d, e, qt []float64) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -204,11 +267,12 @@ func tql(d, e []float64, q *mat.Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				if q != nil {
-					for k := 0; k < q.Rows(); k++ {
-						f := q.At(k, i+1)
-						q.Set(k, i+1, s*q.At(k, i)+c*f)
-						q.Set(k, i, c*q.At(k, i)-s*f)
+				if qt != nil {
+					qi := qt[i*n : (i+1)*n]
+					qi1 := qt[(i+1)*n : (i+2)*n]
+					for k, f := range qi1 {
+						qi1[k] = s*qi[k] + c*f
+						qi[k] = c*qi[k] - s*f
 					}
 				}
 			}

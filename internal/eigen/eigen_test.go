@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,5 +195,33 @@ func TestLanczosPartialApproximatesExtremes(t *testing.T) {
 	top := ritz[len(ritz)-1]
 	if math.Abs(top-10) > 1e-6 {
 		t.Fatalf("top Ritz value %v, want 10", top)
+	}
+}
+
+// BenchmarkEigenSym times SymEig with vectors on a seeded symmetric
+// positive definite matrix, B B' + m I: m = 36 is the SMW rank of a
+// mid-size greedy deployment, m = 288 that of a full cover.
+func BenchmarkEigenSym(b *testing.B) {
+	for _, m := range []int{36, 288} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			bm := mat.NewDense(m, m)
+			for i := 0; i < m; i++ {
+				for k := range bm.RawRow(i) {
+					bm.RawRow(i)[k] = 2*rng.Float64() - 1
+				}
+			}
+			a := bm.Mul(bm.T())
+			for i := 0; i < m; i++ {
+				a.Add(i, i, float64(m))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				if _, _, err := SymEig(a, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

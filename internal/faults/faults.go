@@ -99,9 +99,9 @@ const (
 type Rule struct {
 	Site  string
 	Kind  Kind
-	OnHit uint64  // fire on this 1-based hit only
-	Every uint64  // fire on every Every-th hit
-	Prob  float64 // fire each hit with this probability (seed-keyed)
+	OnHit uint64        // fire on this 1-based hit only
+	Every uint64        // fire on every Every-th hit
+	Prob  float64       // fire each hit with this probability (seed-keyed)
 	Err   error         // KindError payload; nil uses a generic injected error
 	Scale float64       // KindPerturb relative amplitude
 	Call  func()        // KindCall payload

@@ -106,6 +106,16 @@ func (m *Dense) boundsCheck(i, j int) {
 	}
 }
 
+// RawRow returns row i as a slice of the matrix's own storage, so
+// writes through it change the matrix. It lets O(n^3) kernels walk
+// contiguous rows without a bounds check per element.
+func (m *Dense) RawRow(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
+	}
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // Row returns a copy of row i.
 func (m *Dense) Row(i int) []float64 {
 	if i < 0 || i >= m.rows {

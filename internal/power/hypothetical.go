@@ -139,7 +139,13 @@ func GenerateHC(name string, seed int64, spec HCSpec) (*HCChip, error) {
 	// Pick the hot unit pair whose combined area is closest to
 	// HotAreaFrac of the chip.
 	targetTiles := spec.HotAreaFrac * float64(spec.Cols*spec.Rows)
-	tileCount := func(ui int) int { return len(g.TilesOfUnit(f, f.Units[ui].Name)) }
+	counts := make([]int, len(f.Units))
+	for _, ui := range g.OwnerUnit {
+		if ui >= 0 {
+			counts[ui]++
+		}
+	}
+	tileCount := func(ui int) int { return counts[ui] }
 	bestI, bestJ, bestDiff := -1, -1, float64(spec.Cols*spec.Rows)
 	for i := range f.Units {
 		for j := i + 1; j < len(f.Units); j++ {

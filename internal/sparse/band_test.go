@@ -200,3 +200,57 @@ func TestBandCholeskyRCMShrinksBandwidth(t *testing.T) {
 		t.Fatalf("RCM bandwidth %d >= naive %d", direct.BandwidthUsed(), naive.BandwidthUsed())
 	}
 }
+
+// SolveUnits must return, bit for bit, what Solve returns for each unit
+// vector, in the caller's index order: unsorted indices, a duplicate,
+// and a last block of nine columns, padded to sixteen, included.
+func TestBandCholeskySolveUnitsMatchesSolveBitwise(t *testing.T) {
+	a := gridLaplacian(13, 9)
+	n := a.Rows()
+	c, err := NewBandCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	// Indices below n-3 keep the last column (the largest index) off
+	// the bottom rows, where its backward sums start from zero and every
+	// summation order gives the same bits.
+	idx := rng.Perm(n - 3)[:2*unitBlock+7]
+	idx = append(idx, idx[4], 0)
+	cols, err := c.SolveUnits(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cols) != len(idx) {
+		t.Fatalf("%d columns, want %d", len(cols), len(idx))
+	}
+	e := make([]float64, n)
+	for j, k := range idx {
+		e[k] = 1
+		want, err := c.Solve(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e[k] = 0
+		for i := range want {
+			if math.Float64bits(cols[j][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("column %d (e_%d) row %d: SolveUnits %v, Solve %v", j, k, i, cols[j][i], want[i])
+			}
+		}
+	}
+	if cols, err := c.SolveUnits(nil); err != nil || len(cols) != 0 {
+		t.Fatalf("empty index set: %d columns, err %v", len(cols), err)
+	}
+}
+
+func TestBandCholeskySolveUnitsOutOfRange(t *testing.T) {
+	c, err := NewBandCholesky(gridLaplacian(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int{{-1}, {0, 16}, {3, 99, 1}} {
+		if _, err := c.SolveUnits(bad); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("SolveUnits(%v) err = %v, want CodeInvalidInput", bad, err)
+		}
+	}
+}

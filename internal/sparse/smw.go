@@ -76,11 +76,40 @@ const defaultSMWGapTol = 1e-7
 // n), using solve to apply G^{-1} (typically a banded Cholesky solve of
 // the unshifted base matrix). solve is called m times with unit vectors
 // during construction and never retained. A zero-support d yields an
-// SMW whose Correct is the identity and whose Lambda is +Inf.
+// SMW whose Correct is the identity and whose Lambda is +Inf. It is
+// NewSMWUnits with one solve per unit column, bitwise equal to it when
+// the column solves are.
 func NewSMW(d []float64, solve func([]float64) ([]float64, error)) (*SMW, error) {
+	return NewSMWUnits(d, func(idx []int) ([][]float64, error) {
+		w := make([][]float64, len(idx))
+		e := make([]float64, len(d))
+		for j, k := range idx {
+			e[k] = 1
+			col, err := solve(e)
+			if err != nil {
+				return nil, tecerr.Wrapf(tecerr.CodeOf(err), "sparse.smw", err,
+					"sparse: SMW base solve for support column %d failed", k)
+			}
+			e[k] = 0
+			w[j] = col
+		}
+		return w, nil
+	})
+}
+
+// NewSMWUnits builds the correction data for the diagonal update d
+// (length n). solveUnits returns the columns G^{-1} e_k for k in the
+// support of d, in the order given (W = G^{-1} U; for a band factor,
+// BandCholesky.SolveUnits); it is called once and never retained. A
+// non-finite entry of d is a tecerr.CodeInvalidInput error.
+func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (*SMW, error) {
 	n := len(d)
 	var idx []int
 	for k, v := range d {
+		if !num.IsFinite(v) {
+			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
+				"sparse: non-finite SMW update entry %g at %d", v, k)
+		}
 		if !num.IsZero(v) {
 			idx = append(idx, k)
 		}
@@ -98,96 +127,118 @@ func NewSMW(d []float64, solve func([]float64) ([]float64, error)) (*SMW, error)
 	if m == 0 {
 		return s, nil
 	}
-
-	// W = G^{-1} U, one base solve per support column.
-	s.w = make([][]float64, m)
-	e := make([]float64, n)
-	for j, k := range idx {
-		e[k] = 1
-		col, err := solve(e)
-		if err != nil {
-			return nil, tecerr.Wrapf(tecerr.CodeOf(err), "sparse.smw", err,
-				"sparse: SMW base solve for support column %d failed", k)
-		}
+	w, err := solveUnits(idx)
+	if err != nil {
+		return nil, tecerr.Wrapf(tecerr.CodeOf(err), "sparse.smw", err,
+			"sparse: SMW base solves failed")
+	}
+	if len(w) != m {
+		return nil, tecerr.Newf(tecerr.CodeInternal, "sparse.smw",
+			"sparse: SMW base solves returned %d columns, want %d", len(w), m)
+	}
+	for _, col := range w {
 		if len(col) != n {
 			return nil, tecerr.Newf(tecerr.CodeInternal, "sparse.smw",
 				"sparse: SMW base solve returned length %d, want %d", len(col), n)
 		}
-		e[k] = 0
-		s.w[j] = col
+	}
+	s.w = w
+	if err := s.project(d); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// project computes the dense stage of the setup from W: M, its Cholesky
+// factor L, the eigendecomposition of T = L'SL, and P1, P2. Each sum is
+// accumulated in the order of its textbook element-wise formula, so the
+// results are bitwise that formula's (DESIGN.md section 12), but the
+// loops run as row updates over flat rows of L, L', Q and Q': every
+// inner loop is contiguous, and its iterations are independent.
+func (s *SMW) project(d []float64) error {
+	m := len(s.idx)
+	sv := make([]float64, m) // S = diag(d[idx])
+	for a, k := range s.idx {
+		sv[a] = d[k]
 	}
 
 	// M = U' W, symmetrized: it is a Gram matrix of G^{-1}, so any
 	// asymmetry is pure rounding from the base solves.
 	mm := mat.NewDense(m, m)
-	for a := 0; a < m; a++ {
-		for b := 0; b < m; b++ {
-			mm.Set(a, b, s.w[b][idx[a]])
+	for a, k := range s.idx {
+		row := mm.RawRow(a)
+		for b, col := range s.w {
+			row[b] = col[k]
 		}
 	}
-	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			v := 0.5 * (mm.At(a, b) + mm.At(b, a))
-			mm.Set(a, b, v)
-			mm.Set(b, a, v)
-		}
-	}
-	chol, err := mat.NewCholesky(mm)
+	chol, err := mat.NewCholesky(mat.Symmetrize(mm))
 	if err != nil {
-		return nil, tecerr.Wrapf(tecerr.CodeInternal, "sparse.smw", err,
+		return tecerr.Wrapf(tecerr.CodeInternal, "sparse.smw", err,
 			"sparse: SMW projected matrix U' G^{-1} U not positive definite")
 	}
 	l := chol.L()
+	lt := l.T()
 
-	// T = L' S L with S = diag(d[idx]).
+	// T = L' S L: T[a][b] = sum_k (L[k][a] s_k) L[k][b], b <= a, summed
+	// over ascending k as row k of L updates row a of T. L[k][a] is an
+	// exact zero for k < a and s_k is finite, so those terms would add
+	// +0 to the +0 each sum starts from: the sums start at k = a.
 	t := mat.NewDense(m, m)
 	for a := 0; a < m; a++ {
-		for b := 0; b <= a; b++ {
-			var v float64
-			for k := 0; k < m; k++ {
-				v += l.At(k, a) * d[idx[k]] * l.At(k, b)
+		ta := t.RawRow(a)[:a+1]
+		for k := a; k < m; k++ {
+			lk := l.RawRow(k)[:a+1]
+			x := lk[a] * sv[k]
+			for b, v := range lk {
+				ta[b] += x * v
 			}
-			t.Set(a, b, v)
-			t.Set(b, a, v)
+		}
+		for b, v := range ta[:a] {
+			t.RawRow(b)[a] = v
 		}
 	}
 	mu, q, err := eigen.SymEig(t, true)
 	if err != nil {
-		return nil, tecerr.Wrapf(tecerr.CodeInternal, "sparse.smw", err,
+		return tecerr.Wrapf(tecerr.CodeInternal, "sparse.smw", err,
 			"sparse: SMW eigendecomposition of the reduced pencil failed")
 	}
 	s.mu = mu
+	qt := q.T()
 
-	// P1 = Q' L' S: p1[j][a] = d[idx[a]] * sum_k Q[k][j] L[a][k].
+	// P1 = Q' L' S: p1[j][a] = (sum_{k <= a} Q[k][j] L[a][k]) s_a, summed
+	// over ascending k as row k of L' (column k of L) updates row j.
 	s.p1 = make([]float64, m*m)
 	for j := 0; j < m; j++ {
-		for a := 0; a < m; a++ {
-			var v float64
-			for k := 0; k <= a; k++ { // L is lower triangular
-				v += q.At(k, j) * l.At(a, k)
+		p1 := s.p1[j*m : (j+1)*m]
+		for k, qkj := range qt.RawRow(j) {
+			lk := lt.RawRow(k)[k:]
+			for a, v := range lk {
+				p1[k+a] += qkj * v
 			}
-			s.p1[j*m+a] = v * d[idx[a]]
+		}
+		for a := range p1 {
+			p1[a] *= sv[a]
 		}
 	}
-	// P2 = L^{-T} Q, column by column via back substitution.
+	// P2 = L^{-T} Q by back substitution on all m columns at once: row a
+	// is (Q[a] - sum_{k > a} L[k][a] P2[k]) / L[a][a], over ascending k.
 	s.p2 = make([]float64, m*m)
-	col := make([]float64, m)
-	for j := 0; j < m; j++ {
-		for a := 0; a < m; a++ {
-			col[a] = q.At(a, j)
-		}
-		for a := m - 1; a >= 0; a-- {
-			v := col[a]
-			for k := a + 1; k < m; k++ {
-				v -= l.At(k, a) * col[k]
+	for a := m - 1; a >= 0; a-- {
+		pa := s.p2[a*m : (a+1)*m]
+		copy(pa, q.RawRow(a))
+		la := lt.RawRow(a)
+		for k := a + 1; k < m; k++ {
+			lka := la[k]
+			pk := s.p2[k*m : (k+1)*m]
+			for j, v := range pk {
+				pa[j] -= lka * v
 			}
-			col[a] = v / l.At(a, a)
 		}
-		for a := 0; a < m; a++ {
-			s.p2[a*m+j] = col[a]
+		for j := range pa {
+			pa[j] /= la[a]
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Rank returns the update rank m (the support size of d).

@@ -311,3 +311,68 @@ func FuzzSMWGuard(f *testing.F) {
 
 // isFinite mirrors num.IsFinite without importing it into the fuzz path.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// The NewSMW adapter (one Solve per unit column) and the blocked
+// construction (one SolveUnits call) run the same dense stage on the
+// same W, so every piece of the correction data is bitwise equal.
+func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
+	a := gridLaplacian(11, 8)
+	n := a.Rows()
+	rng := rand.New(rand.NewSource(8))
+	d := make([]float64, n)
+	for _, k := range rng.Perm(n)[:unitBlock+7] {
+		d[k] = 0.05 * rng.NormFloat64()
+	}
+	base, err := NewBandCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adapted, err := NewSMW(d, base.Solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := NewSMWUnits(d, base.SolveUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string, x, y []float64) {
+		t.Helper()
+		if len(x) != len(y) {
+			t.Fatalf("%s: length %d vs %d", what, len(x), len(y))
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("%s[%d]: adapter %v, blocked %v", what, i, x[i], y[i])
+			}
+		}
+	}
+	same("mu", adapted.mu, blocked.mu)
+	same("p1", adapted.p1, blocked.p1)
+	same("p2", adapted.p2, blocked.p2)
+	for j := range adapted.w {
+		same("w", adapted.w[j], blocked.w[j])
+	}
+}
+
+// A failing or malformed column solve is a typed setup error, and a
+// non-finite update entry is invalid input.
+func TestNewSMWUnitsSetupErrors(t *testing.T) {
+	d := []float64{0, 0.5, 0, -0.25}
+	boom := tecerr.New(tecerr.CodeNotPD, "test", "boom")
+	if _, err := NewSMWUnits(d, func([]int) ([][]float64, error) { return nil, boom }); tecerr.CodeOf(err) != tecerr.CodeNotPD || !errors.Is(err, boom) {
+		t.Errorf("failing solve: err = %v, want wrapped CodeNotPD", err)
+	}
+	short := func(idx []int) ([][]float64, error) { return make([][]float64, len(idx)-1), nil }
+	if _, err := NewSMWUnits(d, short); tecerr.CodeOf(err) != tecerr.CodeInternal {
+		t.Errorf("missing column: err = %v, want CodeInternal", err)
+	}
+	ragged := func(idx []int) ([][]float64, error) { return [][]float64{make([]float64, 4), make([]float64, 3)}, nil }
+	if _, err := NewSMWUnits(d, ragged); tecerr.CodeOf(err) != tecerr.CodeInternal {
+		t.Errorf("short column: err = %v, want CodeInternal", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewSMW([]float64{0, bad}, nil); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("d entry %v: err = %v, want CodeInvalidInput", bad, err)
+		}
+	}
+}

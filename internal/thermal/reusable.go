@@ -84,7 +84,7 @@ func NewReusableSystem(g *sparse.CSR, d []float64, perm []int) (*ReusableSystem,
 	if err != nil {
 		return nil, err
 	}
-	smw, err := sparse.NewSMW(d, base.Solve)
+	smw, err := sparse.NewSMWUnits(d, base.SolveUnits)
 	if err != nil {
 		return nil, err
 	}

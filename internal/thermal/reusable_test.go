@@ -209,3 +209,40 @@ func TestReusableInvalidInput(t *testing.T) {
 		t.Errorf("mismatched d err = %v, want CodeInvalidInput", err)
 	}
 }
+
+// Factorization.SolveUnits is the blocked W = G^{-1} U of the SMW
+// setup: each column must be bitwise the RCM-permuted Solve of its unit
+// vector, in the caller's order.
+func TestFactorizationSolveUnitsMatchesSolveBitwise(t *testing.T) {
+	_, g, _ := testPackage(t)
+	f, err := Factor(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Rows()
+	idx := []int{n - 1, 7, 300, 0, 41, 40, 7}
+	for k := 90; k < 90+20*3; k += 3 {
+		idx = append(idx, k)
+	}
+	cols, err := f.SolveUnits(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := make([]float64, n)
+	for j, k := range idx {
+		e[k] = 1
+		want, err := f.Solve(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e[k] = 0
+		for i := range want {
+			if math.Float64bits(cols[j][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("column %d (e_%d) node %d: SolveUnits %v, Solve %v", j, k, i, cols[j][i], want[i])
+			}
+		}
+	}
+	if _, err := f.SolveUnits([]int{3, n}); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("out-of-range index: err = %v, want CodeInvalidInput", err)
+	}
+}

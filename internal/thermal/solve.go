@@ -94,6 +94,36 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	return sparse.PermuteVec(f.inv, xp), nil
 }
 
+// SolveUnits returns the columns A^{-1} e_k for k in idx, in idx order:
+// W = G^{-1} U of an SMW setup, through the blocked
+// sparse.BandCholesky.SolveUnits. Each column is bitwise the Solve of
+// its unit vector. An index outside [0, n) is a tecerr.CodeInvalidInput
+// error.
+func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) {
+	n := len(f.perm)
+	pidx := make([]int, len(idx))
+	for j, k := range idx {
+		if k < 0 || k >= n {
+			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.factor",
+				"thermal: Factorization.SolveUnits index %d out of range %d", k, n)
+		}
+		pidx[j] = f.perm[k]
+	}
+	cols, err := f.chol.SolveUnits(pidx)
+	if err != nil {
+		return nil, err
+	}
+	// Back to the original ordering in place: x[i] = xp[perm[i]].
+	xp := make([]float64, n)
+	for _, col := range cols {
+		copy(xp, col)
+		for i, p := range f.perm {
+			col[i] = xp[p]
+		}
+	}
+	return cols, nil
+}
+
 // SolveStats reports per-solve statistics of the iterative path. For
 // the direct methods it is the zero value (Iterative == false).
 type SolveStats struct {
