@@ -137,12 +137,15 @@ bench-gate:
 # arbitrary function bodies at the lint CFG builder, which must never
 # panic on code that parses; FuzzDataflow pushes the resulting graphs
 # through the fixpoint engine (step-bound termination, state isolation).
+# FuzzServeRequest feeds arbitrary bodies to the service's request
+# decoding and system resolution (only typed invalid-input rejections).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFLP -fuzztime=$(FUZZTIME) -run='^$$' ./internal/floorplan
 	$(GO) test -fuzz=FuzzParsePtrace -fuzztime=$(FUZZTIME) -run='^$$' ./internal/power
 	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) -run='^$$' ./internal/lint
 	$(GO) test -fuzz=FuzzDataflow -fuzztime=$(FUZZTIME) -run='^$$' ./internal/lint
 	$(GO) test -fuzz=FuzzSMWGuard -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
+	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
 # Observability overhead gate: runs the Table I workload with the obs
 # registry off and on, and fails if instrumentation costs more than 5%.

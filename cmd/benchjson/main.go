@@ -23,9 +23,10 @@
 //	-gate FILE    compare the incoming results against the snapshot in
 //	              FILE instead of emitting JSON: any benchmark slower
 //	              than its snapshot ns/op by more than -tol (default
-//	              0.20, i.e. 20%) fails the gate with exit status 1.
-//	              Benchmarks missing from the snapshot are reported but
-//	              do not fail.
+//	              0.20, i.e. 20%), or above its snapshot allocs/op or
+//	              B/op by more than 1%, fails the gate with exit status
+//	              1. Benchmarks missing from the snapshot are reported
+//	              but do not fail.
 package main
 
 import (
@@ -152,8 +153,18 @@ func run(in io.Reader, out io.Writer, base []Result) error {
 	return err
 }
 
+// memTol is the relative allocs/op and B/op regression the gate allows.
+// Allocation figures survive a change of host where ns/op does not: on
+// a shared 2-CPU Xeon, BenchmarkEngine_TableI_SMW read 64-92% over its
+// ns/op snapshot with no change to its work, while allocs/op stayed
+// within 0.1% and B/op within 0.01% (the residue is the garbage
+// collector's own allocations, which vary with the number of cycles).
+const memTol = 0.01
+
 // gate compares incoming results against the snapshot and fails on any
-// ns/op regression beyond tol relative.
+// ns/op regression beyond tol relative, or any allocs/op or B/op
+// regression beyond memTol. A memory figure missing on either side
+// (a run without -benchmem) is not compared.
 func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 	results, err := parseStream(in)
 	if err != nil {
@@ -173,19 +184,51 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 			fmt.Fprintf(out, "NEW   %-45s %14.0f ns/op (not in snapshot)\n", r.Name, r.NsPerOp)
 			continue
 		}
-		ratio := r.NsPerOp / b.NsPerOp
-		status := "OK   "
+		var over []string
 		if r.NsPerOp > b.NsPerOp*(1+tol) {
+			over = append(over, "ns/op")
+		}
+		if memRegressed(r.AllocsPerOp, b.AllocsPerOp) {
+			over = append(over, "allocs/op")
+		}
+		if memRegressed(r.BytesPerOp, b.BytesPerOp) {
+			over = append(over, "B/op")
+		}
+		status := "OK   "
+		if len(over) > 0 {
 			status = "FAIL "
 			failures++
 		}
-		fmt.Fprintf(out, "%s %-45s %14.0f ns/op vs %14.0f snapshot (%+.1f%%)\n",
-			status, r.Name, r.NsPerOp, b.NsPerOp, 100*(ratio-1))
+		fmt.Fprintf(out, "%s %-45s %14.0f ns/op vs %14.0f snapshot (%+.1f%%)",
+			status, r.Name, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1))
+		if r.AllocsPerOp > 0 && b.AllocsPerOp > 0 {
+			fmt.Fprintf(out, ", %d allocs/op (%+.3f%%)", r.AllocsPerOp, relChange(r.AllocsPerOp, b.AllocsPerOp))
+		}
+		if r.BytesPerOp > 0 && b.BytesPerOp > 0 {
+			fmt.Fprintf(out, ", %d B/op (%+.3f%%)", r.BytesPerOp, relChange(r.BytesPerOp, b.BytesPerOp))
+		}
+		if len(over) > 0 {
+			fmt.Fprintf(out, " [%s]", strings.Join(over, ", "))
+		}
+		fmt.Fprintln(out)
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% against the snapshot", failures, 100*tol)
+		return fmt.Errorf("%d benchmark(s) regressed against the snapshot (ns/op beyond %.0f%%, allocs/op or B/op beyond %.0f%%)",
+			failures, 100*tol, 100*memTol)
 	}
 	return nil
+}
+
+// memRegressed reports whether a measured allocs/op or B/op figure
+// exceeds its snapshot by more than memTol; zero on either side means
+// not measured.
+func memRegressed(got, snap int64) bool {
+	return got > 0 && snap > 0 && float64(got) > float64(snap)*(1+memTol)
+}
+
+// relChange is the percentage change of got against snap.
+func relChange(got, snap int64) float64 {
+	return 100 * (float64(got)/float64(snap) - 1)
 }
 
 // parseStream decodes test2json events and collects benchmark result

@@ -178,3 +178,48 @@ func TestGateTolerance(t *testing.T) {
 		t.Fatalf("gate report missing NEW line:\n%s", out.String())
 	}
 }
+
+// The gate also fails on allocs/op or B/op above the snapshot by more
+// than 1%, whatever -tol says, and passes improvements and figures
+// within 1%.
+func TestGateAllocations(t *testing.T) {
+	// sampleStream measures TableI at 456789 B/op, 1234 allocs/op and
+	// HklSweep at 12345 B/op, 67 allocs/op.
+	snapshot := func(tableBytes, tableAllocs int64) []Result {
+		return []Result{
+			{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1234567890,
+				BytesPerOp: tableBytes, AllocsPerOp: tableAllocs},
+			{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432,
+				BytesPerOp: 12345, AllocsPerOp: 67},
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		bytes, allocs int64
+		fail          string // the regressed figure, "" for a pass
+	}{
+		{"identical", 456789, 1234, ""},
+		{"within 1%", 453000, 1223, ""},
+		{"improvement", 900000, 2000, ""},
+		{"allocs regression", 456789, 1200, "allocs/op"},
+		{"bytes regression", 440000, 1234, "B/op"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			// A tolerance wide enough for any ns/op: only memory can fail.
+			err := gate(strings.NewReader(sampleStream), &out, snapshot(tc.bytes, tc.allocs), 10)
+			if tc.fail == "" {
+				if err != nil {
+					t.Fatalf("gate failed: %v\n%s", err, out.String())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("%s regression passed the gate:\n%s", tc.fail, out.String())
+			}
+			if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "["+tc.fail+"]") {
+				t.Fatalf("gate report does not flag %s:\n%s", tc.fail, out.String())
+			}
+		})
+	}
+}

@@ -21,7 +21,6 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // exercises every rule and the output formatting at once.
 var fixturePatterns = []string{
 	"internal/lint/testdata/badignore",
-	"internal/lint/testdata/cachegen",
 	"internal/lint/testdata/chanflow",
 	"internal/lint/testdata/ctxflow",
 	"internal/lint/testdata/dimflow",
@@ -556,7 +555,7 @@ func TestRulesFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-rules exit code = %d", code)
 	}
-	for _, rule := range []string{"cachegen", "chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"} {
+	for _, rule := range []string{"chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"} {
 		if !strings.Contains(stdout, rule) {
 			t.Errorf("-rules output missing %q:\n%s", rule, stdout)
 		}

@@ -202,8 +202,8 @@ func TestServeBinarySmoke(t *testing.T) {
 	}
 
 	// The cross-request reuse scoreboard: solve#2 shared solve#1's
-	// system and SMW solver state, and the counters prove it on
-	// /metrics.
+	// system, which owns its SMW solver state, and the counters prove
+	// it on /metrics.
 	resp, err = http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +215,8 @@ func TestServeBinarySmoke(t *testing.T) {
 		t.Fatalf("decode /metrics: %v", err)
 	}
 	resp.Body.Close()
-	if snap.Counters["engine.solver_cache.hits"] < 1 {
-		t.Errorf("engine.solver_cache.hits = %d, want >= 1 (cross-request reuse)", snap.Counters["engine.solver_cache.hits"])
+	if snap.Counters["core.system.reusable_setups"] < 1 {
+		t.Errorf("core.system.reusable_setups = %d, want >= 1", snap.Counters["core.system.reusable_setups"])
 	}
 	if snap.Counters["tecserve.system_cache.hits"] < 1 {
 		t.Errorf("tecserve.system_cache.hits = %d, want >= 1", snap.Counters["tecserve.system_cache.hits"])

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tecopt/internal/core"
 	"tecopt/internal/floorplan"
 	"tecopt/internal/obs"
 	"tecopt/internal/power"
@@ -44,7 +43,6 @@ func TestDisabledObsTableIMatchesPreObsGolden(t *testing.T) {
 	if obs.Enabled() != nil {
 		t.Fatal("a global registry is installed; this test needs the disabled path")
 	}
-	core.ResetFactorCache()
 	f, g := floorplan.Alpha21364Grid()
 	row, err := RunTableIRow("Alpha", power.AlphaTilePowers(f, g), TableIOptions{})
 	if err != nil {
@@ -62,7 +60,6 @@ func TestDisabledObsFigure6MatchesPreObsGolden(t *testing.T) {
 	if obs.Enabled() != nil {
 		t.Fatal("a global registry is installed; this test needs the disabled path")
 	}
-	core.ResetFactorCache()
 	res, err := RunFigure6Opts(Figure6Options{Points: 8, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +77,6 @@ func figure6SnapshotJSON(t *testing.T) []byte {
 	t.Helper()
 	var out []byte
 	withRegistry(t, func(r *obs.Registry) {
-		core.ResetFactorCache()
 		if _, err := RunFigure6Opts(Figure6Options{Points: 8, Parallel: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +118,6 @@ func TestObsOverheadOnTableI(t *testing.T) {
 	f, g := floorplan.Alpha21364Grid()
 	tp := power.AlphaTilePowers(f, g)
 	run := func() {
-		core.ResetFactorCache()
 		if _, err := RunTableIRow("Alpha", tp, TableIOptions{}); err != nil {
 			t.Fatal(err)
 		}

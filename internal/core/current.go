@@ -178,9 +178,7 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 
 	// Upper search bound: inside the runaway limit, or found by bracket
 	// expansion when lambda_m is unreachable (the convex objective must
-	// eventually increase with i as Joule heating dominates). The
-	// factorizations paid for here are cached, so the optimizer's later
-	// endpoint evaluations at 0 and hi reuse them.
+	// eventually increase with i as Joule heating dominates).
 	var hi float64
 	if math.IsInf(lambda, 1) {
 		hi, err = expandBracket(ctx, objective, objective(0), 1.0, maxBracketCurrentA)

@@ -6,37 +6,6 @@ import (
 	"tecopt/internal/engine"
 )
 
-// BenchmarkEngine_FactorCache measures what the factorization cache
-// buys on a repeated operating point: "miss" pays the full banded
-// Cholesky on every iteration, "hit" reuses one cached factorization.
-// This speedup is per-thread and shows up even on a single core.
-func BenchmarkEngine_FactorCache(b *testing.B) {
-	sys, err := NewSystem(smallConfig(), []int{27, 28, 35, 36})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("miss", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			ResetFactorCache()
-			if _, err := sys.Factor(2.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		ResetFactorCache()
-		if _, err := sys.Factor(2.5); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := sys.Factor(2.5); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkEngine_HklSweep measures the worker pool on the Figure-6
 // inner loop: one h_kl evaluation per current-grid point. On a
 // multicore host the parallel sub-benchmark should approach
@@ -61,8 +30,8 @@ func BenchmarkEngine_HklSweep(b *testing.B) {
 	}{{"serial", engine.Serial}, {"parallel", engine.Pool{}}} {
 		b.Run(bm.name, func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				ResetFactorCache() // measure solves, not cache hits
-				if _, err := sys.HklSweepParallel(k, k, currents, bm.pool); err != nil {
+				fresh := freshSystem(b, sys) // time the setup and the sweep
+				if _, err := fresh.HklSweepParallel(k, k, currents, bm.pool); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -73,7 +42,7 @@ func BenchmarkEngine_HklSweep(b *testing.B) {
 // BenchmarkEngine_HklSweep_SMW isolates the per-current solve path on
 // the same sweep: "smw" pays one base factorization plus a rank-m
 // correction per current, "direct" refactors the shifted matrix at
-// every grid point. Both run serial from a cold cache, so the ratio is
+// every grid point. Both run serial on a fresh System, so the ratio is
 // the pure algorithmic win.
 func BenchmarkEngine_HklSweep_SMW(b *testing.B) {
 	for _, bm := range []struct {
@@ -98,11 +67,24 @@ func BenchmarkEngine_HklSweep_SMW(b *testing.B) {
 			k := sys.PN.SilNode[27]
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				ResetFactorCache()
-				if _, err := sys.HklSweepParallel(k, k, currents, engine.Serial); err != nil {
+				fresh := freshSystem(b, sys)
+				if _, err := fresh.HklSweepParallel(k, k, currents, engine.Serial); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// freshSystem rebuilds sys with the timer stopped, so the timed work
+// that follows includes the System's own fast-path setup.
+func freshSystem(b *testing.B, sys *System) *System {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	fresh, err := NewSystem(sys.Cfg, sys.Sites())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fresh
 }

@@ -5,68 +5,120 @@ import (
 	"sync"
 	"testing"
 
+	"tecopt/internal/engine"
 	"tecopt/internal/num"
+	"tecopt/internal/obs"
+	"tecopt/internal/thermal"
 )
 
-// Tests for the engine integration: the shared factorization cache
-// behind System.Factor and the safety of concurrent solves on one
+// Tests for the per-System solver state (the SMW fast path a System
+// builds on first use) and the safety of concurrent solves on one
 // System (run under -race in CI via `make race-engine`).
 
-func TestFactorCacheReusesSameCurrent(t *testing.T) {
-	ResetFactorCache()
-	sys := mustSystem(t, smallConfig(), []int{27, 28})
-	f1, err := sys.Factor(2.5)
-	if err != nil {
-		t.Fatal(err)
+func TestFastPathBuiltOnceUnderConcurrentFirstSolves(t *testing.T) {
+	// Eight goroutines make the first solve of one fresh System at
+	// once: exactly one fast-path setup runs, and every goroutine sees
+	// its result.
+	sys := mustSystem(t, smallConfig(), []int{27, 28, 35, 36})
+	before := SolverCacheStats().Misses
+	const goroutines = 8
+	states := make([]*thermal.ReusableSystem, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if _, err := sys.SolveAt(1.5); err != nil {
+				t.Error(err)
+				return
+			}
+			states[g] = sys.reusable()
+		}(g)
 	}
-	f2, err := sys.Factor(2.5)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if got := SolverCacheStats().Misses - before; got != 1 {
+		t.Fatalf("%d fast-path setups for one System, want 1", got)
 	}
-	if f1 != f2 {
-		t.Fatal("repeated Factor at one current rebuilt the factorization")
-	}
-	if FactorCacheStats().Hits == 0 {
-		t.Fatal("no cache hit recorded for a repeated Factor")
+	for g, st := range states {
+		if st == nil || st != states[0] {
+			t.Fatalf("goroutine %d saw fast-path state %p, want %p", g, st, states[0])
+		}
 	}
 }
 
-func TestFactorCacheKeysOnGeneration(t *testing.T) {
-	// Two systems with identical configuration are different
-	// generations: their factorizations must never alias, even at the
-	// same current (the greedy loop depends on this).
-	ResetFactorCache()
+func TestSystemsNeverShareFastPathState(t *testing.T) {
+	// Two Systems built from the same configuration and sites own
+	// separate fast-path states, which solve to the same bits.
 	a := mustSystem(t, smallConfig(), []int{27})
 	b := mustSystem(t, smallConfig(), []int{27})
-	fa, err := a.Factor(1.5)
+	xa, err := a.SolveAt(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := b.Factor(1.5)
+	xb, err := b.SolveAt(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fa == fb {
-		t.Fatal("factorizations of distinct systems aliased in the cache")
+	ra, rb := a.reusable(), b.reusable()
+	if ra == nil || rb == nil {
+		t.Fatal("fast-path setup failed")
+	}
+	if ra == rb {
+		t.Fatal("two Systems share one fast-path state")
+	}
+	for n := range xa {
+		if !num.ExactEqual(xa[n], xb[n]) {
+			t.Fatalf("node %d: %v != %v", n, xa[n], xb[n])
+		}
 	}
 }
 
-func TestFactorCachedSolveBitIdentical(t *testing.T) {
-	// A cached factorization must reproduce the uncached solution
-	// bit-for-bit — caching may never perturb Table I numbers.
-	ResetFactorCache()
+func TestHColumnsDirectFactorsOnce(t *testing.T) {
+	// On the direct path HColumns factors G - i*D once for all its
+	// columns, and each column is bitwise the per-column solve.
+	cfg := smallConfig()
+	cfg.Solve = SolveDirect
+	sys := mustSystem(t, cfg, []int{27, 28})
+	cols := []int{sys.PN.SilNode[27], sys.PN.SilNode[0], sys.Array.Hot[0], sys.Array.Cold[1]}
+
+	r := obs.New(nil)
+	prev := obs.SetGlobal(r)
+	h, err := sys.HColumns(2.0, cols, engine.Pool{Workers: 2})
+	obs.SetGlobal(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Snapshot().Counters["sparse.band.factors"]; got != 1 {
+		t.Fatalf("HColumns ran %d factorizations for %d columns, want 1", got, len(cols))
+	}
+	for idx, l := range cols {
+		for _, k := range []int{0, sys.PN.SilNode[27], l, sys.NumNodes() - 1} {
+			want, err := sys.Hkl(2.0, k, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !num.ExactEqual(h[idx][k], want) {
+				t.Fatalf("H[%d][%d] = %v, want h_kl = %v", idx, k, h[idx][k], want)
+			}
+		}
+	}
+}
+
+func TestRepeatedSolveBitIdentical(t *testing.T) {
+	// A second solve at one current, on the state the first one built,
+	// must reproduce the first bit-for-bit.
 	sys := mustSystem(t, smallConfig(), []int{27, 28, 35, 36})
 	first, err := sys.SolveAt(3.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := sys.SolveAt(3.25) // factorization now cached
+	second, err := sys.SolveAt(3.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range first {
 		if !num.ExactEqual(first[i], second[i]) {
-			t.Fatalf("node %d: cached solve %v != fresh solve %v", i, second[i], first[i])
+			t.Fatalf("node %d: repeated solve %v != first solve %v", i, second[i], first[i])
 		}
 	}
 }
@@ -76,7 +128,6 @@ func TestConcurrentFactorAndSolveOnSharedSystem(t *testing.T) {
 	// currents. Under -race this is the core concurrency-safety test;
 	// in any mode it checks that every goroutine sees the exact serial
 	// solution.
-	ResetFactorCache()
 	sys := mustSystem(t, smallConfig(), []int{27, 28})
 	currents := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5}
 	want := make([][]float64, len(currents))
@@ -120,7 +171,8 @@ func TestConcurrentFactorAndSolveOnSharedSystem(t *testing.T) {
 
 func TestConcurrentRunawayProbesShareCache(t *testing.T) {
 	// Concurrent binary searches on the same system must agree and not
-	// race; beyond-limit probes exercise the cached-failure path.
+	// race; beyond-limit probes exercise the not-PD answer of the shared
+	// fast-path state.
 	sys := mustSystem(t, smallConfig(), []int{27, 28, 35, 36})
 	ref, err := sys.RunawayLimit(RunawayOptions{})
 	if err != nil {

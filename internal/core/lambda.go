@@ -32,11 +32,11 @@ import (
 // has no positive diagonal entry — G - i*D stays positive definite for
 // every i >= 0. This happens only for systems without TEC devices.
 //
-// Note the contract: RunawayLimit and RunawayLimitEigen do NOT return
-// this error. "No runaway limit" is a legitimate answer for them —
-// lambda_m = +Inf — not a failure, so they report (+Inf, nil) and
-// callers that care can ask HasRunawayLimit. Only operations that are
-// meaningless without a finite limit return the sentinel.
+// Note the contract: RunawayLimit does NOT return this error. "No
+// runaway limit" is a legitimate answer for it — lambda_m = +Inf — not
+// a failure, so it reports (+Inf, nil) and callers that care can ask
+// HasRunawayLimit. Only operations that are meaningless without a
+// finite limit return the sentinel.
 var ErrNoRunawayLimit error = tecerr.New(tecerr.CodeInvalidInput, "core.runaway",
 	"core: system has no runaway limit (no TEC devices)")
 
@@ -116,7 +116,7 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 	// bisection converges to the same limit (the spectral and
 	// Cholesky-breakdown boundaries agree far inside RelTol's bracket)
 	// for the cost of none of the probes.
-	rs := s.reusableCtx(ctx)
+	rs := s.reusable()
 	flight := r.FlightOn()
 	var ctxErr error
 	pd := func(i float64) bool {
@@ -132,7 +132,7 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 		if rs != nil {
 			ok = rs.PD(i)
 		} else {
-			_, err := s.factorCtx(ctx, i)
+			_, err := s.Factor(i)
 			ok = err == nil
 		}
 		if flight {
@@ -228,8 +228,8 @@ func (s *System) Hkl(i float64, k, l int) (float64, error) {
 }
 
 // HklCtx is Hkl under a flight-recorder context: the underlying
-// solve's regime span and cache events parent to the span carried by
-// ctx (worker tasks of the parallel sweeps pass their task context).
+// solve's regime span parents to the span carried by ctx (worker tasks
+// of the parallel sweeps pass their task context).
 func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, error) {
 	if n := s.NumNodes(); k < 0 || k >= n || l < 0 || l >= n {
 		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "core.hkl",
@@ -307,9 +307,9 @@ func (s *System) HklSweepParallelCtx(ctx context.Context, k, l int, currents []f
 // HColumns solves for the requested columns of H(i) = (G - i*D)^{-1}:
 // column l is the full nodal response to one watt injected at node l
 // (h_kl for all k at once). The base state is prepared once (the SMW
-// fast-path data, or one shared factorization on the direct path) and
-// the unit solves run on the given worker pool; results are ordered as
-// cols and identical to per-column Hkl calls at every worker count.
+// fast-path data, or one factorization of G - i*D on the direct path)
+// and the unit solves run on the given worker pool; results are ordered
+// as cols and identical to per-column Hkl calls at every worker count.
 func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64, error) {
 	n := s.NumNodes()
 	for _, l := range cols {
@@ -318,10 +318,13 @@ func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64,
 				"core: HColumns node %d out of range %d", l, n)
 		}
 	}
-	if s.reusable() == nil {
-		// Direct path: surface a not-PD current before spawning the
-		// column solves (they would all fail identically).
-		if _, err := s.Factor(i); err != nil {
+	rs := s.reusable()
+	var f *thermal.Factorization
+	if rs == nil {
+		// Direct path: one factorization serves every column, and a
+		// not-PD current fails here instead of once per column.
+		var err error
+		if f, err = s.Factor(i); err != nil {
 			return nil, err
 		}
 	}
@@ -329,7 +332,13 @@ func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64,
 	err := pool.MapTasksCtx(context.Background(), len(cols), func(tctx context.Context, idx int) error {
 		e := make([]float64, n)
 		e[cols[idx]] = 1
-		x, err := s.solveVecCtx(tctx, i, e)
+		var x []float64
+		var err error
+		if rs != nil {
+			x, _, err = rs.SolveAtCurrent(tctx, i, e)
+		} else {
+			x, err = f.Solve(e)
+		}
 		if err != nil {
 			return err
 		}

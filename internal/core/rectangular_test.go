@@ -76,16 +76,25 @@ func TestRectangularDieDeployAndOptimize(t *testing.T) {
 	if len(res.Sites) == 0 || res.Current.IOpt <= 0 {
 		t.Fatalf("degenerate result: %+v", res.Current)
 	}
-	// lambda_m must be finite and consistent between algorithms.
-	bin, err := res.System.RunawayLimit(RunawayOptions{})
+	// lambda_m must be finite and consistent between the paper's
+	// bisection over Cholesky probes (the direct path) and the SMW
+	// spectral limit.
+	direct := cfg
+	direct.Solve = SolveDirect
+	oracle, err := NewSystem(direct, res.Sites)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := res.System.RunawayLimitEigen()
+	bin, err := oracle.RunawayLimit(RunawayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(bin-spec)/bin > 1e-6 {
+	rs := res.System.reusable()
+	if rs == nil {
+		t.Fatal("SMW setup failed on rectangular die")
+	}
+	spec := rs.Lambda()
+	if !num.IsFinite(bin) || math.Abs(bin-spec)/bin > 1e-6 {
 		t.Fatalf("lambda_m mismatch on rectangular die: %v vs %v", bin, spec)
 	}
 }

@@ -12,6 +12,9 @@ package core
 
 import (
 	"context"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"tecopt/internal/engine"
 	"tecopt/internal/material"
@@ -54,20 +57,29 @@ const (
 	// capacitance matrix loses conditioning.
 	SolveAuto SolvePath = iota
 	// SolveDirect forces the legacy path: one banded Cholesky
-	// factorization per current, through the shared factor cache.
+	// factorization per current.
 	SolveDirect
 )
 
 // Validate checks the configuration before any network assembly: the
-// tiling and tile-power vector must be consistent, every tile power
-// finite and nonnegative, and the geometry and device parameters
-// physical. CLIs call it up front so a bad input fails with a typed
-// tecerr.CodeInvalidInput error instead of poisoning a solve.
+// tiling must be positive with a tile count that fits an int, the layer
+// resolutions nonnegative, the tile-power vector one entry per tile,
+// every tile power finite and nonnegative, and the geometry and device
+// parameters physical. CLIs call it up front so a bad input fails with
+// a typed tecerr.CodeInvalidInput error instead of poisoning a solve.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Cols <= 0 || c.Rows <= 0 {
 		return tecerr.Newf(tecerr.CodeInvalidInput, "core.validate",
 			"core: tiling %dx%d must be positive", c.Cols, c.Rows)
+	}
+	if c.Cols > math.MaxInt/c.Rows {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "core.validate",
+			"core: tiling %dx%d overflows the tile count", c.Cols, c.Rows)
+	}
+	if c.SpreaderCells < 0 || c.SinkCells < 0 {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "core.validate",
+			"core: layer resolutions %d, %d must not be negative", c.SpreaderCells, c.SinkCells)
 	}
 	nt := c.Cols * c.Rows
 	if len(c.TilePower) != nt {
@@ -109,6 +121,8 @@ func (c Config) withDefaults() Config {
 
 // System is an assembled thermal model of a package with a fixed TEC
 // deployment, ready for current-domain analysis: (G - i*D) theta = p(i).
+// It owns the SMW fast-path state its solves share, so it is used by
+// pointer and never copied.
 type System struct {
 	Cfg   Config
 	PN    *thermal.PackageNetwork
@@ -118,51 +132,23 @@ type System struct {
 	d    []float64
 	base []float64 // ambient legs + silicon tile powers (current-free RHS)
 	perm []int     // RCM ordering of g's pattern, shared by every G - i*D
-	gen  uint64    // factorization-cache generation (unique per System)
+
+	fastOnce sync.Once               // guards the one fast-path setup
+	fast     *thermal.ReusableSystem // nil under SolveDirect or after a failed setup
 }
 
-// factorCache is the process-wide LRU of banded Cholesky factorizations,
-// keyed by (system generation, current). Every System takes a fresh
-// generation at construction, so a deployment change (a new System in
-// the greedy loop) can never alias a cached factor; stale generations
-// simply age out of the LRU. Safe for concurrent use — the engine pool
-// workers of the parallel sweeps share it.
-var factorCache = engine.NewFactorCache(engine.DefaultCacheCapacity)
+// fastPathSetups counts the SMW fast-path setups started by every
+// System of the process. It is diagnostics only: no solver code reads
+// it (see SolverCacheStats).
+var fastPathSetups atomic.Uint64
 
-// solverCache is the process-wide LRU of SMW fast-path states: one
-// thermal.ReusableSystem per system generation (Key.Current is always
-// zero), holding the base factorization of G plus the rank-2*#TEC
-// correction data that every per-current solve of that system shares.
-// One entry replaces the dozens of per-current factorizations a single
-// OptimizeCurrent used to push through factorCache, which is what fixes
-// the cache thrash of concurrent per-chip runs (Table I measured 80
-// misses and 48 evictions per optimization against the 32-entry LRU).
-var solverCache = engine.NewCache[*thermal.ReusableSystem]("solver_cache", 16)
-
-// FactorCacheStats reports the cumulative hit/miss/eviction counters
-// and resident entry count of the shared factorization cache
-// (diagnostics and benchmarks).
-func FactorCacheStats() engine.CacheStats { return factorCache.Stats() }
-
-// SolverCacheStats is FactorCacheStats for the SMW fast-path cache.
-func SolverCacheStats() engine.CacheStats { return solverCache.Stats() }
-
-// The shared caches publish their counters into every obs snapshot, so
-// a metrics dump at exit reflects them even for phases that ran before
-// observability was enabled.
-func init() {
-	obs.RegisterSnapshotHook(func(r *obs.Registry) {
-		factorCache.PublishStats(r)
-		solverCache.PublishStats(r)
-	})
-}
-
-// ResetFactorCache empties the shared factorization and solver caches
-// and zeroes their counters. Tests and long-lived servers use it to
-// establish a known cache state; correctness never depends on it.
-func ResetFactorCache() {
-	factorCache.Reset()
-	solverCache.Reset()
+// SolverCacheStats reports the number of SMW fast-path setups in its
+// Misses field; the other fields are zero. Each System builds its own
+// fast-path state at most once, so no cache stands behind the count: the
+// function stays because the repository benchmark reads Misses and
+// Evictions from it.
+func SolverCacheStats() engine.CacheStats {
+	return engine.CacheStats{Misses: fastPathSetups.Load()}
 }
 
 // NewSystem builds the package network with the given TEC sites reserved,
@@ -216,7 +202,6 @@ func NewSystem(cfg Config, sites []int) (*System, error) {
 		d:     arr.DVector(pn.Net.NumNodes()),
 		base:  base,
 		perm:  sparse.RCM(g),
-		gen:   engine.NextGeneration(),
 	}, nil
 }
 
@@ -235,21 +220,16 @@ func (s *System) Matrix(i float64) *sparse.CSR {
 }
 
 // Factor factors G - i*D (reusing the shared RCM ordering). It returns
-// thermal.ErrNotPD when i is at or beyond the runaway limit. Repeated
-// calls at the same current hit the process-wide factorization cache —
-// golden-section endpoint re-evaluation, the Hkl-then-PeakAt pairs of
-// the Figure 6 sweep and greedy re-solves all reuse one factorization.
-// Factor is safe for concurrent use by the engine pool workers.
+// thermal.ErrNotPD when i is at or beyond the runaway limit, and a
+// tecerr.CodeInvalidInput error for a non-finite i, as the fast path
+// does. Every call is a fresh factorization; Factor is safe for
+// concurrent use.
 func (s *System) Factor(i float64) (*thermal.Factorization, error) {
-	return s.factorCtx(context.Background(), i)
-}
-
-// factorCtx is Factor under a flight-recorder context: the cache
-// lookup's hit/miss event parents to the context span.
-func (s *System) factorCtx(ctx context.Context, i float64) (*thermal.Factorization, error) {
-	return factorCache.DoCtx(ctx, engine.Key{Gen: s.gen, Current: i}, func() (*thermal.Factorization, error) {
-		return thermal.Factor(s.Matrix(i), s.perm)
-	})
+	if !num.IsFinite(i) {
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.system",
+			"core: non-finite supply current %g", i)
+	}
+	return thermal.Factor(s.Matrix(i), s.perm)
 }
 
 // RHS assembles p(i): ambient legs + silicon tile powers + the r*i^2/2
@@ -261,50 +241,50 @@ func (s *System) RHS(i float64) []float64 {
 	return rhs
 }
 
-// reusable returns the system's SMW fast-path state, built on first use
-// and cached by generation, or nil when the configuration forces the
-// direct path or the setup failed (a degenerate update; the caller then
-// factors per current exactly as before the fast path existed).
+// reusable returns the system's SMW fast-path state, built by the first
+// call, or nil when the configuration forces the direct path or the
+// setup failed (a degenerate update; the caller then factors per
+// current). A failed setup is not retried, so the direct fallback costs
+// one failed setup per System, not one per solve. Concurrent first
+// callers share one setup.
 func (s *System) reusable() *thermal.ReusableSystem {
-	return s.reusableCtx(context.Background())
-}
-
-// reusableCtx is reusable under a flight-recorder context.
-func (s *System) reusableCtx(ctx context.Context) *thermal.ReusableSystem {
 	if s.Cfg.Solve == SolveDirect {
 		return nil
 	}
-	rs, err := solverCache.DoCtx(ctx, engine.Key{Gen: s.gen}, func() (*thermal.ReusableSystem, error) {
-		return thermal.NewReusableSystem(s.g, s.d, s.perm)
-	})
-	if err != nil {
-		// The error is cached per generation, so the direct fallback
-		// costs one failed setup per System, not one per solve.
-		if r := obs.Enabled(); r != nil {
-			r.Counter("core.system.reusable_setup_failures").Inc()
+	s.fastOnce.Do(func() {
+		fastPathSetups.Add(1)
+		r := obs.Enabled()
+		if r != nil {
+			r.Counter("core.system.reusable_setups").Inc()
 		}
-		return nil
-	}
-	return rs
+		rs, err := thermal.NewReusableSystem(s.g, s.d, s.perm)
+		if err != nil {
+			if r != nil {
+				r.Counter("core.system.reusable_setup_failures").Inc()
+			}
+			return
+		}
+		s.fast = rs
+	})
+	return s.fast
 }
 
 // solveVec solves (G - i*D) x = rhs on the fastest available path: the
-// SMW correction of the base factorization when the fast path is up,
-// the cached per-current factorization otherwise. Both paths report
-// ErrNotPD at or beyond the runaway limit.
+// SMW correction of the base factorization when the fast path is up, a
+// per-current factorization otherwise. Both paths report ErrNotPD at or
+// beyond the runaway limit.
 func (s *System) solveVec(i float64, rhs []float64) ([]float64, error) {
 	return s.solveVecCtx(context.Background(), i, rhs)
 }
 
 // solveVecCtx is solveVec under a flight-recorder context: the regime
-// span of the solve (and any cache events along the way) parent to the
-// span carried by ctx.
+// span of the solve parents to the span carried by ctx.
 func (s *System) solveVecCtx(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
-	if rs := s.reusableCtx(ctx); rs != nil {
+	if rs := s.reusable(); rs != nil {
 		x, _, err := rs.SolveAtCurrent(ctx, i, rhs)
 		return x, err
 	}
-	f, err := s.factorCtx(ctx, i)
+	f, err := s.Factor(i)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"tecopt/internal/material"
 	"tecopt/internal/num"
 	"tecopt/internal/tec"
+	"tecopt/internal/tecerr"
 )
 
 // smallConfig builds a fast 8x8-die configuration with a single dominant
@@ -51,6 +53,18 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(cfg, []int{3, 3}); err == nil {
 		t.Error("duplicate site accepted")
 	}
+	// Cols*Rows wraps to 16, the length of the power vector.
+	overflow := Config{Cols: 1<<62 + 1, Rows: 16, TilePower: make([]float64, 16)}
+	if _, err := NewSystem(overflow, nil); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("overflowing tiling: err = %v, want CodeInvalidInput", err)
+	}
+	for _, cells := range [][2]int{{-1, 0}, {0, -1}} {
+		bad := smallConfig()
+		bad.SpreaderCells, bad.SinkCells = cells[0], cells[1]
+		if _, err := NewSystem(bad, nil); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("layer cells %v: err = %v, want CodeInvalidInput", cells, err)
+		}
+	}
 }
 
 func TestNewSystemDefaults(t *testing.T) {
@@ -92,6 +106,22 @@ func TestSolveAtNegativeCurrent(t *testing.T) {
 	sys := mustSystem(t, smallConfig(), nil)
 	if _, err := sys.SolveAt(-1); err == nil {
 		t.Fatal("negative current accepted")
+	}
+}
+
+// A non-finite current is invalid input on both solve paths, never a
+// not-PD answer that a sweep would read as runaway.
+func TestNonFiniteCurrentRejected(t *testing.T) {
+	for _, path := range []SolvePath{SolveAuto, SolveDirect} {
+		cfg := smallConfig()
+		cfg.Solve = path
+		sys := mustSystem(t, cfg, []int{27})
+		k := sys.PN.SilNode[27]
+		for _, i := range []float64{math.NaN(), math.Inf(1)} {
+			if _, err := sys.Hkl(i, k, k); !errors.Is(err, tecerr.ErrInvalidInput) {
+				t.Errorf("path %d, Hkl at %v: err = %v, want CodeInvalidInput", path, i, err)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"tecopt/internal/optimize"
 	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
+	"tecopt/internal/thermal"
 )
 
 // Multi-pin extension.
@@ -150,7 +151,7 @@ func (zs *ZonedSystem) SolveAtZoned(currents []float64) ([]float64, error) {
 			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.zoned", "core: negative zone current %g", i)
 		}
 	}
-	f, err := factorCSR(zs.MatrixZoned(currents), zs.perm)
+	f, err := thermal.Factor(zs.MatrixZoned(currents), zs.perm)
 	if err != nil {
 		return nil, err
 	}
@@ -292,28 +293,4 @@ func (zs *ZonedSystem) OptimizeZoned(opt ZonedOptions) (*ZonedResult, error) {
 		TECPowerW: zs.TECPowerZoned(theta, cur),
 		Sweeps:    sweeps,
 	}, nil
-}
-
-// factorCSR is Factor for an explicit matrix with a shared ordering.
-func factorCSR(m *sparse.CSR, perm []int) (*permSolver, error) {
-	ap := m.Permute(perm)
-	chol, err := sparse.NewBandCholesky(ap)
-	if err != nil {
-		return nil, err
-	}
-	return &permSolver{chol: chol, perm: perm, inv: sparse.InvertPerm(perm)}, nil
-}
-
-type permSolver struct {
-	chol *sparse.BandCholesky
-	perm []int
-	inv  []int
-}
-
-func (p *permSolver) Solve(b []float64) ([]float64, error) {
-	xp, err := p.chol.Solve(sparse.PermuteVec(p.perm, b))
-	if err != nil {
-		return nil, err
-	}
-	return sparse.PermuteVec(p.inv, xp), nil
 }

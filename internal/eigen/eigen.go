@@ -1,19 +1,12 @@
 // Package eigen provides symmetric eigenvalue solvers: Householder
 // tridiagonalization with implicit-shift QL for dense symmetric
-// matrices, plus power iteration and Lanczos for extremal eigenvalues of
-// large symmetric operators.
+// matrices, plus power iteration for the dominant eigenvalue of a
+// large symmetric operator.
 //
-// In this repository the package serves as an independent cross-check of
-// the thermal-runaway limit: Theorem 1's
-//
-//	lambda_m = min { theta' G theta : theta' D theta = 1 }
-//
-// equals 1 / mu_max where mu_max is the largest eigenvalue of
-// L^{-1} D L^{-T} for the Cholesky factor G = L L' (a standard
-// symmetric reduction of the generalized pencil (G, D)). The paper
-// computes lambda_m by binary search over Cholesky positive-definiteness
-// probes; core.System.RunawayLimitEigen uses this package to confirm the
-// same limit spectrally.
+// In this repository SymEig diagonalizes the SMW capacitance pencil of
+// sparse.NewSMW, whose largest eigenvalue gives the spectral runaway
+// limit lambda_m of Theorem 1, and PowerIteration estimates the
+// condition number of G - i*D (core.System.ConditionNumber).
 package eigen
 
 import (
@@ -320,66 +313,6 @@ func PowerIteration(op Op, n int, tol float64, maxIter int) (lambda float64, vec
 		prev = lambda
 	}
 	return lambda, v, ErrNotConverged
-}
-
-// Lanczos estimates the extremal eigenvalues of the symmetric operator
-// op of dimension n using k Lanczos steps with full reorthogonalization
-// (robust for the modest k used here). It returns the Ritz values
-// (ascending).
-func Lanczos(op Op, n, k int) ([]float64, error) {
-	if k <= 0 || k > n {
-		k = n
-		if k > 200 {
-			k = 200
-		}
-	}
-	vs := make([][]float64, 0, k+1)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 + float64(i%5)/5
-	}
-	normalize(v)
-	vs = append(vs, v)
-	alpha := make([]float64, 0, k)
-	beta := make([]float64, 0, k)
-
-	for j := 0; j < k; j++ {
-		w := op(vs[j])
-		a := mat.Dot(vs[j], w)
-		alpha = append(alpha, a)
-		mat.Axpy(-a, vs[j], w)
-		if j > 0 {
-			mat.Axpy(-beta[j-1], vs[j-1], w)
-		}
-		// Full reorthogonalization.
-		for _, u := range vs {
-			mat.Axpy(-mat.Dot(u, w), u, w)
-		}
-		b := mat.Norm2(w)
-		if b < 1e-14 {
-			break
-		}
-		beta = append(beta, b)
-		mat.ScaleVec(1/b, w)
-		vs = append(vs, w)
-	}
-	// Eigenvalues of the tridiagonal Ritz matrix.
-	m := len(alpha)
-	d := make([]float64, m)
-	e := make([]float64, m)
-	copy(d, alpha)
-	for i := 1; i < m; i++ {
-		e[i] = beta[i-1]
-	}
-	if err := tql(d, e, nil); err != nil {
-		return nil, err
-	}
-	for i := 1; i < m; i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-		}
-	}
-	return d, nil
 }
 
 func normalize(v []float64) float64 {

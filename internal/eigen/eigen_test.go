@@ -145,59 +145,6 @@ func TestPowerIterationZeroOperator(t *testing.T) {
 	}
 }
 
-func TestLanczosMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 30
-	a := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := rng.NormFloat64()
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	op := func(x []float64) []float64 { return a.MulVec(x) }
-	ritz, err := Lanczos(op, n, n) // full-dimension Lanczos is exact
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, _, err := SymEig(a, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Extremal values must match tightly.
-	if math.Abs(ritz[0]-dense[0]) > 1e-8 || math.Abs(ritz[len(ritz)-1]-dense[n-1]) > 1e-8 {
-		t.Fatalf("extremal Ritz %v/%v vs dense %v/%v",
-			ritz[0], ritz[len(ritz)-1], dense[0], dense[n-1])
-	}
-}
-
-func TestLanczosPartialApproximatesExtremes(t *testing.T) {
-	// A diagonal operator with a well-separated top eigenvalue: a few
-	// Lanczos steps must capture it.
-	n := 200
-	diag := make([]float64, n)
-	for i := range diag {
-		diag[i] = float64(i) / float64(n)
-	}
-	diag[n-1] = 10
-	op := func(x []float64) []float64 {
-		y := make([]float64, n)
-		for i := range y {
-			y[i] = diag[i] * x[i]
-		}
-		return y
-	}
-	ritz, err := Lanczos(op, n, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := ritz[len(ritz)-1]
-	if math.Abs(top-10) > 1e-6 {
-		t.Fatalf("top Ritz value %v, want 10", top)
-	}
-}
-
 // BenchmarkEigenSym times SymEig with vectors on a seeded symmetric
 // positive definite matrix, B B' + m I: m = 36 is the SMW rank of a
 // mid-size greedy deployment, m = 288 that of a full cover.

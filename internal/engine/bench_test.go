@@ -3,8 +3,6 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
-
-	"tecopt/internal/thermal"
 )
 
 // BenchmarkEngine_Map measures pool dispatch overhead against the bare
@@ -31,31 +29,18 @@ func BenchmarkEngine_Map(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_CacheDo compares a cache hit against rebuilding the
-// factorization on every call.
+// BenchmarkEngine_CacheDo measures the cost of a cache hit: the lock,
+// the LRU move and the entry's sync.Once.
 func BenchmarkEngine_CacheDo(b *testing.B) {
-	build := func() (*thermal.Factorization, error) {
-		return thermal.Factor(tinySPD(64, 0.1), nil)
+	c := NewKeyedCache[string, []float64]("bench.cache", 4)
+	build := func() ([]float64, error) { return make([]float64, 64), nil }
+	if _, err := c.Do("k", build); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("miss", func(b *testing.B) {
-		c := NewFactorCache(4)
-		for n := 0; n < b.N; n++ {
-			c.Reset()
-			if _, err := c.Do(Key{Gen: 1, Current: 1}, build); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		c := NewFactorCache(4)
-		if _, err := c.Do(Key{Gen: 1, Current: 1}, build); err != nil {
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := c.Do("k", build); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := c.Do(Key{Gen: 1, Current: 1}, build); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -2,47 +2,22 @@ package engine
 
 import (
 	"container/list"
-	"context"
-	"strconv"
-	"strings"
 	"sync"
 
-	"tecopt/internal/num"
 	"tecopt/internal/obs"
-	"tecopt/internal/tecerr"
-	"tecopt/internal/thermal"
 )
 
-// Key identifies one cached value: the generation of the system that
-// owns the matrix pattern and values, and the supply current i of
-// G - i*D. Currents compare bit-exactly — the optimizer re-evaluates
-// the very same float64 (golden-section endpoints, the final PeakAt of
-// OptimizeCurrent, the Hkl-then-PeakAt pairs of the Figure 6 sweep), so
-// exact matching is both correct and sufficient; nearby-but-different
-// currents are different operating points and must not alias. Do
-// rejects non-finite currents up front: NaN is never equal to itself as
-// a map key, so a NaN entry could only grow the LRU with dead weight.
-type Key struct {
-	Gen     uint64
-	Current float64
-}
-
 // KeyedCache is a bounded, concurrency-safe LRU generic over both the
-// key and the cached value. It is the machinery beneath Cache (keyed by
-// the solver's (generation, current) Key) and beneath the serving
-// layer's content-hash-keyed system cache, where the key is a string. A
-// failed build is cached too: the value for a given key is
-// deterministic, so repeated requests for an infeasible input need not
-// rebuild to refail.
+// key and the cached value. The serving layer keeps its
+// content-hash-keyed system cache in one. A failed build is cached too:
+// the value for a given key is deterministic, so repeated requests for
+// an infeasible input need not rebuild to refail.
 //
 // Concurrent requests for the same key are deduplicated: one goroutine
 // builds, the rest block on the entry's sync.Once and share the result.
 // A KeyedCache must not be copied after first use.
 type KeyedCache[K comparable, V any] struct {
-	metric string // metrics namespace, e.g. "engine.factor_cache"
-	// flight renders a key as its flight-recorder event value and
-	// attributes; nil suppresses the hit/miss events.
-	flight func(K) (float64, []obs.Attr)
+	metric string // metrics namespace, e.g. "tecserve.system_cache"
 
 	mu    sync.Mutex
 	cap   int
@@ -51,19 +26,6 @@ type KeyedCache[K comparable, V any] struct {
 
 	hits, misses, evictions uint64
 }
-
-// Cache is the solver-side LRU keyed by Key — banded Cholesky
-// factorizations for the per-current direct path, whole ReusableSystem
-// fast-path states for the SMW path. It is a KeyedCache plus the
-// Key-specific contract: Do/DoCtx reject non-finite currents with a
-// tecerr.CodeInvalidInput error before touching the cache.
-type Cache[V any] struct {
-	KeyedCache[Key, V]
-}
-
-// FactorCache is the cache of banded Cholesky factorizations behind the
-// per-current direct solve path.
-type FactorCache = Cache[*thermal.Factorization]
 
 // CacheStats is a consistent view of the cache counters, taken under
 // the cache lock so hits/misses/evictions belong to one instant.
@@ -84,91 +46,26 @@ type entry[K comparable, V any] struct {
 	err  error
 }
 
-// DefaultCacheCapacity bounds the process-wide factorization cache. A
-// 12x12-tile default package factors to a few hundred kilobytes, so 32
-// entries keep the working set of one optimization (endpoints, the
-// current golden-section bracket, the sweep grid) resident for a few
-// megabytes.
-const DefaultCacheCapacity = 32
-
-// init sets up the embedded machinery. A name with no dot is scoped
-// under "engine." (the historical metric names); a dotted name is used
-// verbatim, so other layers (tecserve) can cache under their own
-// namespace.
-func (c *KeyedCache[K, V]) init(name string, capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	c.metric = name
-	if !strings.Contains(name, ".") {
-		c.metric = "engine." + name
-	}
-	c.cap = capacity
-	c.ll = list.New()
-	c.items = make(map[K]*list.Element, capacity)
-}
-
-// NewKeyedCache creates a cache holding at most capacity values
-// (capacity <= 0 selects DefaultCacheCapacity). A dotted name is the
-// metric namespace verbatim; an undotted one reports under
-// "engine.<name>.*".
+// NewKeyedCache creates a cache holding at most capacity values (at
+// least one). name is the metric namespace: the cache reports under
+// "<name>.{hits,misses,evictions,len,build_ns}".
 func NewKeyedCache[K comparable, V any](name string, capacity int) *KeyedCache[K, V] {
-	c := &KeyedCache[K, V]{}
-	c.init(name, capacity)
-	return c
-}
-
-// NewCache creates a Key-addressed cache holding at most capacity
-// values (capacity <= 0 selects DefaultCacheCapacity). name scopes the
-// metric names to "engine.<name>.*".
-func NewCache[V any](name string, capacity int) *Cache[V] {
-	c := &Cache[V]{}
-	c.init(name, capacity)
-	c.flight = cacheFlight
-	return c
-}
-
-// NewFactorCache creates a factorization cache holding at most capacity
-// entries (capacity <= 0 selects DefaultCacheCapacity), reporting under
-// "engine.factor_cache.*".
-func NewFactorCache(capacity int) *FactorCache {
-	return NewCache[*thermal.Factorization]("factor_cache", capacity)
+	capacity = max(capacity, 1)
+	return &KeyedCache[K, V]{
+		metric: name,
+		cap:    capacity,
+		ll:     list.New(),
+		items:  make(map[K]*list.Element, capacity),
+	}
 }
 
 // Do returns the value for k, building it with build on the first
 // request. The build runs outside the cache lock, so a slow build never
 // blocks hits on other keys; concurrent callers of the same key share
-// one build. A non-finite current is rejected with a
-// tecerr.CodeInvalidInput error before touching the cache. When
-// observability is enabled the cache reports hits/misses/evictions and
-// the build latency under its metric namespace.
-func (c *Cache[V]) Do(k Key, build func() (V, error)) (V, error) {
-	return c.DoCtx(context.Background(), k, build)
-}
-
-// DoCtx is Do linked into the flight recorder: when hierarchical
-// tracing is on, every lookup emits a ".hit" or ".miss" event parented
-// to the context span, carrying the cache generation and current as
-// attributes — so a solve's trace records whether its factorization was
-// resident. With the recorder off it is exactly Do (the events are
-// suppressed to keep flat traces byte-compatible).
-func (c *Cache[V]) DoCtx(ctx context.Context, k Key, build func() (V, error)) (V, error) {
-	if !num.IsFinite(k.Current) {
-		var zero V
-		return zero, tecerr.Newf(tecerr.CodeInvalidInput, "engine.cache",
-			"engine: non-finite current %g in cache key", k.Current)
-	}
-	return c.KeyedCache.DoCtx(ctx, k, build)
-}
-
-// Do is DoCtx without a flight-recorder context.
+// one build. When observability is enabled the cache reports
+// hits/misses/evictions and the build latency under its metric
+// namespace.
 func (c *KeyedCache[K, V]) Do(k K, build func() (V, error)) (V, error) {
-	return c.DoCtx(context.Background(), k, build)
-}
-
-// DoCtx returns the value for k, building it with build on the first
-// request; see Cache.DoCtx for the caching and observability contract.
-func (c *KeyedCache[K, V]) DoCtx(ctx context.Context, k K, build func() (V, error)) (V, error) {
 	r := obs.Enabled()
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
@@ -178,10 +75,6 @@ func (c *KeyedCache[K, V]) DoCtx(ctx context.Context, k K, build func() (V, erro
 		c.mu.Unlock()
 		if r != nil {
 			r.Counter(c.metric + ".hits").Inc()
-			if r.FlightOn() && c.flight != nil {
-				v, attrs := c.flight(k)
-				r.EventCtx(ctx, c.metric+".hit", v, attrs...)
-			}
 		}
 		e.once.Do(func() { e.val, e.err = build() }) // waits if mid-build
 		return e.val, e.err
@@ -203,10 +96,6 @@ func (c *KeyedCache[K, V]) DoCtx(ctx context.Context, k K, build func() (V, erro
 
 	if r != nil {
 		r.Counter(c.metric + ".misses").Inc()
-		if r.FlightOn() && c.flight != nil {
-			v, attrs := c.flight(k)
-			r.EventCtx(ctx, c.metric+".miss", v, attrs...)
-		}
 		if evicted > 0 {
 			r.Counter(c.metric + ".evictions").Add(evicted)
 		}
@@ -245,15 +134,6 @@ func (c *KeyedCache[K, V]) ResetStats() {
 	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
-// Reset drops every entry and zeroes the counters (test hook).
-func (c *KeyedCache[K, V]) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[K]*list.Element, c.cap)
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
 // PublishStats copies the current counters into registry r as
 // "<metric>.{hits,misses,evictions,len}" so a snapshot taken at exit
 // reflects the cache even if parts of the run executed before
@@ -270,15 +150,6 @@ func (c *KeyedCache[K, V]) PublishStats(r *obs.Registry) {
 	topUp(r.Counter(c.metric+".misses"), st.Misses)
 	topUp(r.Counter(c.metric+".evictions"), st.Evictions)
 	r.Gauge(c.metric + ".len").Set(int64(st.Len))
-}
-
-// cacheFlight renders a solver cache key as its flight-recorder event
-// value (the current) and attributes.
-func cacheFlight(k Key) (float64, []obs.Attr) {
-	return k.Current, []obs.Attr{
-		{Key: "gen", Value: strconv.FormatUint(k.Gen, 10)},
-		{Key: "current", Value: strconv.FormatFloat(k.Current, 'g', -1, 64)},
-	}
 }
 
 // topUp raises counter c to at least total.

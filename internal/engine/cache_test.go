@@ -6,49 +6,44 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"tecopt/internal/sparse"
-	"tecopt/internal/tecerr"
-	"tecopt/internal/thermal"
 )
 
-// tinySPD builds a small tridiagonal SPD matrix (a 1-D conduction
-// chain with ground legs) for factorization tests.
-func tinySPD(n int, diagBoost float64) *sparse.CSR {
-	b := sparse.NewBuilder(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 2+diagBoost)
-		if i+1 < n {
-			b.Add(i, i+1, -1)
-			b.Add(i+1, i, -1)
-		}
-	}
-	return b.Build()
+// blob is the cached value of these tests: a pointer, so a hit is
+// observable as identity with the first build's result.
+type blob struct{ data []float64 }
+
+// key pairs a name with an exact float, like a content hash plus an
+// operating point.
+type key struct {
+	name string
+	x    float64
 }
 
-func factorTiny(t *testing.T, diagBoost float64) func() (*thermal.Factorization, error) {
-	t.Helper()
-	return func() (*thermal.Factorization, error) {
-		return thermal.Factor(tinySPD(8, diagBoost), nil)
+// countingBuild returns a build function that counts its calls and
+// allocates a fresh blob each time.
+func countingBuild(builds *atomic.Int64) func() (*blob, error) {
+	return func() (*blob, error) {
+		builds.Add(1)
+		return &blob{data: make([]float64, 8)}, nil
 	}
 }
 
-func TestCacheHitReturnsSameFactorization(t *testing.T) {
-	c := NewFactorCache(4)
-	k := Key{Gen: 1, Current: 2.5}
-	f1, err := c.Do(k, factorTiny(t, 0.1))
+func TestCacheHitReturnsSameValue(t *testing.T) {
+	c := NewKeyedCache[string, *blob]("test.cache", 4)
+	var builds atomic.Int64
+	b1, err := c.Do("a", countingBuild(&builds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := c.Do(k, func() (*thermal.Factorization, error) {
+	b2, err := c.Do("a", func() (*blob, error) {
 		t.Fatal("second Do rebuilt a cached key")
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1 != f2 {
-		t.Fatal("cache returned a different factorization for the same key")
+	if b1 != b2 {
+		t.Fatal("cache returned a different value for the same key")
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
@@ -57,21 +52,18 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 }
 
 func TestCacheKeysAreExact(t *testing.T) {
-	c := NewFactorCache(8)
+	c := NewKeyedCache[key, *blob]("test.cache", 8)
 	var builds atomic.Int64
-	build := func() (*thermal.Factorization, error) {
-		builds.Add(1)
-		return thermal.Factor(tinySPD(8, 0.1), nil)
-	}
-	// Different generation, same current: distinct entries.
-	if _, err := c.Do(Key{Gen: 1, Current: 1}, build); err != nil {
+	build := countingBuild(&builds)
+	// Different name, same float: distinct entries.
+	if _, err := c.Do(key{"a", 1}, build); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Do(Key{Gen: 2, Current: 1}, build); err != nil {
+	if _, err := c.Do(key{"b", 1}, build); err != nil {
 		t.Fatal(err)
 	}
-	// Same generation, nearby-but-different current: distinct entry.
-	if _, err := c.Do(Key{Gen: 1, Current: 1 + 1e-15}, build); err != nil {
+	// Same name, nearby-but-different float: distinct entry.
+	if _, err := c.Do(key{"a", 1 + 1e-15}, build); err != nil {
 		t.Fatal(err)
 	}
 	if got := builds.Load(); got != 3 {
@@ -80,41 +72,37 @@ func TestCacheKeysAreExact(t *testing.T) {
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
-	c := NewFactorCache(2)
+	c := NewKeyedCache[string, *blob]("test.cache", 2)
 	var builds atomic.Int64
-	build := func() (*thermal.Factorization, error) {
-		builds.Add(1)
-		return thermal.Factor(tinySPD(8, 0.1), nil)
-	}
-	a, b, d := Key{Gen: 1, Current: 1}, Key{Gen: 1, Current: 2}, Key{Gen: 1, Current: 3}
-	c.Do(a, build)
-	c.Do(b, build)
-	c.Do(a, build) // refresh a: b is now least recently used
-	c.Do(d, build) // evicts b
+	build := countingBuild(&builds)
+	c.Do("a", build)
+	c.Do("b", build)
+	c.Do("a", build) // refresh a: b is now least recently used
+	c.Do("d", build) // evicts b
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	c.Do(a, build) // still resident
-	c.Do(b, build) // evicted: rebuild
+	c.Do("a", build) // still resident
+	c.Do("b", build) // evicted: rebuild
 	if got := builds.Load(); got != 4 {
 		t.Fatalf("%d builds, want 4 (a, b, d, then b again)", got)
 	}
 }
 
 func TestCacheCachesFailures(t *testing.T) {
-	c := NewFactorCache(4)
+	c := NewKeyedCache[key, *blob]("test.cache", 4)
 	var builds atomic.Int64
-	notPD := func() (*thermal.Factorization, error) {
+	errBuild := errors.New("infeasible input")
+	fail := func() (*blob, error) {
 		builds.Add(1)
-		// Indefinite: the chain Laplacian with a large negative shift.
-		return thermal.Factor(tinySPD(8, -10), nil)
+		return nil, errBuild
 	}
-	k := Key{Gen: 7, Current: math.Pi}
-	if _, err := c.Do(k, notPD); err == nil {
-		t.Fatal("expected a not-PD error")
+	k := key{"chip", math.Pi}
+	if _, err := c.Do(k, fail); !errors.Is(err, errBuild) {
+		t.Fatalf("err = %v, want the build error", err)
 	}
-	if _, err := c.Do(k, notPD); err == nil {
-		t.Fatal("expected the cached not-PD error")
+	if _, err := c.Do(k, fail); !errors.Is(err, errBuild) {
+		t.Fatalf("err = %v, want the cached build error", err)
 	}
 	if got := builds.Load(); got != 1 {
 		t.Fatalf("%d builds, want 1 (failures are cached too)", got)
@@ -122,25 +110,21 @@ func TestCacheCachesFailures(t *testing.T) {
 }
 
 func TestCacheConcurrentSameKeyBuildsOnce(t *testing.T) {
-	c := NewFactorCache(4)
+	c := NewKeyedCache[string, *blob]("test.cache", 4)
 	var builds atomic.Int64
-	k := Key{Gen: 3, Current: 6.5}
 	const goroutines = 16
-	results := make([]*thermal.Factorization, goroutines)
+	results := make([]*blob, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, err := c.Do(k, func() (*thermal.Factorization, error) {
-				builds.Add(1)
-				return thermal.Factor(tinySPD(64, 0.1), nil)
-			})
+			b, err := c.Do("shared", countingBuild(&builds))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[g] = f
+			results[g] = b
 		}(g)
 	}
 	wg.Wait()
@@ -149,16 +133,16 @@ func TestCacheConcurrentSameKeyBuildsOnce(t *testing.T) {
 	}
 	for g := 1; g < goroutines; g++ {
 		if results[g] != results[0] {
-			t.Fatal("goroutines saw different factorizations for one key")
+			t.Fatal("goroutines saw different values for one key")
 		}
 	}
 }
 
 func TestCacheEvictionCount(t *testing.T) {
-	c := NewFactorCache(2)
-	build := factorBoost(0.1)
+	c := NewKeyedCache[int, *blob]("test.cache", 2)
+	var builds atomic.Int64
 	for i := 0; i < 5; i++ {
-		if _, err := c.Do(Key{Gen: 1, Current: float64(i)}, build); err != nil {
+		if _, err := c.Do(i, countingBuild(&builds)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,10 +153,9 @@ func TestCacheEvictionCount(t *testing.T) {
 }
 
 func TestCacheResetStatsKeepsEntries(t *testing.T) {
-	c := NewFactorCache(4)
-	build := factorBoost(0.1)
-	k := Key{Gen: 9, Current: 1.5}
-	if _, err := c.Do(k, build); err != nil {
+	c := NewKeyedCache[string, *blob]("test.cache", 4)
+	var builds atomic.Int64
+	if _, err := c.Do("k", countingBuild(&builds)); err != nil {
 		t.Fatal(err)
 	}
 	c.ResetStats()
@@ -184,7 +167,7 @@ func TestCacheResetStatsKeepsEntries(t *testing.T) {
 		t.Fatalf("ResetStats dropped entries: len = %d, want 1", st.Len)
 	}
 	// The entry must still hit without rebuilding.
-	if _, err := c.Do(k, func() (*thermal.Factorization, error) {
+	if _, err := c.Do("k", func() (*blob, error) {
 		t.Fatal("ResetStats invalidated a resident entry")
 		return nil, nil
 	}); err != nil {
@@ -197,18 +180,18 @@ func TestCacheResetStatsKeepsEntries(t *testing.T) {
 
 // TestCacheStatsRaceWithConcurrentDo exercises Stats and ResetStats
 // while Do traffic is in flight — the -race gate for the stats API the
-// obs snapshot reads (see ISSUE satellite: safe Stats/ResetStats under
-// concurrent Factor calls).
+// obs snapshot reads.
 func TestCacheStatsRaceWithConcurrentDo(t *testing.T) {
-	c := NewFactorCache(4)
+	c := NewKeyedCache[key, *blob]("test.cache", 4)
+	var builds atomic.Int64
 	var workers sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		workers.Add(1)
 		go func(g int) {
 			defer workers.Done()
 			for i := 0; i < 60; i++ {
-				k := Key{Gen: uint64((g + i) % 5), Current: float64(i % 9)}
-				if _, err := c.Do(k, factorBoost(0.1)); err != nil {
+				k := key{string(rune('a' + (g+i)%5)), float64(i % 9)}
+				if _, err := c.Do(k, countingBuild(&builds)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -246,63 +229,27 @@ func TestCacheStatsRaceWithConcurrentDo(t *testing.T) {
 	}
 }
 
-// A NaN current can never be found again (NaN != NaN as a map key), so
-// the cache must reject non-finite keys at the boundary with a typed
-// invalid-input error instead of leaking one unreachable entry per call.
-func TestCacheRejectsNonFiniteCurrent(t *testing.T) {
-	c := NewFactorCache(4)
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		f, err := c.Do(Key{Gen: 1, Current: bad}, func() (*thermal.Factorization, error) {
-			t.Fatalf("build ran for non-finite current %v", bad)
-			return nil, nil
-		})
-		if f != nil {
-			t.Fatalf("current %v returned a factorization alongside the error", bad)
-		}
-		if !errors.Is(err, tecerr.ErrInvalidInput) {
-			t.Fatalf("current %v: err = %v, want CodeInvalidInput", bad, err)
-		}
-	}
-	st := c.Stats()
-	if st.Len != 0 || st.Misses != 0 {
-		t.Fatalf("rejected keys touched the cache: %+v", st)
-	}
-}
-
-// factorBoost returns a build function for a small SPD chain with the
-// given diagonal boost.
-func factorBoost(diagBoost float64) func() (*thermal.Factorization, error) {
-	return func() (*thermal.Factorization, error) {
-		return thermal.Factor(tinySPD(8, diagBoost), nil)
-	}
-}
-
 func TestCacheConcurrentMixedKeys(t *testing.T) {
 	// Hammer the cache with more keys than capacity from many
 	// goroutines; under -race this is the cache's core safety test.
-	c := NewFactorCache(4)
+	c := NewKeyedCache[key, *blob]("test.cache", 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				k := Key{Gen: uint64(i % 10), Current: float64(i % 7)}
-				f, err := c.Do(k, func() (*thermal.Factorization, error) {
-					return thermal.Factor(tinySPD(8, 0.1), nil)
+				k := key{string(rune('a' + i%10)), float64(i % 7)}
+				b, err := c.Do(k, func() (*blob, error) {
+					return &blob{data: []float64{k.x, 1}}, nil
 				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				// Solves on a shared factorization must be safe.
-				x, err := f.Solve([]float64{1, 0, 0, 0, 0, 0, 0, 1})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(x) != 8 {
-					t.Errorf("solve length %d", len(x))
+				// Reads of a shared value must be safe.
+				if len(b.data) != 2 || math.Float64bits(b.data[0]) != math.Float64bits(k.x) {
+					t.Errorf("value %v for key %v", b.data, k)
 					return
 				}
 			}

@@ -1,12 +1,10 @@
 // Package engine is the parallel solve-execution layer of the
 // reproduction: a bounded worker pool for embarrassingly parallel index
 // spaces (Table I chips, Conjecture-1 trials, current-grid sweeps,
-// H-column solves) plus an LRU cache of banded-Cholesky factorizations
-// keyed by (system generation, supply current), so that repeated
-// Factor(i) calls at the same operating point — golden-section endpoint
-// re-evaluation, h_kl sweeps followed by peak solves, greedy-deploy
-// re-solves — reuse one factorization instead of rebuilding G - i*D
-// from scratch.
+// H-column solves), the admission gate of the HTTP service, and the
+// bounded LRU (KeyedCache) behind the service's content-addressed
+// system cache. It knows nothing of the numerical stack: solver state
+// belongs to the core.System it describes.
 //
 // Everything is stdlib-only (sync, sync/atomic, container/list). The
 // pool guarantees deterministic results: work items are identified by
@@ -221,17 +219,4 @@ func clampNS(d int64) uint64 {
 		return 0
 	}
 	return uint64(d)
-}
-
-// generation is the process-wide system-generation counter; see
-// NextGeneration.
-var generation atomic.Uint64
-
-// NextGeneration returns a fresh, process-unique generation number.
-// Every assembled core.System takes one at construction, and the
-// factorization cache keys on it: a deployment change means a new
-// System, hence a new generation, hence no stale cache hits — the old
-// generation's entries simply age out of the LRU.
-func NextGeneration() uint64 {
-	return generation.Add(1)
 }

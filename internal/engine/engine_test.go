@@ -112,29 +112,3 @@ func TestPoolSerialSpawnsNoGoroutines(t *testing.T) {
 		t.Fatalf("sum = %d", sum)
 	}
 }
-
-func TestNextGenerationUnique(t *testing.T) {
-	const goroutines, per = 8, 100
-	seen := make([]uint64, goroutines*per)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				seen[g*per+i] = NextGeneration()
-			}
-		}(g)
-	}
-	wg.Wait()
-	uniq := make(map[uint64]bool, len(seen))
-	for _, v := range seen {
-		if v == 0 {
-			t.Fatal("generation 0 issued; 0 is reserved for 'unset'")
-		}
-		if uniq[v] {
-			t.Fatalf("generation %d issued twice", v)
-		}
-		uniq[v] = true
-	}
-}

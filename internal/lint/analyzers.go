@@ -5,7 +5,6 @@ package lint
 // identical positions; Run sorts findings by position and rule name.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CacheGen,
 		ChanFlow,
 		CtxFlow,
 		DimFlow,

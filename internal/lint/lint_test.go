@@ -115,7 +115,6 @@ func TestValidateFirstFixture(t *testing.T) { runFixture(t, ValidateFirst) }
 func TestDimFlowFixture(t *testing.T)       { runFixture(t, DimFlow) }
 func TestNaNFlowFixture(t *testing.T)       { runFixture(t, NaNFlow) }
 func TestGoroLeakFixture(t *testing.T)      { runFixture(t, GoroLeak) }
-func TestCacheGenFixture(t *testing.T)      { runFixture(t, CacheGen) }
 func TestChanFlowFixture(t *testing.T)      { runFixture(t, ChanFlow) }
 func TestWGBalanceFixture(t *testing.T)     { runFixture(t, WGBalance) }
 func TestMutexBlockFixture(t *testing.T)    { runFixture(t, MutexBlock) }
@@ -176,7 +175,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	want := []string{"cachegen", "chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"}
+	want := []string{"chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("registered analyzers = %v, want %v", names, want)
 	}

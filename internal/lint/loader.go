@@ -55,7 +55,6 @@ type FactStore struct {
 	noReturn  map[*types.Func]bool
 	validate  map[types.Type]bool
 	summaries map[*types.Func]*FuncSummary
-	genTypes  map[*types.Named]string // cache-keyed type -> generation field
 }
 
 // NewFactStore returns an empty fact store.
@@ -64,7 +63,6 @@ func NewFactStore() *FactStore {
 		noReturn:  make(map[*types.Func]bool),
 		validate:  make(map[types.Type]bool),
 		summaries: make(map[*types.Func]*FuncSummary),
-		genTypes:  make(map[*types.Named]string),
 	}
 }
 

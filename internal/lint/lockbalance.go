@@ -10,10 +10,10 @@ import (
 // RLock acquired in a function body is released on every path to
 // function exit — either by a matching Unlock/RUnlock reachable on each
 // path, or by a deferred release (`defer mu.Unlock()`, including
-// releases inside a deferred function literal). The solver caches and
-// the metrics registry both take locks on hot paths; a branch that
-// returns early while holding one deadlocks the next Table I sweep
-// rather than failing loudly.
+// releases inside a deferred function literal). The service's system
+// cache and the metrics registry both take locks on hot paths; a
+// branch that returns early while holding one deadlocks the next
+// request rather than failing loudly.
 //
 // Mutexes are identified textually by their receiver expression
 // (types.ExprString), which is exact for the repository's idioms

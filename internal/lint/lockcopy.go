@@ -9,9 +9,9 @@ import (
 // by value: assignments from an existing value, by-value call
 // arguments, by-value returns, and range-over-slice value variables. A
 // copied sync.Mutex (or a struct embedding one, like the engine's
-// FactorCache) is a new, unlocked lock that no longer guards the state
-// it was copied from — the classic silent way to unprotect the
-// factorization cache or a wait group. Creating a fresh value via a
+// KeyedCache) is a new, unlocked lock that no longer guards the state
+// it was copied from — the classic silent way to unprotect a cache or
+// a wait group. Creating a fresh value via a
 // composite literal is fine; only copies of existing values are
 // flagged. Suppress with "teclint:ignore lockcopy <reason>" when the
 // copy provably happens before the value is ever shared.

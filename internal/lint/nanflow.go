@@ -1,8 +1,8 @@
 package lint
 
 // nanflow is the interprocedural NaN/Inf taint analysis. The solver's
-// conditioning-sensitive spots — matrix assembly, factorizations, and
-// the factor cache key — silently absorb a NaN and emit plausible
+// conditioning-sensitive spots — matrix assembly and factorizations —
+// silently absorb a NaN and emit plausible
 // wrong temperatures, so any value that *can* be NaN or ±Inf must be
 // checked before it reaches them. Sources are the standard producers
 // (math.Sqrt, Log family, Asin/Acos, math.NaN/Inf — division is

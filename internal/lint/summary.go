@@ -4,10 +4,10 @@ package lint
 // call graph (callgraph.go). The loader harvests a FuncSummary for
 // every function of every module package it type-checks — imports
 // included, callee-SCCs first — so the interprocedural analyzers
-// (dimflow, nanflow, goroleak, cachegen) can ask about callees outside
+// (dimflow, nanflow, goroleak) can ask about callees outside
 // the unit under analysis without re-reading their source.
 //
-// A summary records four fact families, one per analyzer:
+// A summary records these fact families:
 //
 //   - Params/Results: the physical dimension of each parameter and
 //     result, inferred from the unit naming conventions (limitK,
@@ -22,10 +22,6 @@ package lint
 //   - NeverTerminates: the body's CFG cannot reach its exit block
 //     (for {} with no break, select {}), the fact goroleak checks for
 //     spawned functions.
-//   - MutatesCacheKeyed/BumpsGeneration: whether the function writes
-//     fields of a generation-keyed type (one whose generation field is
-//     somewhere assigned from NextGeneration()) and whether it bumps
-//     such a generation itself — the cachegen contract.
 //   - Concurrency effects (concsummary.go): per-parameter channel
 //     operations, WaitGroup deltas, may-block, and cancellation
 //     observation — the facts behind chanflow, wgbalance, mutexblock,
@@ -219,14 +215,6 @@ type FuncSummary struct {
 	// NeverTerminates reports that the body's CFG cannot reach its
 	// exit: a goroutine running this function can never finish.
 	NeverTerminates bool
-	// MutatesCacheKeyed reports a write to a non-generation field of a
-	// generation-keyed type somewhere in the body.
-	MutatesCacheKeyed bool
-	// BumpsGeneration reports that the body calls NextGeneration()
-	// itself, or calls a callee that both bumps and receives a
-	// generation-keyed value (so the bump can reach the caller's
-	// object).
-	BumpsGeneration bool
 
 	// Concurrency effects (concsummary.go). All facts are "may"
 	// facts: they claim an effect can happen on some execution, never
@@ -271,23 +259,6 @@ func (f *FactStore) Summary(fn *types.Func) *FuncSummary {
 	return f.summaries[fn]
 }
 
-// GenField reports the generation-field name of a cache-keyed type:
-// a named struct type some field of which is assigned from
-// NextGeneration(). t may be the named type or a pointer to it.
-func (f *FactStore) GenField(t types.Type) (string, bool) {
-	if f == nil || t == nil {
-		return "", false
-	}
-	named, ok := derefType(t).(*types.Named)
-	if !ok {
-		return "", false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	field, ok := f.genTypes[named]
-	return field, ok
-}
-
 // recordSummaries computes and stores summaries for every function
 // declared in files. Must run after recordNoReturns (the CFG used for
 // NeverTerminates relies on no-return facts).
@@ -295,7 +266,6 @@ func (f *FactStore) recordSummaries(info *types.Info, files []*ast.File) {
 	if f == nil {
 		return
 	}
-	f.harvestGenTypes(info, files)
 	graph := BuildCallGraph(info, files)
 	for _, scc := range graph.SCCs() {
 		// Seed every member first so mutual recursion resolves against
@@ -355,15 +325,6 @@ func (f *FactStore) refineSummary(info *types.Info, node *CGNode) bool {
 	}
 	if !s.CanNaN && f.resultCanNaN(info, node) {
 		s.CanNaN = true
-		changed = true
-	}
-	mut, bump := f.cacheEffects(info, node)
-	if mut && !s.MutatesCacheKeyed {
-		s.MutatesCacheKeyed = true
-		changed = true
-	}
-	if bump && !s.BumpsGeneration {
-		s.BumpsGeneration = true
 		changed = true
 	}
 	if f.refineConcurrency(info, node, s) {
@@ -590,145 +551,6 @@ func hasFloatResult(sig *types.Signature) bool {
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
-}
-
-// harvestGenTypes records every named struct type whose field is
-// assigned from a NextGeneration() call — by field assignment or
-// composite literal — as cache-keyed, remembering the generation
-// field's name.
-func (f *FactStore) harvestGenTypes(info *types.Info, files []*ast.File) {
-	record := func(t types.Type, field string) {
-		if named, ok := derefType(t).(*types.Named); ok {
-			f.mu.Lock()
-			f.genTypes[named] = field
-			f.mu.Unlock()
-		}
-	}
-	for _, file := range files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					sel, ok := lhs.(*ast.SelectorExpr)
-					if !ok || !isNextGenerationCall(n.Rhs[i]) {
-						continue
-					}
-					if t := info.TypeOf(sel.X); t != nil {
-						record(t, sel.Sel.Name)
-					}
-				}
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok || !isNextGenerationCall(kv.Value) {
-						continue
-					}
-					key, ok := kv.Key.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if t := info.TypeOf(n); t != nil {
-						record(t, key.Name)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// isNextGenerationCall matches a call to a function named
-// NextGeneration (the generation allocator; matched by name so
-// fixtures can define their own).
-func isNextGenerationCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	return ok && calleeName(call) == "NextGeneration"
-}
-
-// cacheEffects scans one function for generation-cache effects:
-// mut — a write to a non-generation field of a cache-keyed type;
-// bump — a NextGeneration() call, or a call to a callee that bumps
-// and receives a cache-keyed value (so its bump can cover the
-// caller's object).
-func (f *FactStore) cacheEffects(info *types.Info, node *CGNode) (mut, bump bool) {
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if _, _, ok := f.cacheKeyedFieldWrite(info, lhs); ok {
-					mut = true
-				}
-			}
-			for _, rhs := range n.Rhs {
-				if isNextGenerationCall(rhs) {
-					bump = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if _, _, ok := f.cacheKeyedFieldWrite(info, n.X); ok {
-				mut = true
-			}
-		case *ast.CallExpr:
-			if calleeName(n) == "NextGeneration" {
-				bump = true
-				return true
-			}
-			if callee := staticCallee(info, n); callee != nil {
-				if s := f.Summary(callee); s != nil && s.BumpsGeneration && receivesCacheKeyed(f, callee) {
-					bump = true
-				}
-			}
-		}
-		return true
-	})
-	return mut, bump
-}
-
-// cacheKeyedFieldWrite reports whether lhs writes a non-generation
-// field of a cache-keyed type: x.f, x.f[i], or x.f.g where x's type
-// is generation-keyed.
-func (f *FactStore) cacheKeyedFieldWrite(info *types.Info, lhs ast.Expr) (sel *ast.SelectorExpr, field string, ok bool) {
-	e := ast.Unparen(lhs)
-	for {
-		switch v := e.(type) {
-		case *ast.IndexExpr:
-			e = v.X
-			continue
-		case *ast.SelectorExpr:
-			if t := info.TypeOf(v.X); t != nil {
-				if genField, keyed := f.GenField(t); keyed && v.Sel.Name != genField {
-					return v, v.Sel.Name, true
-				}
-			}
-			e = v.X
-			continue
-		}
-		return nil, "", false
-	}
-}
-
-// receivesCacheKeyed reports whether fn's receiver or any parameter
-// is (a pointer to) a cache-keyed type — the condition under which
-// its generation bump can cover a caller's object.
-func receivesCacheKeyed(f *FactStore, fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	if recv := sig.Recv(); recv != nil {
-		if _, keyed := f.GenField(recv.Type()); keyed {
-			return true
-		}
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if _, keyed := f.GenField(sig.Params().At(i).Type()); keyed {
-			return true
-		}
-	}
-	return false
 }
 
 // dimEval evaluates expression dimensions against the naming

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/types"
-	"testing"
-)
+import "testing"
 
 func TestNameDim(t *testing.T) {
 	cases := []struct {
@@ -141,56 +138,6 @@ func normal(ch chan int)   { ch <- 1 }
 	} {
 		if got := sums[name].NeverTerminates; got != want {
 			t.Errorf("NeverTerminates(%s) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-func TestSummaryCacheEffects(t *testing.T) {
-	info, files, facts := checkSrc(t, `package p
-var ctr uint64
-func NextGeneration() uint64 { ctr++; return ctr }
-type sys struct {
-	scale float64
-	gen   uint64
-}
-func fresh() *sys                { return &sys{gen: NextGeneration()} }
-func (s *sys) mutate(v float64)  { s.scale = v }
-func (s *sys) bump(v float64)    { s.scale = v; s.gen = NextGeneration() }
-func (s *sys) inval()            { s.gen = NextGeneration() }
-func (s *sys) viaHelper(v float64) { s.scale = v; s.inval() }
-func unrelated()                 { _ = NextGeneration() }
-`)
-	facts.recordSummaries(info, files)
-	sums := make(map[string]*FuncSummary)
-	facts.mu.Lock()
-	for fn, s := range facts.summaries {
-		sums[fn.Name()] = s
-	}
-	var sysType *types.Named
-	for named := range facts.genTypes {
-		sysType = named
-	}
-	facts.mu.Unlock()
-
-	if sysType == nil {
-		t.Fatal("sys not harvested as cache-keyed")
-	}
-	if field, ok := facts.GenField(types.NewPointer(sysType)); !ok || field != "gen" {
-		t.Fatalf("GenField = %q,%v want gen,true", field, ok)
-	}
-	type want struct{ mut, bump bool }
-	for name, w := range map[string]want{
-		"fresh":     {false, true}, // composite literal is construction, not mutation
-		"mutate":    {true, false},
-		"bump":      {true, true},
-		"inval":     {false, true},
-		"viaHelper": {true, true}, // bump propagates through the receiver-typed callee
-		"unrelated": {false, true},
-	} {
-		s := sums[name]
-		if s.MutatesCacheKeyed != w.mut || s.BumpsGeneration != w.bump {
-			t.Errorf("%s: mut=%v bump=%v, want mut=%v bump=%v",
-				name, s.MutatesCacheKeyed, s.BumpsGeneration, w.mut, w.bump)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // loaders) or by constructing a composite literal of a type carrying a
 // Validate() error method — must reach a Validate() call on every
 // path before it flows into a solver entry point (a Solve* function,
-// RunawayLimit, RunawayLimitEigen, or OptimizeCurrent). An
+// RunawayLimit, or OptimizeCurrent). An
 // unvalidated config does not crash the solver; it poisons every
 // iteration of the optimize loop and skews Table I / Figure 6
 // silently, which is exactly why the syntactic analyzers cannot be
@@ -337,7 +337,7 @@ func reportValidateFirst(pass *Pass, a *vfAnalysis, g *CFG, res *FlowResult) {
 // isSolveSink matches the solver entry points of the contract.
 func isSolveSink(name string) bool {
 	switch name {
-	case "RunawayLimit", "RunawayLimitEigen", "OptimizeCurrent":
+	case "RunawayLimit", "OptimizeCurrent":
 		return true
 	}
 	return strings.HasPrefix(name, "Solve")

@@ -12,7 +12,7 @@
 // beyond `if r := obs.Enabled(); r != nil { ... }`.
 //
 // Naming convention: metric names are dot-separated
-// ("engine.factor_cache.hits"); every duration-valued metric ends in
+// ("tecserve.system_cache.hits"); every duration-valued metric ends in
 // "_ns" (nanoseconds from the registry clock). The snapshot code
 // relies on that suffix to separate deterministic metrics (counts,
 // iterations) from timing metrics when comparing runs — see

@@ -97,7 +97,7 @@ func (s *Snapshot) JSON() ([]byte, error) {
 
 // Text renders the snapshot as a sorted, aligned, human-readable block:
 //
-//	counter engine.factor_cache.hits          412
+//	counter tecserve.system_cache.hits        412
 //	hist    span.core.factor_ns               count=96 sum=1.2e+08 min=...
 func (s *Snapshot) Text() string {
 	var b strings.Builder

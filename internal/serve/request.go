@@ -144,18 +144,44 @@ type errorBody struct {
 	Message string `json:"message"`
 }
 
+// Model-size caps of a /v1 request, checked before any assembly. A
+// layer of n cells has about n^2 nodes, and the setup plus first solve
+// grows faster than the node count: on a 2-CPU Xeon a 4x4 map took
+// 0.66 s and 53 MB with 64-cell layers, 3.2 s and 166 MB with 100-cell
+// layers. The heaviest accepted input, a fully covered 24x24 map with
+// 64-cell layers, took 12.1 s and 281 MB there.
+const (
+	maxTiling     = 24 // chip.cols and chip.rows
+	maxLayerCells = 64 // chip.spreader_cells and chip.sink_cells
+)
+
+// checkModelSize rejects a resolved configuration beyond the caps.
+func checkModelSize(cfg core.Config) error {
+	if cfg.Cols > maxTiling || cfg.Rows > maxTiling {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "serve.request",
+			"serve: chip tiling %dx%d exceeds the %dx%d cap", cfg.Cols, cfg.Rows, maxTiling, maxTiling)
+	}
+	if cfg.SpreaderCells > maxLayerCells || cfg.SinkCells > maxLayerCells {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "serve.request",
+			"serve: layer cells %d, %d exceed the cap %d", cfg.SpreaderCells, cfg.SinkCells, maxLayerCells)
+	}
+	return nil
+}
+
 // resolveSystem turns a chip spec + deployment into a *core.System
 // through the content-addressed cache: requests naming the same chip
-// and sites share one assembled system — and through its generation,
-// the process-wide factorization and SMW solver caches. The returned
-// system is shared and read-only by contract (core.System solves are
-// concurrency-safe).
+// and sites share one assembled system, which owns its base
+// factorization and SMW fast-path state. The returned system is shared
+// and read-only by contract (core.System solves are concurrency-safe).
 func (s *Server) resolveSystem(spec ChipSpec, sites []int) (*core.System, error) {
 	cfg, err := resolveConfig(spec)
 	if err != nil {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkModelSize(cfg); err != nil {
 		return nil, err
 	}
 	key, err := systemKey(cfg, sites)

@@ -17,11 +17,11 @@
 // Cross-request performance comes from content addressing: chip +
 // deployment hash to a key in a bounded system cache, so repeated
 // requests against the same package network share one assembled
-// core.System — and through its generation, one base factorization and
-// one SMW fast-path state (EXPERIMENTS.md measures the resulting
-// per-solve speedup at ~15000x over a cold factorization). Sweep
+// core.System, which owns its base factorization and SMW fast-path
+// state. The cache bound also bounds the live fast-path states. Sweep
 // points that race on the same (system, current, k, l) are coalesced:
-// one computes, the rest wait and share.
+// one computes, the rest wait and share. Request model sizes are capped
+// (checkModelSize), so no request can ask for an unbounded assembly.
 //
 // The package is stdlib-only plus the repo's own internal layers, and
 // it deliberately contains no net.Listen call: main owns the listener

@@ -235,6 +235,47 @@ func TestInvalidInputs(t *testing.T) {
 	})
 }
 
+// TestOversizedModelsRejected pins the model-size caps and the tiling
+// overflow check: each body is one step past a limit and must get 400
+// invalid_input before any system is assembled.
+func TestOversizedModelsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	strip := func(cols, rows int) ChipSpec {
+		return ChipSpec{Cols: cols, Rows: rows, TilePowerW: make([]float64, cols*rows)}
+	}
+	cells := func(spreader, sink int) ChipSpec {
+		c := tinyChip()
+		c.SpreaderCells, c.SinkCells = spreader, sink
+		return c
+	}
+	cases := []struct {
+		name string
+		chip ChipSpec
+	}{
+		{"cols", strip(maxTiling+1, 1)},
+		{"rows", strip(1, maxTiling+1)},
+		{"spreader cells", cells(maxLayerCells+1, 5)},
+		{"sink cells", cells(5, maxLayerCells+1)},
+		{"negative sink cells", cells(5, -1)},
+		// Cols*Rows wraps to 16, the length of the power vector.
+		{"overflowing tiling", ChipSpec{Cols: 1<<62 + 1, Rows: 16, TilePowerW: make([]float64, 16)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, m, _ := post(t, ts.URL+"/v1/solve", solveRequest{common: common{Chip: tc.chip}, CurrentA: 0.1})
+			if status != http.StatusBadRequest {
+				t.Fatalf("status = %d, body %v, want 400", status, m)
+			}
+			if code := errCode(t, m); code != "invalid_input" {
+				t.Errorf("error.code = %q, want invalid_input", code)
+			}
+		})
+	}
+	if st := s.SystemCacheStats(); st.Misses != 0 {
+		t.Fatalf("rejected requests reached the system cache: %+v", st)
+	}
+}
+
 // TestSystemCacheReuse pins the cross-request reuse contract: two
 // requests naming the same chip+deployment share one assembled system
 // through the content-addressed cache.

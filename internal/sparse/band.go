@@ -333,35 +333,6 @@ func (c *BandCholesky) backwardBlock(x []float64, nb int) {
 	}
 }
 
-// SolveL solves the lower-triangular system L y = b with the factor L.
-// Together with SolveLT it lets callers apply L^{-1} and L^{-T}
-// separately — needed for the symmetric reduction of generalized
-// eigenproblems (see internal/eigen and core.RunawayLimitEigen). A
-// wrong-length rhs is a tecerr.CodeInvalidInput error.
-func (c *BandCholesky) SolveL(b []float64) ([]float64, error) {
-	if len(b) != c.n {
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.band",
-			"sparse: BandCholesky.SolveL rhs length %d, want %d", len(b), c.n)
-	}
-	y := make([]float64, c.n)
-	copy(y, b)
-	c.forward(y)
-	return y, nil
-}
-
-// SolveLT solves the upper-triangular system L' x = b with the factor L.
-// A wrong-length rhs is a tecerr.CodeInvalidInput error.
-func (c *BandCholesky) SolveLT(b []float64) ([]float64, error) {
-	if len(b) != c.n {
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.band",
-			"sparse: BandCholesky.SolveLT rhs length %d, want %d", len(b), c.n)
-	}
-	x := make([]float64, c.n)
-	copy(x, b)
-	c.backward(x)
-	return x, nil
-}
-
 // IsPositiveDefiniteBand reports whether the symmetric matrix a is
 // positive definite via a banded factorization attempt. This is the
 // paper's Cholesky-based PD test, made O(n*bw^2) by band storage.
