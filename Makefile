@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-engine chaos serve-chaos serve-smoke bench-serve vet fmt-check lint lint-json lint-sarif lint-fixtures benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
+.PHONY: all build test race race-engine chaos serve-chaos serve-smoke bench-serve vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
 
 all: check
 
@@ -34,8 +34,9 @@ chaos:
 # worker panics, injected latency) driven through the live tecserve
 # HTTP pipeline under the race detector, asserting the status-code
 # contract, per-request isolation, backpressure, deadline partial
-# flush, and the drain state machine, plus the gate drain-vs-acquire
-# stress in the engine. -count=1: the fault injector is process-global
+# flush, the drain state machine, and the sweep coalescer's leader
+# cancellation and leader panic, plus the gate drain-vs-acquire stress
+# in the engine. -count=1: the fault injector is process-global
 # state the test cache cannot see.
 serve-chaos:
 	$(GO) test -race -count=1 ./internal/serve/
@@ -71,29 +72,6 @@ fmt-check:
 
 lint:
 	$(GO) run ./cmd/teclint ./...
-
-# Machine-readable lint report, checked against the committed baseline
-# (which is empty: the tree lints clean; the baseline exists so CI can
-# upload the JSON artifact and so a future emergency waiver has a
-# documented home). Exit code 2 = teclint itself failed to load the
-# tree; 1 = findings beyond the baseline; 0 = clean.
-lint-json:
-	$(GO) run ./cmd/teclint -json -baseline teclint.baseline.json ./... > teclint.json; \
-	status=$$?; cat teclint.json; exit $$status
-
-# SARIF 2.1.0 report for code-scanning UIs; CI uploads teclint.sarif
-# as an artifact alongside the JSON report. Same exit-code contract as
-# lint-json.
-lint-sarif:
-	$(GO) run ./cmd/teclint -format=sarif ./... > teclint.sarif; \
-	status=$$?; cat teclint.sarif; exit $$status
-
-# Fixture gate: lints the seeded-violation fixture packages and checks
-# the per-rule finding counts against the committed expectations. A
-# refactor that silently kills an analyzer (zero findings where the
-# fixtures seed some) fails here even though `make lint` stays green.
-lint-fixtures:
-	$(GO) run ./cmd/teclint -expect cmd/teclint/testdata/fixture_counts.json internal/lint/testdata/*/
 
 # The repository benchmark (benchmark/, run by benchmark/run.sh) is a Go
 # module of its own, so the ./... patterns above do not reach it: vet it
@@ -164,4 +142,4 @@ trace-golden:
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
 
 # The full gate, in the order CI runs it.
-check: build vet fmt-check lint lint-fixtures test benchmark-check race chaos serve-chaos serve-smoke
+check: build vet fmt-check lint test benchmark-check race chaos serve-chaos serve-smoke

@@ -15,39 +15,21 @@
 // Flags:
 //
 //	-rules         list the analyzers and exit
-//	-json          emit findings as a JSON array instead of text
-//	-format FMT    output format: text (default), json, or sarif
-//	               (SARIF 2.1.0, the interchange format code-scanning
-//	               dashboards ingest; -json is shorthand for
-//	               -format=json)
-//	-baseline F    suppress findings recorded in the JSON baseline file F
-//	-parallel N    run analyzers over N packages concurrently
-//	               (0 = all cores, 1 = serial; output is identical)
-//	-stats         report per-analyzer wall time and finding counts
-//	               (a table on stderr; with -json the output becomes a
-//	               {"findings":..., "stats":...} object)
-//	-expect F      compare per-rule finding counts against the JSON
-//	               object {"rule": count, ...} in F: exit 0 iff they
-//	               match exactly. The CI fixture gate uses this to catch
-//	               analyzers that silently stop firing.
 //	-log FMT       structured logging to stderr (off, text or json), the
 //	               uniform obs flag pair; -log-level sets the threshold.
 //
 // Exit codes follow the tecerr contract: 0 clean, 1 when findings
-// survive the baseline, 2 (tecerr.CodeInvalidInput) when packages fail
-// to load or type-check, or on flag/baseline misuse.
+// remain, 2 (tecerr.CodeInvalidInput) when packages fail to load or
+// type-check, or on flag misuse.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"tecopt/internal/lint"
 	"tecopt/internal/obs"
@@ -58,7 +40,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// loadFailure wraps a loader or baseline error so the process exit code
+// loadFailure wraps a loader error so the process exit code
 // (via tecerr.ExitCode) distinguishes "could not analyze" from "found
 // problems".
 func loadFailure(op string, err error) error {
@@ -69,12 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("teclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listRules := fs.Bool("rules", false, "list the analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	format := fs.String("format", "", "output format: text, json, or sarif (-json is shorthand for -format=json)")
-	baselinePath := fs.String("baseline", "", "JSON baseline file of findings to suppress")
-	parallel := fs.Int("parallel", 0, "packages analyzed concurrently (0 = all cores, 1 = serial)")
-	withStats := fs.Bool("stats", false, "report per-analyzer wall time and finding counts")
-	expectPath := fs.String("expect", "", "JSON file of expected per-rule finding counts; exit 0 iff they match")
 	logFlags := obs.BindLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,19 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer restoreLog()
-	outFormat := *format
-	if outFormat == "" {
-		outFormat = "text"
-		if *asJSON {
-			outFormat = "json"
-		}
-	}
-	switch outFormat {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "teclint: unknown -format %q (want text, json, or sarif)\n", outFormat)
-		return 2
-	}
 	analyzers := lint.All()
 	if *listRules {
 		for _, a := range analyzers {
@@ -131,203 +94,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("resolving patterns", err))
 	}
-	var stats *lint.StatsCollector
-	if *withStats {
-		stats = lint.NewStatsCollector()
-	}
-	diags, err := lint.LintDirsParallelStats(loader, dirs, analyzers, cwd, *parallel, stats)
+	diags, err := lint.LintDirs(loader, dirs, analyzers, cwd)
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("loading packages", err))
 	}
-
-	if *baselinePath != "" {
-		baseline, err := readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "teclint:", err)
-			return tecerr.ExitCode(loadFailure("reading baseline", err))
-		}
-		diags = filterBaseline(diags, baseline)
-	}
-
-	switch outFormat {
-	case "json":
-		if err := writeJSON(stdout, diags, stats); err != nil {
-			fmt.Fprintln(stderr, "teclint:", err)
-			return tecerr.ExitCode(loadFailure("encoding json", err))
-		}
-	case "sarif":
-		if err := writeSARIF(stdout, diags, analyzers); err != nil {
-			fmt.Fprintln(stderr, "teclint:", err)
-			return tecerr.ExitCode(loadFailure("encoding sarif", err))
-		}
-		writeStatsTable(stderr, stats)
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
-		writeStatsTable(stderr, stats)
-	}
-
-	if *expectPath != "" {
-		expected, err := readExpected(*expectPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "teclint:", err)
-			return tecerr.ExitCode(loadFailure("reading expected counts", err))
-		}
-		if mismatches := compareExpected(diags, expected); len(mismatches) > 0 {
-			for _, m := range mismatches {
-				fmt.Fprintln(stderr, "teclint:", m)
-			}
-			return 1
-		}
-		fmt.Fprintf(stderr, "teclint: finding counts match %s\n", *expectPath)
-		return 0
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "teclint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// Finding is the JSON shape of one diagnostic, stable for tooling: the
-// same struct round-trips baselines and the -json output.
-type Finding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func toFinding(d lint.Diagnostic) Finding {
-	return Finding{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Message: d.Message}
-}
-
-// writeJSON emits the findings as an indented JSON array (always an
-// array, never null, so consumers can range unconditionally). With
-// -stats the output becomes a {"findings":..., "stats":...} object —
-// the bare-array shape is preserved whenever -stats is absent so
-// existing baselines and pipelines keep parsing.
-func writeJSON(w io.Writer, diags []lint.Diagnostic, stats *lint.StatsCollector) error {
-	findings := make([]Finding, 0, len(diags))
-	for _, d := range diags {
-		findings = append(findings, toFinding(d))
-	}
-	var payload any = findings
-	if stats != nil {
-		payload = struct {
-			Findings []Finding           `json:"findings"`
-			Stats    []lint.AnalyzerStat `json:"stats"`
-		}{Findings: findings, Stats: stats.Stats()}
-	}
-	data, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
-
-// writeStatsTable prints the per-analyzer accounting to stderr in text
-// mode, keeping stdout byte-identical with and without -stats. Finding
-// counts here are post-suppression but pre-baseline (they are gathered
-// inside the analysis run, before -baseline filtering).
-func writeStatsTable(w io.Writer, stats *lint.StatsCollector) {
-	if stats == nil {
-		return
-	}
-	fmt.Fprintf(w, "%-13s %12s %9s\n", "analyzer", "wall", "findings")
-	for _, s := range stats.Stats() {
-		fmt.Fprintf(w, "%-13s %12s %9d\n", s.Name, time.Duration(s.Nanos).Round(time.Microsecond), s.Findings)
-	}
-}
-
-// readExpected parses a -expect file: a JSON object mapping rule name
-// to the exact number of findings that rule must produce.
-func readExpected(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var expected map[string]int
-	if err := json.Unmarshal(data, &expected); err != nil {
-		return nil, fmt.Errorf("parsing expected counts %s: %w", path, err)
-	}
-	return expected, nil
-}
-
-// compareExpected diffs actual per-rule finding counts against the
-// expected map, returning one message per rule that is off (sorted by
-// rule name). Rules absent from the expected map must produce zero
-// findings.
-func compareExpected(diags []lint.Diagnostic, expected map[string]int) []string {
-	actual := make(map[string]int)
-	for _, d := range diags {
-		actual[d.Rule]++
-	}
-	rules := make(map[string]bool, len(actual)+len(expected))
-	for r := range actual {
-		rules[r] = true
-	}
-	for r := range expected {
-		rules[r] = true
-	}
-	names := make([]string, 0, len(rules))
-	for r := range rules {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	var mismatches []string
-	for _, r := range names {
-		if actual[r] != expected[r] {
-			mismatches = append(mismatches, fmt.Sprintf("rule %s: %d finding(s), expected %d", r, actual[r], expected[r]))
-		}
-	}
-	return mismatches
-}
-
-// baselineKey identifies a finding for baseline matching. Line and
-// column are deliberately excluded: a baseline entry keeps suppressing
-// its finding as unrelated edits shift it around a file.
-type baselineKey struct {
-	file string
-	rule string
-	msg  string
-}
-
-// readBaseline parses a -json findings array into a suppression
-// multiset: two identical findings in a file need two baseline entries.
-func readBaseline(path string) (map[baselineKey]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var findings []Finding
-	if err := json.Unmarshal(data, &findings); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	out := make(map[baselineKey]int, len(findings))
-	for _, f := range findings {
-		out[baselineKey{file: f.File, rule: f.Rule, msg: f.Message}]++
-	}
-	return out, nil
-}
-
-// filterBaseline drops findings recorded in the baseline, consuming
-// each entry at most once.
-func filterBaseline(diags []lint.Diagnostic, baseline map[baselineKey]int) []lint.Diagnostic {
-	out := diags[:0]
-	for _, d := range diags {
-		key := baselineKey{file: d.Pos.Filename, rule: d.Rule, msg: d.Message}
-		if baseline[key] > 0 {
-			baseline[key]--
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }
 
 // resolvePatterns expands package patterns into package directories.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -21,7 +22,7 @@ func BenchmarkEngine_Map(b *testing.B) {
 	}{{"serial", Serial}, {"parallel", Pool{}}} {
 		b.Run(bm.name, func(b *testing.B) {
 			for k := 0; k < b.N; k++ {
-				if err := bm.pool.Map(n, work); err != nil {
+				if err := bm.pool.MapCtx(context.Background(), n, work); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -45,12 +45,12 @@ func (p Pool) workers() int {
 	return p.Workers
 }
 
-// Map runs fn(i) for every i in [0, n), with at most p.Workers calls in
-// flight at once. fn must write its result into caller-owned storage at
-// index i; Map itself imposes no ordering on completion, which is why
-// results must be index-addressed.
+// MapCtx runs fn(i) for every i in [0, n), with at most p.Workers calls
+// in flight at once. fn must write its result into caller-owned storage
+// at index i; MapCtx itself imposes no ordering on completion, which is
+// why results must be index-addressed.
 //
-// Error contract: if any fn returns a non-nil error, Map returns the
+// Error contract: if any fn returns a non-nil error, MapCtx returns the
 // error with the lowest index, matching what the serial loop would have
 // reported first (task errors are returned as-is, never wrapped).
 // Workers stop claiming new indices once an error is observed, but
@@ -61,19 +61,16 @@ func (p Pool) workers() int {
 // process. The panic is recovered, its goroutine stack captured, and it
 // enters the error contract above as a tecerr.CodePanic error at the
 // panicking index (match with errors.Is(err, tecerr.ErrPanic)).
-func (p Pool) Map(n int, fn func(i int) error) error {
-	return p.MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with cancellation: workers stop claiming new indices
-// once ctx is done, and MapCtx returns a tecerr.CodeCancelled error
-// wrapping ctx.Err(). Cancellation is checked between tasks, so an
-// in-flight fn always runs to completion; fn implementations that want
-// finer granularity must watch ctx themselves. When cancellation and a
-// task failure race, the task's lowest-index error wins if any task
-// completed with one; the deterministic-winner guarantee otherwise
-// applies only to uncancelled runs (cancellation legitimately skips
-// indices below a would-be failure).
+//
+// Cancellation: workers stop claiming new indices once ctx is done, and
+// MapCtx returns a tecerr.CodeCancelled error wrapping ctx.Err().
+// Cancellation is checked between tasks, so an in-flight fn always runs
+// to completion; fn implementations that want finer granularity must
+// watch ctx themselves. When cancellation and a task failure race, the
+// task's lowest-index error wins if any task completed with one; the
+// deterministic-winner guarantee otherwise applies only to uncancelled
+// runs (cancellation legitimately skips indices below a would-be
+// failure).
 func (p Pool) MapCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return p.MapTasksCtx(ctx, n, func(_ context.Context, i int) error { return fn(i) })
 }
@@ -97,7 +94,7 @@ func (p Pool) MapTasksCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	}
 	r := obs.Enabled()
 	if r != nil {
-		// Wrap fn so every task reports its queue wait (Map entry to
+		// Wrap fn so every task reports its queue wait (map entry to
 		// task start) and run time, and the queue-depth gauge tracks
 		// unclaimed work. The wrapper is installed only when a registry
 		// exists: the disabled path costs one atomic load + nil check.
@@ -194,7 +191,7 @@ func (p Pool) MapTasksCtx(ctx context.Context, n int, fn func(ctx context.Contex
 
 // runTask executes one task with panic isolation: a panic inside fn is
 // recovered and converted to a tecerr.CodePanic error carrying the
-// goroutine stack, so it flows through Map's normal error contract
+// goroutine stack, so it flows through MapCtx's normal error contract
 // instead of unwinding a worker (which would kill the process and, by
 // taking wg.Done with it on a non-main goroutine, could never be
 // recovered by the caller). The faults hook lets chaos tests inject

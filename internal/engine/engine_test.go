@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,7 +15,7 @@ func TestPoolMapComputesEveryIndex(t *testing.T) {
 		p := Pool{Workers: workers}
 		n := 101
 		out := make([]int, n)
-		if err := p.Map(n, func(i int) error {
+		if err := p.MapCtx(context.Background(), n, func(i int) error {
 			out[i] = i * i
 			return nil
 		}); err != nil {
@@ -30,7 +31,7 @@ func TestPoolMapComputesEveryIndex(t *testing.T) {
 
 func TestPoolMapEmpty(t *testing.T) {
 	called := false
-	if err := (Pool{}).Map(0, func(int) error { called = true; return nil }); err != nil {
+	if err := (Pool{}).MapCtx(context.Background(), 0, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -43,7 +44,7 @@ func TestPoolMapLowestIndexError(t *testing.T) {
 	// the serial loop would hit first, at any worker count.
 	fail := map[int]bool{5: true, 17: true, 60: true}
 	for _, workers := range []int{1, 2, 8} {
-		err := Pool{Workers: workers}.Map(100, func(i int) error {
+		err := Pool{Workers: workers}.MapCtx(context.Background(), 100, func(i int) error {
 			if fail[i] {
 				return fmt.Errorf("boom at %d", i)
 			}
@@ -59,7 +60,7 @@ func TestPoolMapStopsClaimingAfterError(t *testing.T) {
 	// After an early failure the pool should not chew through the whole
 	// index space. With one worker the loop must stop immediately.
 	var calls atomic.Int64
-	err := Serial.Map(1000, func(i int) error {
+	err := Serial.MapCtx(context.Background(), 1000, func(i int) error {
 		calls.Add(1)
 		if i == 3 {
 			return errors.New("stop")
@@ -78,7 +79,7 @@ func TestPoolMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
-	err := Pool{Workers: workers}.Map(200, func(i int) error {
+	err := Pool{Workers: workers}.MapCtx(context.Background(), 200, func(i int) error {
 		cur := inFlight.Add(1)
 		mu.Lock()
 		if cur > peak.Load() {
@@ -102,7 +103,7 @@ func TestPoolSerialSpawnsNoGoroutines(t *testing.T) {
 	// pure-serial fallback): fn can prove it by writing to a variable
 	// without synchronization under -race.
 	sum := 0
-	if err := Serial.Map(50, func(i int) error {
+	if err := Serial.MapCtx(context.Background(), 50, func(i int) error {
 		sum += i
 		return nil
 	}); err != nil {

@@ -15,7 +15,7 @@ func TestMapRecoversTaskPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			var ran atomic.Int64
-			err := Pool{Workers: workers}.Map(32, func(i int) error {
+			err := Pool{Workers: workers}.MapCtx(context.Background(), 32, func(i int) error {
 				if i == 5 {
 					panic("kaboom")
 				}
@@ -46,7 +46,7 @@ func TestMapPanicKeepsLowestIndexErrorContract(t *testing.T) {
 	// A panic at index 3 and a plain error at index 7: the panic error
 	// wins at every worker count, exactly like a plain error at 3 would.
 	for _, workers := range []int{1, 2, 8} {
-		err := Pool{Workers: workers}.Map(16, func(i int) error {
+		err := Pool{Workers: workers}.MapCtx(context.Background(), 16, func(i int) error {
 			switch i {
 			case 3:
 				panic("first failure")

@@ -5,25 +5,17 @@ package lint
 // identical positions; Run sorts findings by position and rule name.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ChanFlow,
 		CtxFlow,
 		DimFlow,
 		DroppedErr,
 		ErrPath,
 		FloatEq,
-		GoroLeak,
-		LockBalance,
-		LockCopy,
 		MapOrder,
-		MutexBlock,
 		NaNFlow,
 		ObsClock,
-		OnceMisuse,
-		SpawnCtx,
 		TestHelper,
 		TypedErr,
 		UnitSanity,
 		ValidateFirst,
-		WGBalance,
 	}
 }

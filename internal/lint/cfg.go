@@ -2,11 +2,12 @@ package lint
 
 // cfg.go builds an intraprocedural control-flow graph over a single
 // function body. The CFG is the substrate for the path-sensitive
-// analyzers (ctxflow, validatefirst, errpath, lockbalance): the purely
-// syntactic rules can say "this statement looks wrong", but only a CFG
-// can say "this error escapes unchecked on the early-return path" or
-// "this Lock has no Unlock when the loop breaks" — the class of silent
-// bug that corrupts Table I / Figure 6 numerically instead of crashing.
+// analyzers (validatefirst, errpath, nanflow): the purely syntactic
+// rules can say "this statement looks wrong", but only a CFG can say
+// "this error escapes unchecked on the early-return path" or "this
+// NaN reaches Factor unguarded on the fallback branch" — the class of
+// silent bug that corrupts Table I / Figure 6 numerically instead of
+// crashing.
 //
 // Design notes:
 //
@@ -50,11 +51,6 @@ type Block struct {
 	Nodes []ast.Node
 	// Succs are the possible control-flow successors.
 	Succs []*Block
-	// Loop is the loop statement this block heads (*ast.ForStmt or
-	// *ast.RangeStmt), nil for every other block. It lets loop-shaped
-	// analyses (spawnctx's unobserved-cycle check) map a syntactic loop
-	// to its header without re-deriving the builder's block layout.
-	Loop ast.Stmt
 }
 
 // CFG is the control-flow graph of one function body.
@@ -351,7 +347,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 		b.stmt(s.Init)
 	}
 	head := b.newBlock("for.head")
-	head.Loop = s
 	b.edge(b.cur, head)
 	if s.Cond != nil {
 		head.Nodes = append(head.Nodes, s.Cond)
@@ -387,7 +382,6 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 
 func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt) {
 	head := b.newBlock("range.head")
-	head.Loop = s
 	b.edge(b.cur, head)
 	// The RangeStmt node itself carries the per-iteration Key/Value
 	// bindings and the ranged expression X; transfer functions treat it

@@ -5,7 +5,7 @@ package lint
 // transfer function over single nodes, and an entry state; the engine
 // computes the state at the entry of every reachable block.
 //
-// The analyzers built on it (validatefirst, errpath, lockbalance) use
+// The analyzers built on it (validatefirst, errpath, nanflow) use
 // finite fact sets keyed by local variables or source positions, so
 // the lattice has finite height and the worklist terminates as long as
 // Transfer and Join are monotone. A defensive step bound makes the

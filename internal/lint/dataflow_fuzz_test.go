@@ -57,11 +57,10 @@ func FuzzDataflow(f *testing.F) {
 		"select { case <-c: v := 1; _ = v\ndefault: }",
 		"L: for { if done { break L }; goto L }",
 		"defer f()\nx := g()\nif x != nil { return }",
-		// Channel-op bodies: the chanflow/wgbalance/mutexblock
-		// transfer functions walk exactly these node shapes, so the
-		// fixpoint engine must stay bounded and isolation-clean on
-		// them — including the RangeStmt head that replays the whole
-		// statement and detached select.case comm clauses.
+		// Channel-op bodies: the fixpoint engine must stay bounded
+		// and isolation-clean on these node shapes too — including the
+		// RangeStmt head that replays the whole statement and detached
+		// select.case comm clauses.
 		"ch := make(chan int)\nch <- 1\nclose(ch)\nclose(ch)",
 		"for v := range ch { x := v; _ = x; ch2 <- v }",
 		"select { case ch <- 1: x := 1; _ = x\ncase v, ok := <-ch2: _ = v; _ = ok\ndefault: }",

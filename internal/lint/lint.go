@@ -32,7 +32,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"time"
 )
 
 // Analyzer is one static-analysis rule. Run inspects a single package
@@ -111,13 +110,6 @@ func (d Diagnostic) String() string {
 // filtered out, and the rest are sorted by file, line, column, rule so
 // output is deterministic across runs.
 func Run(unit *Unit, analyzers []*Analyzer) []Diagnostic {
-	return RunStats(unit, analyzers, nil)
-}
-
-// RunStats is Run with per-analyzer accounting: each analyzer's wall
-// time and surviving finding count accumulate into stats (nil skips
-// collection entirely).
-func RunStats(unit *Unit, analyzers []*Analyzer, stats *StatsCollector) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -129,14 +121,11 @@ func RunStats(unit *Unit, analyzers []*Analyzer, stats *StatsCollector) []Diagno
 			analyzer: a,
 			diags:    &diags,
 		}
-		start := time.Now()
 		a.Run(pass)
-		stats.addTime(a.Name, time.Since(start))
 	}
 	diags = filterSuppressed(unit, diags)
 	diags = append(diags, badIgnores(unit)...)
 	SortDiagnostics(diags)
-	stats.addFindings(diags)
 	return diags
 }
 

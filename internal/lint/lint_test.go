@@ -102,7 +102,6 @@ func runFixture(t *testing.T, a *Analyzer) {
 
 func TestFloatEqFixture(t *testing.T)       { runFixture(t, FloatEq) }
 func TestDroppedErrFixture(t *testing.T)    { runFixture(t, DroppedErr) }
-func TestLockCopyFixture(t *testing.T)      { runFixture(t, LockCopy) }
 func TestMapOrderFixture(t *testing.T)      { runFixture(t, MapOrder) }
 func TestObsClockFixture(t *testing.T)      { runFixture(t, ObsClock) }
 func TestTestHelperFixture(t *testing.T)    { runFixture(t, TestHelper) }
@@ -110,16 +109,9 @@ func TestTypedErrFixture(t *testing.T)      { runFixture(t, TypedErr) }
 func TestUnitSanityFixture(t *testing.T)    { runFixture(t, UnitSanity) }
 func TestCtxFlowFixture(t *testing.T)       { runFixture(t, CtxFlow) }
 func TestErrPathFixture(t *testing.T)       { runFixture(t, ErrPath) }
-func TestLockBalanceFixture(t *testing.T)   { runFixture(t, LockBalance) }
 func TestValidateFirstFixture(t *testing.T) { runFixture(t, ValidateFirst) }
 func TestDimFlowFixture(t *testing.T)       { runFixture(t, DimFlow) }
 func TestNaNFlowFixture(t *testing.T)       { runFixture(t, NaNFlow) }
-func TestGoroLeakFixture(t *testing.T)      { runFixture(t, GoroLeak) }
-func TestChanFlowFixture(t *testing.T)      { runFixture(t, ChanFlow) }
-func TestWGBalanceFixture(t *testing.T)     { runFixture(t, WGBalance) }
-func TestMutexBlockFixture(t *testing.T)    { runFixture(t, MutexBlock) }
-func TestOnceMisuseFixture(t *testing.T)    { runFixture(t, OnceMisuse) }
-func TestSpawnCtxFixture(t *testing.T)      { runFixture(t, SpawnCtx) }
 
 // TestBadIgnoreFixture exercises the framework-level badignore
 // pseudo-rule: reasonless teclint:ignore directives are reported by Run
@@ -175,7 +167,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	want := []string{"chanflow", "ctxflow", "dimflow", "droppederr", "errpath", "floateq", "goroleak", "lockbalance", "lockcopy", "maporder", "mutexblock", "nanflow", "obsclock", "oncemisuse", "spawnctx", "testhelper", "typederr", "unitsanity", "validatefirst", "wgbalance"}
+	want := []string{"ctxflow", "dimflow", "droppederr", "errpath", "floateq", "maporder", "nanflow", "obsclock", "testhelper", "typederr", "unitsanity", "validatefirst"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("registered analyzers = %v, want %v", names, want)
 	}

@@ -48,8 +48,7 @@ type Unit struct {
 //     analysis to decide which values need validation).
 //
 // All methods are safe on a nil receiver (returning zero values) and
-// safe for concurrent use, since cmd/teclint analyzes units in
-// parallel once loading completes.
+// safe for concurrent use.
 type FactStore struct {
 	mu        sync.Mutex
 	noReturn  map[*types.Func]bool

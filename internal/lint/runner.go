@@ -3,8 +3,6 @@ package lint
 import (
 	"path/filepath"
 	"sort"
-
-	"tecopt/internal/engine"
 )
 
 // LintDirs type-checks every package directory in dirs and runs the
@@ -14,45 +12,15 @@ import (
 // (when non-empty) so output is stable regardless of where the tool
 // runs from.
 func LintDirs(loader *Loader, dirs []string, analyzers []*Analyzer, base string) ([]Diagnostic, error) {
-	return LintDirsParallel(loader, dirs, analyzers, base, 1)
-}
-
-// LintDirsParallel is LintDirs with the analyzer runs spread over
-// workers goroutines (engine.Pool semantics: <=0 means GOMAXPROCS, 1 is
-// serial). Loading and type-checking stay serial — the Loader mutates
-// its package cache — but a loaded Unit is immutable, the shared
-// FactStore is internally locked, and token.FileSet position lookups
-// are safe concurrently, so Run can fan out per unit. Results are
-// collected by index and then globally sorted, making the output
-// byte-identical to the serial run for any worker count.
-func LintDirsParallel(loader *Loader, dirs []string, analyzers []*Analyzer, base string, workers int) ([]Diagnostic, error) {
-	return LintDirsParallelStats(loader, dirs, analyzers, base, workers, nil)
-}
-
-// LintDirsParallelStats is LintDirsParallel with per-analyzer timing
-// and finding counts accumulated into stats (nil disables collection).
-// The StatsCollector is internally locked, so concurrent unit runs may
-// share it.
-func LintDirsParallelStats(loader *Loader, dirs []string, analyzers []*Analyzer, base string, workers int, stats *StatsCollector) ([]Diagnostic, error) {
-	var units []*Unit
+	var all []Diagnostic
 	for _, dir := range dirs {
-		us, err := loader.Load(dir)
+		units, err := loader.Load(dir)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, us...)
-	}
-	perUnit := make([][]Diagnostic, len(units))
-	pool := engine.Pool{Workers: workers}
-	if err := pool.Map(len(units), func(i int) error {
-		perUnit[i] = RunStats(units[i], analyzers, stats)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var all []Diagnostic
-	for _, diags := range perUnit {
-		all = append(all, diags...)
+		for _, unit := range units {
+			all = append(all, Run(unit, analyzers)...)
+		}
 	}
 	if base != "" {
 		for i := range all {

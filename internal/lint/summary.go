@@ -4,10 +4,10 @@ package lint
 // call graph (callgraph.go). The loader harvests a FuncSummary for
 // every function of every module package it type-checks — imports
 // included, callee-SCCs first — so the interprocedural analyzers
-// (dimflow, nanflow, goroleak) can ask about callees outside
-// the unit under analysis without re-reading their source.
+// (dimflow, nanflow) can ask about callees outside the unit under
+// analysis without re-reading their source.
 //
-// A summary records these fact families:
+// A summary records two fact families:
 //
 //   - Params/Results: the physical dimension of each parameter and
 //     result, inferred from the unit naming conventions (limitK,
@@ -19,23 +19,15 @@ package lint
 //     body never guards it with IsNaN/IsInf/IsFinite. Division is
 //     deliberately not a source (every solver line divides; the rule
 //     targets the provably-poisonous producers).
-//   - NeverTerminates: the body's CFG cannot reach its exit block
-//     (for {} with no break, select {}), the fact goroleak checks for
-//     spawned functions.
-//   - Concurrency effects (concsummary.go): per-parameter channel
-//     operations, WaitGroup deltas, may-block, and cancellation
-//     observation — the facts behind chanflow, wgbalance, mutexblock,
-//     and spawnctx.
 //
 // Summaries are computed once per type-checked package, keyed by
-// object identity (*types.Func), and are safe to read concurrently
-// once loading finishes (cmd/teclint analyzes units in parallel).
+// object identity (*types.Func), and are read-only once loading
+// finishes.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -212,40 +204,6 @@ type FuncSummary struct {
 	// ±Inf: it derives from a NaN-capable producer and the body never
 	// checks it with IsNaN/IsInf/IsFinite.
 	CanNaN bool
-	// NeverTerminates reports that the body's CFG cannot reach its
-	// exit: a goroutine running this function can never finish.
-	NeverTerminates bool
-
-	// Concurrency effects (concsummary.go). All facts are "may"
-	// facts: they claim an effect can happen on some execution, never
-	// that it must.
-
-	// ChanParams records, per channel-typed parameter index, which
-	// channel operations the body (or a summarized callee the
-	// parameter is forwarded to) may perform on it.
-	ChanParams map[int]ChanEffect
-	// WGParams records sync.WaitGroup effects per *sync.WaitGroup
-	// parameter index: Add deltas, Done calls, and Wait.
-	WGParams map[int]WGEffect
-	// MayBlock reports that calling the function can park the calling
-	// goroutine: a channel op outside a select-with-default, a
-	// WaitGroup/Cond Wait, time.Sleep, network or file I/O, or a call
-	// to a callee that may block. BlockWhy names the first source
-	// found, for diagnostics.
-	MayBlock bool
-	BlockWhy string
-	// ObservesCancel reports that the body (outside nested function
-	// literals and spawned goroutines) observes cancellation: a
-	// ctx.Done() receive, a ctx.Err() call, a comma-ok channel
-	// receive, a range over a channel, or a call to a callee that
-	// does.
-	ObservesCancel bool
-	// HasUnobservedLoop reports that the body contains an
-	// unconditional `for` loop with a cycle that passes no
-	// cancellation observation — a goroutine running this function
-	// can iterate forever without noticing ctx.Done() or a closed
-	// channel (the spawnctx fact).
-	HasUnobservedLoop bool
 }
 
 // Summary returns the recorded summary for fn, or nil when fn was
@@ -260,8 +218,7 @@ func (f *FactStore) Summary(fn *types.Func) *FuncSummary {
 }
 
 // recordSummaries computes and stores summaries for every function
-// declared in files. Must run after recordNoReturns (the CFG used for
-// NeverTerminates relies on no-return facts).
+// declared in files.
 func (f *FactStore) recordSummaries(info *types.Info, files []*ast.File) {
 	if f == nil {
 		return
@@ -293,7 +250,7 @@ func (f *FactStore) setSummary(fn *types.Func, s *FuncSummary) {
 }
 
 // seedSummary computes the facts that need no callee information:
-// name-derived parameter/result dimensions and CFG termination.
+// name-derived parameter/result dimensions.
 func (f *FactStore) seedSummary(node *CGNode) *FuncSummary {
 	sig, _ := node.Fn.Type().(*types.Signature)
 	s := &FuncSummary{}
@@ -316,10 +273,6 @@ func (f *FactStore) refineSummary(info *types.Info, node *CGNode) bool {
 	s := f.Summary(node.Fn)
 	changed := false
 
-	if !s.NeverTerminates && f.bodyNeverReachesExit(info, node.Decl.Body) {
-		s.NeverTerminates = true
-		changed = true
-	}
 	if f.refineResultDims(info, node, s) {
 		changed = true
 	}
@@ -327,30 +280,7 @@ func (f *FactStore) refineSummary(info *types.Info, node *CGNode) bool {
 		s.CanNaN = true
 		changed = true
 	}
-	if f.refineConcurrency(info, node, s) {
-		changed = true
-	}
 	return changed
-}
-
-// bodyNeverReachesExit builds the function's CFG and reports whether
-// the exit block is unreachable from entry — the summary behind
-// goroleak's "this goroutine can never finish".
-func (f *FactStore) bodyNeverReachesExit(info *types.Info, body *ast.BlockStmt) bool {
-	g := BuildCFG(body, TerminatesCall(info, f))
-	reached := map[*Block]bool{g.Entry: true}
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, succ := range b.Succs {
-			if !reached[succ] {
-				reached[succ] = true
-				work = append(work, succ)
-			}
-		}
-	}
-	return !reached[g.Exit]
 }
 
 // refineResultDims fills unknown result dimensions from the returned
@@ -712,17 +642,4 @@ func (ev *dimEval) callDim(call *ast.CallExpr) DimInfo {
 		return DimInfo{}
 	}
 	return s.Results[0]
-}
-
-// sortedFuncNames is a test helper: the names of all summarized
-// functions, sorted, for deterministic assertions.
-func (f *FactStore) sortedFuncNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.summaries))
-	for fn := range f.summaries {
-		names = append(names, fn.Name())
-	}
-	sort.Strings(names)
-	return names
 }

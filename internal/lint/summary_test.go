@@ -125,19 +125,3 @@ func nonFloat(q float64) error { _ = math.Sqrt(q); return nil }
 		}
 	}
 }
-
-func TestSummaryNeverTerminates(t *testing.T) {
-	sums := summarize(t, `package p
-func spin()                { for {} }
-func drain(ch chan int)    { for range ch {} }
-func block()               { select {} }
-func normal(ch chan int)   { ch <- 1 }
-`)
-	for name, want := range map[string]bool{
-		"spin": true, "drain": false, "block": true, "normal": false,
-	} {
-		if got := sums[name].NeverTerminates; got != want {
-			t.Errorf("NeverTerminates(%s) = %v, want %v", name, got, want)
-		}
-	}
-}

@@ -1,5 +1,5 @@
-// Package badignoretest seeds reasonless, unscoped, misspelled, and
-// well-formed teclint:ignore directives for the badignore framework
+// Package badignoretest seeds reasonless, unscoped, misspelled, stale,
+// and well-formed teclint:ignore directives for the badignore framework
 // tests.
 package badignoretest
 
@@ -38,4 +38,10 @@ func reasonOnly(a, b float64) bool {
 func misspelled(a, b float64) bool {
 	// An unknown rule name suppresses nothing; flag the typo.
 	return a == b //teclint:ignore floateqq sentinel comparison // want badignore
+}
+
+func stale(n int) int {
+	// A directive naming a rule that no longer exists suppresses
+	// nothing; flag it so no stale waiver outlives its rule.
+	return n //teclint:ignore lockcopy the copy is read-only // want badignore
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime/debug"
 	"sync"
 
 	"tecopt/internal/core"
@@ -66,11 +67,24 @@ func (c *coalescer) do(ctx context.Context, key pointKey, compute func() (float6
 	c.inflight[key] = p
 	c.mu.Unlock()
 
+	// Free the key and release the followers even when compute panics
+	// (the pool recovers the panic further up); otherwise every later
+	// identical point would wait out its deadline behind a leader that
+	// is gone. Followers get a CodePanic error, and the re-panic keeps
+	// the leader's own CodePanic report and stack.
+	defer func() {
+		r := recover()
+		if r != nil {
+			p.err = tecerr.FromPanic("serve.coalesce", r, debug.Stack())
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(p.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	p.v, p.err = compute()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(p.done)
 	return p.v, false, p.err
 }
