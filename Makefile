@@ -23,10 +23,11 @@ race-engine:
 	$(GO) test -race ./internal/engine/... ./internal/core/...
 
 # Chaos gate: the seeded fault-injection suite (injected panics, NaNs,
-# cancellations, and forced non-convergence against the real pipeline)
-# plus the packages that implement the recovery paths, under the race
-# detector. -count=1 because the injector is process-global state the
-# test cache cannot see.
+# cancellations and SMW guard trips against the real pipeline, plus the
+# typed failures of the CG reference solver, which is not on the
+# production path) and the packages that implement the recovery paths,
+# under the race detector. -count=1 because the injector is
+# process-global state the test cache cannot see.
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/... ./internal/engine/... ./internal/thermal/...
 

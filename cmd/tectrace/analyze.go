@@ -9,17 +9,14 @@ import (
 	"tecopt/internal/obs"
 )
 
-// Span names of the per-current solve paths. A reusable.solve span's
-// "regime" attribute names which path served the current: "smw" (the
+// reusableSolveSpan is the per-current solve span. Its "regime"
+// attribute names which path served the current: "smw" (the
 // Sherman-Morrison-Woodbury fast path, including the rank-0 shortcut),
-// "direct" (memoized near-limit refactorization), "guarded" (SMW
-// residual check tripped, fell back to the guarded chain) or
-// "beyond-limit" (past lambda_m, expected indefinite).
-const (
-	reusableSolveSpan = "thermal.reusable.solve"
-	guardedSolveSpan  = "thermal.guarded.solve"
-	fallbackEvent     = "thermal.guarded.fallback"
-)
+// "direct" (memoized near-limit factorization), "fallback" (the SMW
+// conditioning guard tripped; same memoized direct factorization, with
+// the trip's "guard_reason") or "beyond-limit" (past lambda_m, expected
+// indefinite).
+const reusableSolveSpan = "thermal.reusable.solve"
 
 // nameStat aggregates spans sharing a name.
 type nameStat struct {
@@ -52,13 +49,12 @@ type report struct {
 	critical     []pathStep
 	slowestSolve *obs.TraceEvent
 
-	fallbacks []obs.TraceEvent
-	dropped   uint64
+	dropped uint64
 }
 
 // analyze computes the report: per-regime solve counts, top spans by
-// cumulative and self time, the critical path through the slowest
-// solve, and the degradation record.
+// cumulative and self time, the critical path to the slowest solve, and
+// the degradation record.
 func analyze(td *traceData, top int) *report {
 	rep := &report{
 		top:          top,
@@ -80,9 +76,6 @@ func analyze(td *traceData, top int) *report {
 		}
 		if ev.Kind != "span" {
 			rep.points++
-			if ev.Name == fallbackEvent {
-				rep.fallbacks = append(rep.fallbacks, ev)
-			}
 			continue
 		}
 		rep.spans++
@@ -92,25 +85,15 @@ func analyze(td *traceData, top int) *report {
 		if end := ev.StartNS + ev.DurNS; end > maxEnd {
 			maxEnd = end
 		}
-		switch ev.Name {
-		case reusableSolveSpan:
+		if ev.Name == reusableSolveSpan {
 			regime := attr(ev, "regime")
 			if regime == "" {
 				regime = "(unknown)"
 			}
 			rep.regimes[regime]++
 			rep.regimeTotal++
-			if regime == "guarded" {
-				if reason := attr(ev, "guard_reason"); reason != "" {
-					rep.guardReasons[reason]++
-				}
-			}
-		case guardedSolveSpan:
-			// Standalone guarded solves (no reusable parent span) still
-			// count as solves; regime comes from the method used.
-			if !rep.hierarchical || parentName(td, byID, ev) != reusableSolveSpan {
-				rep.regimes["standalone-guarded"]++
-				rep.regimeTotal++
+			if reason := attr(ev, "guard_reason"); reason != "" {
+				rep.guardReasons[reason]++
 			}
 		}
 	}
@@ -123,7 +106,7 @@ func analyze(td *traceData, top int) *report {
 	sort.Slice(rep.tracks, func(i, j int) bool { return rep.tracks[i] < rep.tracks[j] })
 
 	rep.byCum, rep.bySelf = rankSpans(td, children, top)
-	rep.critical, rep.slowestSolve = criticalPath(td, byID, children)
+	rep.critical, rep.slowestSolve = criticalPath(td, byID)
 	return rep
 }
 
@@ -133,14 +116,6 @@ func attr(ev obs.TraceEvent, key string) string {
 		if a.Key == key {
 			return a.Value
 		}
-	}
-	return ""
-}
-
-// parentName resolves the name of the span enclosing ev ("" at root).
-func parentName(td *traceData, byID map[uint64]int, ev obs.TraceEvent) string {
-	if i, ok := byID[ev.Parent]; ok {
-		return td.events[i].Name
 	}
 	return ""
 }
@@ -200,17 +175,14 @@ func topN(stats []nameStat, n int, key func(nameStat) int64) []nameStat {
 	return out
 }
 
-// criticalPath locates the slowest solve span (reusable or guarded),
-// walks up to its root, then extends downward through the longest
-// child at each level. Requires hierarchy; returns nil for flat traces.
-func criticalPath(td *traceData, byID map[uint64]int, children map[uint64][]int) ([]pathStep, *obs.TraceEvent) {
+// criticalPath locates the slowest solve span and returns its ancestor
+// chain, root first, ending at the solve (a solve span is a leaf).
+// Requires hierarchy; returns nil for flat traces.
+func criticalPath(td *traceData, byID map[uint64]int) ([]pathStep, *obs.TraceEvent) {
 	var slow *obs.TraceEvent
 	for i := range td.events {
 		ev := &td.events[i]
-		if ev.Kind != "span" || ev.ID == 0 {
-			continue
-		}
-		if ev.Name != reusableSolveSpan && ev.Name != guardedSolveSpan {
+		if ev.Kind != "span" || ev.ID == 0 || ev.Name != reusableSolveSpan {
 			continue
 		}
 		if slow == nil || ev.DurNS > slow.DurNS {
@@ -220,8 +192,6 @@ func criticalPath(td *traceData, byID map[uint64]int, children map[uint64][]int)
 	if slow == nil {
 		return nil, nil
 	}
-
-	// Ancestor chain, root first.
 	var up []obs.TraceEvent
 	for cur := *slow; ; {
 		up = append(up, cur)
@@ -231,30 +201,9 @@ func criticalPath(td *traceData, byID map[uint64]int, children map[uint64][]int)
 		}
 		cur = td.events[pi]
 	}
-	var path []pathStep
+	path := make([]pathStep, 0, len(up))
 	for i := len(up) - 1; i >= 0; i-- {
 		path = append(path, pathStep{ev: up[i], depth: len(up) - 1 - i})
-	}
-
-	// Longest-child descent below the slowest solve.
-	depth := len(path) - 1
-	for cur := *slow; ; {
-		var next *obs.TraceEvent
-		for _, ci := range children[cur.ID] {
-			c := &td.events[ci]
-			if c.Kind != "span" {
-				continue
-			}
-			if next == nil || c.DurNS > next.DurNS {
-				next = c
-			}
-		}
-		if next == nil {
-			break
-		}
-		depth++
-		path = append(path, pathStep{ev: *next, depth: depth})
-		cur = *next
 	}
 	return path, slow
 }
@@ -303,14 +252,6 @@ func (rep *report) format() string {
 
 	b.WriteString("\nDegradations:\n")
 	clean := true
-	if len(rep.fallbacks) > 0 {
-		clean = false
-		fmt.Fprintf(&b, "  %d guarded-chain fallback(s):\n", len(rep.fallbacks))
-		for _, ev := range rep.fallbacks {
-			fmt.Fprintf(&b, "    at %s: method %s failed (%s)\n",
-				durStr(ev.StartNS), attrOr(ev, "method", "?"), attrOr(ev, "reason", "unknown"))
-		}
-	}
 	for _, reason := range sortedKeys(rep.guardReasons) {
 		clean = false
 		fmt.Fprintf(&b, "  %d SMW guard trip(s): %s\n", rep.guardReasons[reason], reason)
@@ -332,14 +273,6 @@ func writeStatTable(b *strings.Builder, stats []nameStat, key func(nameStat) int
 		mean := key(s) / int64(s.count)
 		fmt.Fprintf(b, "  %-32s %8d %12s %12s\n", s.name, s.count, durStr(key(s)), durStr(mean))
 	}
-}
-
-// attrOr returns the attribute value or a fallback.
-func attrOr(ev obs.TraceEvent, key, fallback string) string {
-	if v := attr(ev, key); v != "" {
-		return v
-	}
-	return fallback
 }
 
 // attrSuffix renders a span's attributes as " {k=v, ...}".

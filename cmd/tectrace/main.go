@@ -1,8 +1,8 @@
 // Command tectrace summarizes a solve-path flight recording produced by
-// the -trace flag of the solver CLIs: per-regime solve counts (SMW /
-// direct / guarded / beyond-limit), the top spans by cumulative and
-// self time, the critical path of the slowest solve, and every
-// degradation event (guarded-chain fallbacks, trace truncation).
+// the -trace flag of the solver CLIs: per-regime solve counts (smw /
+// direct / fallback / beyond-limit), the top spans by cumulative and
+// self time, the critical path to the slowest solve, and every
+// degradation (SMW guard trips, trace truncation).
 //
 // Usage:
 //

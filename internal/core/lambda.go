@@ -223,6 +223,8 @@ func (s *System) RunawayMode(lambda float64) ([]float64, error) {
 // Hkl returns the transfer coefficient h_kl(i) = e_k' (G - i*D)^{-1} e_l,
 // the temperature of node k per watt injected at node l (the quantity of
 // Figure 6). The factorization is reused across l via one solve with e_l.
+// A non-finite or negative i is a tecerr.CodeInvalidInput error, as in
+// SolveAt.
 func (s *System) Hkl(i float64, k, l int) (float64, error) {
 	return s.HklCtx(context.Background(), i, k, l)
 }
@@ -231,6 +233,9 @@ func (s *System) Hkl(i float64, k, l int) (float64, error) {
 // solve's regime span parents to the span carried by ctx (worker tasks
 // of the parallel sweeps pass their task context).
 func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, error) {
+	if err := checkCurrent("core.hkl", i); err != nil {
+		return 0, err
+	}
 	if n := s.NumNodes(); k < 0 || k >= n || l < 0 || l >= n {
 		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "core.hkl",
 			"core: Hkl nodes (%d, %d) out of range %d", k, l, n)
@@ -310,7 +315,11 @@ func (s *System) HklSweepParallelCtx(ctx context.Context, k, l int, currents []f
 // fast-path data, or one factorization of G - i*D on the direct path)
 // and the unit solves run on the given worker pool; results are ordered
 // as cols and identical to per-column Hkl calls at every worker count.
+// The current is validated as in Hkl.
 func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64, error) {
+	if err := checkCurrent("core.hkl", i); err != nil {
+		return nil, err
+	}
 	n := s.NumNodes()
 	for _, l := range cols {
 		if l < 0 || l >= n {
@@ -335,7 +344,7 @@ func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64,
 		var x []float64
 		var err error
 		if rs != nil {
-			x, _, err = rs.SolveAtCurrent(tctx, i, e)
+			x, err = rs.SolveAtCurrent(tctx, i, e)
 		} else {
 			x, err = f.Solve(e)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"tecopt/internal/faults"
 	"tecopt/internal/num"
+	"tecopt/internal/obs"
 	"tecopt/internal/tecerr"
 )
 
@@ -120,8 +121,10 @@ func TestSolvePathOptimizeCurrentAgrees(t *testing.T) {
 	}
 }
 
-// A fault-forced guard trip must route SolveAt through the guarded
-// fallback without changing the answer.
+// A fault-forced guard trip must route SolveAt and Hkl to the direct
+// factorization of G - i*D in the System's RCM ordering: bitwise the
+// SolveDirect answer, counted as a fallback and never as a near-limit
+// solve.
 func TestSolvePathGuardFallbackMatchesDirect(t *testing.T) {
 	cfg := smallConfig()
 	sites := []int{27, 28, 35, 36}
@@ -138,27 +141,42 @@ func TestSolvePathGuardFallbackMatchesDirect(t *testing.T) {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
 	i := 0.5 * lam
-	// Warm the reusable system (and its warm-start vector) first.
-	if _, err := auto.SolveAt(i); err != nil {
+	k, l := auto.PN.SilNode[27], auto.PN.SilNode[36]
+	xd, err := direct.SolveAt(i)
+	if err != nil {
 		t.Fatal(err)
 	}
+	hd, err := direct.Hkl(i, k, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := obs.New(nil)
+	prev := obs.SetGlobal(r)
+	defer obs.SetGlobal(prev)
 	faults.Install(faults.New(3).Arm(faults.Rule{
 		Site: faults.SiteSMWGuard,
 		Kind: faults.KindNaN,
 	}))
 	xa, aerr := auto.SolveAt(i)
+	ha, herr := auto.Hkl(i, k, l)
 	faults.Uninstall()
-	if aerr != nil {
-		t.Fatalf("fallback SolveAt: %v", aerr)
+	if aerr != nil || herr != nil {
+		t.Fatalf("fallback SolveAt: %v, Hkl: %v", aerr, herr)
 	}
-	xd, err := direct.SolveAt(i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range xd {
-		if math.Abs(xa[k]-xd[k]) > 1e-6*(1+math.Abs(xd[k])) {
-			t.Fatalf("fallback node %d: auto %v, direct %v", k, xa[k], xd[k])
+	for n := range xd {
+		if math.Float64bits(xa[n]) != math.Float64bits(xd[n]) {
+			t.Fatalf("fallback node %d: auto %v, direct %v", n, xa[n], xd[n])
 		}
+	}
+	if math.Float64bits(ha) != math.Float64bits(hd) {
+		t.Fatalf("fallback h_kl: auto %v, direct %v", ha, hd)
+	}
+	if got := r.Counter("thermal.reusable.fallbacks").Value(); got != 2 {
+		t.Fatalf("fallbacks = %d, want 2", got)
+	}
+	if got := r.Counter("thermal.reusable.near_limit").Value(); got != 0 {
+		t.Fatalf("near_limit = %d, want 0 (a guard trip is not a near-limit solve)", got)
 	}
 }
 

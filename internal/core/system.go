@@ -42,7 +42,7 @@ type Config struct {
 	// Cols*Rows.
 	TilePower []float64
 	// Solve selects the per-current solve strategy (default SolveAuto:
-	// the Sherman-Morrison-Woodbury fast path with guarded fallback).
+	// the Sherman-Morrison-Woodbury fast path with a direct fallback).
 	Solve SolvePath
 }
 
@@ -52,9 +52,9 @@ type SolvePath int
 
 const (
 	// SolveAuto factors G once and applies per-current SMW corrections
-	// (thermal.ReusableSystem), falling back to direct factorization
-	// near the runaway limit and to the guarded chain when the
-	// capacitance matrix loses conditioning.
+	// (thermal.ReusableSystem), falling back to a direct factorization
+	// of G - i*D near the runaway limit and when the capacitance matrix
+	// loses conditioning.
 	SolveAuto SolvePath = iota
 	// SolveDirect forces the legacy path: one banded Cholesky
 	// factorization per current.
@@ -281,8 +281,7 @@ func (s *System) solveVec(i float64, rhs []float64) ([]float64, error) {
 // span of the solve parents to the span carried by ctx.
 func (s *System) solveVecCtx(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
 	if rs := s.reusable(); rs != nil {
-		x, _, err := rs.SolveAtCurrent(ctx, i, rhs)
-		return x, err
+		return rs.SolveAtCurrent(ctx, i, rhs)
 	}
 	f, err := s.Factor(i)
 	if err != nil {
@@ -301,15 +300,26 @@ func (s *System) SolveAt(i float64) ([]float64, error) {
 // caller's hierarchy. The context does not cancel the solve itself (a
 // factorization is one atomic unit of work).
 func (s *System) SolveAtCtx(ctx context.Context, i float64) ([]float64, error) {
+	if err := checkCurrent("core.system", i); err != nil {
+		return nil, err
+	}
+	return s.solveVecCtx(ctx, i, s.RHS(i))
+}
+
+// checkCurrent rejects a supply current outside the model's domain:
+// non-finite, or negative (the fast path's spectral limit bounds only
+// positive currents, so a negative one would get a finite answer where
+// the direct factorization reports ErrNotPD).
+func checkCurrent(op string, i float64) error {
 	if !num.IsFinite(i) {
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.system",
+		return tecerr.Newf(tecerr.CodeInvalidInput, op,
 			"core: non-finite supply current %g", i)
 	}
 	if i < 0 {
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.system",
+		return tecerr.Newf(tecerr.CodeInvalidInput, op,
 			"core: negative supply current %g", i)
 	}
-	return s.solveVecCtx(ctx, i, s.RHS(i))
+	return nil
 }
 
 // PeakAt solves at current i and returns the hottest silicon tile

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"tecopt/internal/engine"
 	"tecopt/internal/material"
 	"tecopt/internal/num"
 	"tecopt/internal/tec"
@@ -121,6 +122,26 @@ func TestNonFiniteCurrentRejected(t *testing.T) {
 			if _, err := sys.Hkl(i, k, k); !errors.Is(err, tecerr.ErrInvalidInput) {
 				t.Errorf("path %d, Hkl at %v: err = %v, want CodeInvalidInput", path, i, err)
 			}
+		}
+	}
+}
+
+// A negative current is invalid input for h_kl too, on both solve
+// paths: the fast path's spectral limit bounds only positive currents,
+// so without the check it would return a finite h_kl where the direct
+// factorization reports not-PD.
+func TestHklNegativeCurrentRejected(t *testing.T) {
+	sites := []int{27, 28, 35, 36}
+	for _, path := range []SolvePath{SolveAuto, SolveDirect} {
+		cfg := smallConfig()
+		cfg.Solve = path
+		sys := mustSystem(t, cfg, sites)
+		k := sys.PN.SilNode[27]
+		if _, err := sys.Hkl(-1, k, k); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("path %d, Hkl at -1: err = %v, want CodeInvalidInput", path, err)
+		}
+		if _, err := sys.HColumns(-1, []int{k}, engine.Serial); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("path %d, HColumns at -1: err = %v, want CodeInvalidInput", path, err)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Chaos suite: a seeded injector crossed with {panic, NaN, cancel,
 // non-convergence} crossed with {serial, parallel}, run against the
-// real solve pipeline. The contract under test is the PR's robustness
+// real solve pipeline. The contract under test is the robustness
 // invariant: every injected fault must surface as a typed tecerr error
-// or as a recorded degraded-but-correct result — never as a crash, a
-// deadlock, or a silently wrong answer. CI runs this file under -race
-// (make chaos).
+// or, for a tripped SMW conditioning guard, as the direct path's exact
+// answer — never as a crash, a deadlock, or a silently wrong answer.
+// CI runs this file under -race (make chaos).
 //
 // The injector is process-global, so no test here calls t.Parallel;
 // each installs its injector and defers Uninstall.
@@ -13,6 +13,7 @@ package faults_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,13 +22,14 @@ import (
 	"tecopt/internal/faults"
 	"tecopt/internal/material"
 	"tecopt/internal/num"
+	"tecopt/internal/obs"
 	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
 
 // tinySystem builds a small model (4x4 die, 5x5 coarse layers, one TEC)
-// so chaos runs stay fast under -race.
-func tinySystem(t *testing.T) *core.System {
+// on the given solve path, so chaos runs stay fast under -race.
+func tinySystem(t *testing.T, path core.SolvePath) *core.System {
 	t.Helper()
 	p := make([]float64, 16)
 	for i := range p {
@@ -36,7 +38,7 @@ func tinySystem(t *testing.T) *core.System {
 	p[5] = 1.2
 	sys, err := core.NewSystem(core.Config{
 		Cols: 4, Rows: 4, SpreaderCells: 5, SinkCells: 5,
-		TilePower: p,
+		TilePower: p, Solve: path,
 	}, []int{5})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +86,7 @@ func eachPool(t *testing.T, body func(t *testing.T, pool engine.Pool)) {
 // demands it comes back as a typed CodePanic error with the recovered
 // stack — not a process crash and not a deadlocked WaitGroup.
 func TestChaosSweepPanic(t *testing.T) {
-	sys := tinySystem(t)
+	sys := tinySystem(t, core.SolveAuto)
 	k := sys.PN.SilNode[5]
 	l := sys.Array.Hot[0]
 	eachPool(t, func(t *testing.T, pool engine.Pool) {
@@ -107,7 +109,7 @@ func TestChaosSweepPanic(t *testing.T) {
 // point and checks it propagates unmangled (errors.Is reaches the
 // ErrInjected cause through every wrapping layer).
 func TestChaosSweepInjectedError(t *testing.T) {
-	sys := tinySystem(t)
+	sys := tinySystem(t, core.SolveAuto)
 	k := sys.PN.SilNode[5]
 	l := sys.Array.Hot[0]
 	eachPool(t, func(t *testing.T, pool engine.Pool) {
@@ -128,7 +130,7 @@ func TestChaosSweepInjectedError(t *testing.T) {
 // so either the typed error surfaces or the sweep completed with every
 // sample finite — never a partial slice passed off as complete.
 func TestChaosCancelMidSweep(t *testing.T) {
-	sys := tinySystem(t)
+	sys := tinySystem(t, core.SolveAuto)
 	k := sys.PN.SilNode[5]
 	l := sys.Array.Hot[0]
 	eachPool(t, func(t *testing.T, pool engine.Pool) {
@@ -153,66 +155,31 @@ func TestChaosCancelMidSweep(t *testing.T) {
 	})
 }
 
-// TestChaosCGDivergenceFallsBack poisons every CG residual with NaN:
-// the divergence guard must classify the link as CodeDiverged, and the
-// guarded chain must recover on the banded direct solver with a result
-// matching the dense reference — degraded, recorded, and correct.
-func TestChaosCGDivergenceFallsBack(t *testing.T) {
+// TestChaosCGDivergenceTyped poisons every CG residual with NaN: the
+// divergence guard must stop the solve with a typed CodeDiverged error,
+// not a NaN field.
+func TestChaosCGDivergenceTyped(t *testing.T) {
 	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.Install(faults.New(4).Arm(faults.Rule{
 		Site: faults.SiteCGResidual, Kind: faults.KindNaN,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{
-		Chain: []thermal.Method{thermal.MethodCG, thermal.MethodBandCholesky},
-	})
-	if err != nil {
-		t.Fatalf("guarded solve failed outright: %v", err)
-	}
-	if !rep.Degraded || rep.Method != thermal.MethodBandCholesky {
-		t.Fatalf("report = %+v, want degraded band-Cholesky recovery", rep)
-	}
-	if len(rep.Attempts) != 1 || !errors.Is(rep.Attempts[0].Err, tecerr.ErrDiverged) {
-		t.Fatalf("CG attempt recorded as %v, want CodeDiverged", rep.Attempts)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
-		}
+	if _, err := pn.SolvePassive(tp, thermal.MethodCG); !errors.Is(err, tecerr.ErrDiverged) {
+		t.Fatalf("NaN residual surfaced as %v, want CodeDiverged", err)
 	}
 }
 
-// TestChaosCGNonConvergenceFallsBack forces the CG link to fail with an
+// TestChaosCGIterationError forces the CG solve to fail with an
 // injected iteration error (the forced non-convergence axis) and checks
-// the chain still lands on a correct direct solve.
-func TestChaosCGNonConvergenceFallsBack(t *testing.T) {
+// it propagates unmangled.
+func TestChaosCGIterationError(t *testing.T) {
 	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.Install(faults.New(5).Arm(faults.Rule{
 		Site: faults.SiteCGIteration, Kind: faults.KindError,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{})
-	if err != nil {
-		t.Fatalf("guarded solve failed outright: %v", err)
-	}
-	if !rep.Degraded {
-		t.Fatalf("report = %+v, want a degraded recovery", rep)
-	}
-	if len(rep.Attempts) == 0 || !errors.Is(rep.Attempts[0].Err, faults.ErrInjected) {
-		t.Fatalf("CG attempt recorded as %v, want the injected error", rep.Attempts)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
-		}
+	if _, err := pn.SolvePassive(tp, thermal.MethodCG); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("injected CG error surfaced as %v, want ErrInjected in the chain", err)
 	}
 }
 
@@ -224,46 +191,69 @@ func TestChaosPowerNaN(t *testing.T) {
 		Site: faults.SitePower, Kind: faults.KindNaN, OnHit: 3,
 	}))
 	defer faults.Uninstall()
-	_, _, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{})
-	if !errors.Is(err, tecerr.ErrInvalidInput) {
+	if _, err := pn.SolvePassive(tp, thermal.MethodAuto); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Fatalf("NaN power surfaced as %v, want CodeInvalidInput", err)
 	}
 }
 
-// TestChaosBandPerturbEscalatesToDense corrupts the banded
-// factorization's loaded band hard enough to destroy positive
-// definiteness. The chain must either recover on the dense reference
-// factorization (which reads the uncorrupted matrix) with a correct
-// answer, or fail typed as CodeNotPD — depending on whether the
-// corruption broke the factorization or merely bent it, in which case
-// only the dense link's answer is trustworthy.
-func TestChaosBandPerturbEscalatesToDense(t *testing.T) {
+// TestChaosBandPerturbNotPD corrupts the banded factorization's loaded
+// band hard enough to destroy positive definiteness: the factorization
+// must fail typed as CodeNotPD.
+func TestChaosBandPerturbNotPD(t *testing.T) {
 	pn, tp := tinyNetwork(t)
-	ref, err := pn.SolvePassive(tp, thermal.MethodDenseCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults.Install(faults.New(7).Arm(faults.Rule{
 		Site: faults.SiteBandMatrix, Kind: faults.KindPerturb, Scale: 50,
 	}))
 	defer faults.Uninstall()
-	theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tp, thermal.GuardedOptions{
-		Chain: []thermal.Method{thermal.MethodBandCholesky, thermal.MethodDenseCholesky},
-	})
+	if _, err := pn.SolvePassive(tp, thermal.MethodBandCholesky); !errors.Is(err, tecerr.ErrNotPD) {
+		t.Fatalf("band corruption surfaced as %v, want CodeNotPD", err)
+	}
+}
+
+// TestChaosSMWGuardTripSweep trips the SMW conditioning guard at every
+// correction of an h_kl sweep: each nonzero current must fall back to
+// the direct factorization, so the sweep equals the SolveDirect sweep
+// bitwise at every worker count.
+func TestChaosSMWGuardTripSweep(t *testing.T) {
+	auto := tinySystem(t, core.SolveAuto)
+	direct := tinySystem(t, core.SolveDirect)
+	k := auto.PN.SilNode[5]
+	l := auto.Array.Hot[0]
+	currents := sweepCurrents(16)
+	want, err := direct.HklSweep(k, l, currents)
 	if err != nil {
-		if !errors.Is(err, tecerr.ErrNotPD) {
-			t.Fatalf("band corruption surfaced as %v, want CodeNotPD", err)
+		t.Fatal(err)
+	}
+	eachPool(t, func(t *testing.T, pool engine.Pool) {
+		r := obs.New(nil)
+		prev := obs.SetGlobal(r)
+		defer obs.SetGlobal(prev)
+		faults.Install(faults.New(10).Arm(faults.Rule{
+			Site: faults.SiteSMWGuard, Kind: faults.KindNaN,
+		}))
+		defer faults.Uninstall()
+		got, err := auto.HklSweepParallelCtx(context.Background(), k, l, currents, pool)
+		if err != nil {
+			t.Fatalf("guard-tripped sweep: %v", err)
 		}
-		return
-	}
-	if !rep.Degraded || rep.Method != thermal.MethodDenseCholesky {
-		t.Fatalf("report = %+v, want degraded dense recovery", rep)
-	}
-	for i := range ref {
-		if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-			t.Fatalf("degraded result wrong at node %d: %g vs reference %g", i, theta[i], ref[i])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("point %d (i=%g): fallback %v, direct %v", i, currents[i], got[i], want[i])
+			}
 		}
-	}
+		nonzero := uint64(0)
+		for _, i := range currents {
+			if !num.IsZero(i) {
+				nonzero++
+			}
+		}
+		if got := r.Counter("thermal.reusable.fallbacks").Value(); got != nonzero {
+			t.Fatalf("fallbacks = %d, want %d (one per nonzero current)", got, nonzero)
+		}
+		if got := r.Counter("thermal.reusable.near_limit").Value(); got != 0 {
+			t.Fatalf("near_limit = %d, want 0", got)
+		}
+	})
 }
 
 // TestChaosConjectureCancel cancels a Conjecture-1 campaign from inside
@@ -312,44 +302,4 @@ func TestChaosConjectureCancel(t *testing.T) {
 			t.Fatalf("report fabricated %d violations", rep.Violations)
 		}
 	})
-}
-
-// TestGuardedMatchesReferenceOnHealthySystems is the property half of
-// the suite: with no faults installed, every fallback chain — and every
-// individual link — must agree with the dense reference factorization
-// to solver tolerance. The fallback machinery must be invisible on
-// healthy systems.
-func TestGuardedMatchesReferenceOnHealthySystems(t *testing.T) {
-	pn, tp := tinyNetwork(t)
-	uniform := make([]float64, len(tp))
-	for i := range uniform {
-		uniform[i] = 0.4
-	}
-	chains := map[string][]thermal.Method{
-		"default": nil,
-		"cg":      {thermal.MethodCG},
-		"band":    {thermal.MethodBandCholesky},
-		"dense":   {thermal.MethodDenseCholesky},
-	}
-	for name, tilePower := range map[string][]float64{"hotspot": tp, "uniform": uniform} {
-		ref, err := pn.SolvePassive(tilePower, thermal.MethodDenseCholesky)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cname, chain := range chains {
-			theta, rep, err := pn.SolveSteadyGuarded(context.Background(), tilePower,
-				thermal.GuardedOptions{Chain: chain})
-			if err != nil {
-				t.Fatalf("%s/%s: healthy guarded solve failed: %v", name, cname, err)
-			}
-			if rep.Degraded {
-				t.Fatalf("%s/%s: healthy solve reported degraded: %+v", name, cname, rep)
-			}
-			for i := range ref {
-				if !num.EqualWithin(theta[i], ref[i], 1e-8) {
-					t.Fatalf("%s/%s: node %d: %g vs reference %g", name, cname, i, theta[i], ref[i])
-				}
-			}
-		}
-	}
 }

@@ -49,7 +49,8 @@ const (
 	SiteSweepPoint = "core.sweep.point"
 	// SiteSMWGuard filters the capacitance-matrix conditioning margin of
 	// every Sherman-Morrison-Woodbury correction, so chaos tests can
-	// force the guard to trip and exercise the guarded-chain fallback.
+	// force the guard to trip and exercise the fallback to the direct
+	// factorization of the shifted matrix.
 	SiteSMWGuard = "sparse.smw.guard"
 	// SiteServeAdmit fires as the serving layer (tecserve) classifies a
 	// request, before admission control — faults here exercise the

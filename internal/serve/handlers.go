@@ -280,6 +280,12 @@ func (s *Server) runSweep(ctx context.Context, body []byte) (any, error) {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
 			"serve: %d sweep points exceed the per-request limit %d", n, s.opt.MaxSweepPoints)
 	}
+	for idx, i := range req.CurrentsA {
+		if math.IsNaN(i) || math.IsInf(i, 0) || i < 0 {
+			return nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
+				"serve: currents_a[%d] %g must be finite and nonnegative", idx, i)
+		}
+	}
 	sys, err := s.resolveSystem(req.Chip, req.Sites)
 	if err != nil {
 		return nil, err

@@ -194,6 +194,7 @@ func TestInvalidInputs(t *testing.T) {
 		{"name and powers", "/v1/solve", solveRequest{common: common{Chip: func() ChipSpec { c := tinyChip(); c.Name = "alpha"; return c }(), Sites: []int{5}}, CurrentA: 0.1}},
 		{"empty sweep", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}}},
 		{"sweep tile range", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, K: 99, CurrentsA: []float64{0.1}}},
+		{"sweep negative current", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, CurrentsA: []float64{-1}}},
 		{"bad method", "/v1/optimize-current", optimizeRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, Method: "newton"}},
 		{"negative deadline", "/v1/solve", map[string]any{"deadline_ms": -5}},
 		{"bad site", "/v1/solve", solveRequest{common: common{Chip: tinyChip(), Sites: []int{99}}, CurrentA: 0.1}},

@@ -53,27 +53,6 @@ func TestCGZeroRHS(t *testing.T) {
 	}
 }
 
-func TestCGWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomSPD(rng, 30, 0.2)
-	want := make([]float64, 30)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := a.MulVec(want)
-	cold, err := SolveCG(a, b, CGOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := SolveCG(a, b, CGOptions{Tol: 1e-12, X0: cold.X})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Iterations > 1 {
-		t.Fatalf("warm start took %d iterations", warm.Iterations)
-	}
-}
-
 func TestCGBreakdownOnIndefinite(t *testing.T) {
 	// [-1 0; 0 -1] is negative definite: CG must report breakdown.
 	b := NewBuilder(2, 2)
@@ -89,9 +68,6 @@ func TestCGDimensionErrors(t *testing.T) {
 	a := randomSPD(rand.New(rand.NewSource(4)), 4, 0.5)
 	if _, err := SolveCG(a, []float64{1, 2}, CGOptions{}); err == nil {
 		t.Error("expected rhs length error")
-	}
-	if _, err := SolveCG(a, make([]float64, 4), CGOptions{X0: []float64{1}}); err == nil {
-		t.Error("expected x0 length error")
 	}
 	rect := NewBuilder(2, 3).Build()
 	if _, err := SolveCG(rect, []float64{1, 2}, CGOptions{}); err == nil {

@@ -128,7 +128,7 @@ func TestSMWGuardTripsNearSingularity(t *testing.T) {
 
 // Fault injection at the guard site forces the trip at a perfectly
 // well-conditioned shift, the hook chaos tests use to exercise the
-// guarded fallback.
+// direct fallback.
 func TestSMWGuardFaultInjection(t *testing.T) {
 	_, _, s := newGridSMW(t)
 	faults.Install(faults.New(1).Arm(faults.Rule{

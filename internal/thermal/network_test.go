@@ -1,12 +1,14 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"tecopt/internal/mat"
 	"tecopt/internal/num"
 	"tecopt/internal/sparse"
+	"tecopt/internal/tecerr"
 )
 
 // tinyNetwork builds a 3-node chain with one ground leg:
@@ -162,4 +164,37 @@ func csrToDense(a *sparse.CSR) *mat.Dense {
 		}
 	}
 	return d
+}
+
+func TestNetworkValidateRejectsDegenerateNetworks(t *testing.T) {
+	empty := NewNetwork()
+	if err := empty.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("empty network: %v", err)
+	}
+	ungrounded := NewNetwork()
+	a := ungrounded.AddNode(Node{Kind: KindSilicon})
+	b := ungrounded.AddNode(Node{Kind: KindTIM})
+	ungrounded.AddConductance(a, b, 1)
+	if err := ungrounded.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("ungrounded network: %v", err)
+	}
+	isolated := NewNetwork()
+	c := isolated.AddNode(Node{Kind: KindSilicon})
+	isolated.AddNode(Node{Kind: KindTIM}) // never wired
+	isolated.AddGround(c, 1, 300)
+	if err := isolated.Validate(); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("isolated node: %v", err)
+	}
+}
+
+func TestAddConductancePanicsOnNaN(t *testing.T) {
+	n := NewNetwork()
+	a := n.AddNode(Node{Kind: KindSilicon})
+	b := n.AddNode(Node{Kind: KindTIM})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NaN conductance did not panic")
+		}
+	}()
+	n.AddConductance(a, b, math.NaN())
 }

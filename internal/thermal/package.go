@@ -259,6 +259,36 @@ func BuildPackage(geom material.PackageGeometry, opts BuildOptions) (*PackageNet
 // NumTiles returns the number of silicon tiles.
 func (pn *PackageNetwork) NumTiles() int { return pn.Opts.Cols * pn.Opts.Rows }
 
+// Validate checks the assembled package model: a structurally sound
+// network (see Network.Validate) and a consistent tile-to-node mapping.
+// Errors carry tecerr.CodeInvalidInput.
+func (pn *PackageNetwork) Validate() error {
+	if err := pn.Geom.Validate(); err != nil {
+		return err
+	}
+	if err := pn.Net.Validate(); err != nil {
+		return err
+	}
+	nt := pn.NumTiles()
+	if len(pn.SilNode) != nt || len(pn.TIMNode) != nt || len(pn.ColdNode) != nt || len(pn.HotNode) != nt {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "thermal.validate",
+			"thermal: tile node tables sized %d/%d/%d/%d, want %d",
+			len(pn.SilNode), len(pn.TIMNode), len(pn.ColdNode), len(pn.HotNode), nt)
+	}
+	nn := pn.Net.NumNodes()
+	for t := 0; t < nt; t++ {
+		if pn.SilNode[t] < 0 || pn.SilNode[t] >= nn {
+			return tecerr.Newf(tecerr.CodeInvalidInput, "thermal.validate",
+				"thermal: tile %d silicon node %d out of range %d", t, pn.SilNode[t], nn)
+		}
+		if pn.TIMNode[t] < 0 && pn.ColdNode[t] < 0 && !pn.Opts.TECSites[t] {
+			return tecerr.Newf(tecerr.CodeInvalidInput, "thermal.validate",
+				"thermal: tile %d has neither a TIM node nor a TEC", t)
+		}
+	}
+	return nil
+}
+
 // AttachTEC wires a TEC device's two-node model (Figure 4) into TEC site
 // t: a cold node coupled to the silicon tile through the contact
 // conductance gc (in series with the lower half silicon slab) and a hot

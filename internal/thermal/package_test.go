@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -8,7 +9,32 @@ import (
 	"tecopt/internal/mat"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
+	"tecopt/internal/sparse"
+	"tecopt/internal/tecerr"
 )
+
+// testPackage builds the default package with a mild power profile and
+// returns the network plus its assembled system.
+func testPackage(t *testing.T) (*PackageNetwork, *sparse.CSR, []float64) {
+	t.Helper()
+	pn, err := BuildPackage(material.DefaultPackage(), DefaultBuildOptions())
+	if err != nil {
+		t.Fatalf("BuildPackage: %v", err)
+	}
+	tile := make([]float64, pn.NumTiles())
+	for i := range tile {
+		tile[i] = 0.5 + 0.01*float64(i%7)
+	}
+	p, err := pn.PowerVector(tile)
+	if err != nil {
+		t.Fatalf("PowerVector: %v", err)
+	}
+	rhs := pn.Net.BaseRHS()
+	for i, v := range p {
+		rhs[i] += v
+	}
+	return pn, pn.Net.G(), rhs
+}
 
 func defaultPN(t *testing.T, tecSites map[int]bool) *PackageNetwork {
 	t.Helper()
@@ -288,5 +314,25 @@ func TestGStructureFullPackage(t *testing.T) {
 				t.Fatalf("positive off-diagonal at (%d,%d) = %g", i, j, vals[k])
 			}
 		}
+	}
+}
+
+func TestPackageNetworkValidate(t *testing.T) {
+	pn, _, _ := testPackage(t)
+	if err := pn.Validate(); err != nil {
+		t.Fatalf("Validate on a healthy package: %v", err)
+	}
+}
+
+func TestPowerVectorRejectsNonFinite(t *testing.T) {
+	pn, _, _ := testPackage(t)
+	tile := make([]float64, pn.NumTiles())
+	tile[3] = math.NaN()
+	if _, err := pn.PowerVector(tile); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("NaN power: %v", err)
+	}
+	tile[3] = math.Inf(1)
+	if _, err := pn.PowerVector(tile); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Fatalf("Inf power: %v", err)
 	}
 }

@@ -27,11 +27,9 @@ import (
 // Near the limit the capacitance matrix approaches singularity, so
 // within a relative window around lambda SolveAtCurrent defers to an
 // authoritative direct factorization of the shifted matrix (memoized
-// for repeated solves at one current); should the conditioning guard
-// trip outside that window — or under fault injection — it falls back
-// to the SolveGuarded chain, warm-started from the last solution and
-// preconditioned with the base matrix's IC(0), and reports the
-// degradation in the GuardedReport.
+// for repeated solves at one current). Should the conditioning guard
+// trip outside that window — or under fault injection — the solve
+// falls back to the same memoized direct factorization.
 //
 // All methods are safe for concurrent use.
 type ReusableSystem struct {
@@ -45,17 +43,13 @@ type ReusableSystem struct {
 	// near-limit band handled by direct factorization.
 	lambda float64
 	window float64
-	// pre is the base matrix's preconditioner, shared by every guarded
-	// fallback (IC(0) of G stays effective for the nearby shifts).
-	pre sparse.Preconditioner
-	// near memoizes the last in-window direct factorization; warm holds
-	// the last solution for CG warm starts.
+	// near memoizes the last direct factorization of G - i*D, shared by
+	// the near-limit window and the guard-trip fallback.
 	near atomic.Pointer[nearFactor]
-	warm atomic.Pointer[[]float64]
 }
 
-// nearFactor is one memoized direct factorization of G - i*D inside the
-// near-limit window (err keeps a not-PD outcome without refactoring).
+// nearFactor is one memoized direct factorization of G - i*D (err keeps
+// a not-PD outcome without refactoring).
 type nearFactor struct {
 	i   float64
 	f   *Factorization
@@ -96,7 +90,6 @@ func NewReusableSystem(g *sparse.CSR, d []float64, perm []int) (*ReusableSystem,
 		smw:    smw,
 		lambda: smw.Lambda(),
 		window: reusableWindow,
-		pre:    sparse.NewBestPreconditioner(g),
 	}
 	if r := obs.Enabled(); r != nil {
 		r.Counter("thermal.reusable.setups").Inc()
@@ -118,18 +111,18 @@ func (rs *ReusableSystem) Rank() int { return rs.smw.Rank() }
 // predicate behind the runaway bisection.
 func (rs *ReusableSystem) PD(i float64) bool { return i < rs.lambda }
 
-// SolveAtCurrent solves (G - i*D) theta = rhs. The report says which
-// path produced the solution: MethodSMW for the fast path, a direct or
-// guarded method otherwise (Degraded with the SMW attempt recorded when
-// the conditioning guard forced the fallback). Currents at or beyond
-// the runaway limit return ErrNotPD, matching the direct path.
-func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []float64) ([]float64, *GuardedReport, error) {
+// SolveAtCurrent solves (G - i*D) theta = rhs: by the SMW correction
+// of the base factorization, or by a memoized direct factorization of
+// the shifted matrix inside the near-limit window and when the
+// conditioning guard trips. Currents at or beyond the runaway limit
+// return ErrNotPD, matching the direct path.
+func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
 	if !num.IsFinite(i) {
-		return nil, nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
 			"thermal: non-finite supply current %g", i)
 	}
 	if len(rhs) != len(rs.d) {
-		return nil, nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
 			"thermal: rhs length %d, want %d", len(rhs), len(rs.d))
 	}
 	r := obs.Enabled()
@@ -139,20 +132,20 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 		// regime this solve took; it exists only in flight mode so flat
 		// traces stay byte-compatible. Annotate is a no-op on the zero
 		// Span, so the regime paths below annotate unconditionally.
-		ctx, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve")
+		_, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve")
 		sp.AnnotateFloat("current", i)
 		defer sp.End()
 	}
 	if rs.smw.Rank() == 0 || num.IsZero(i) {
 		x, err := rs.base.Solve(rhs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if r != nil {
 			r.Counter("thermal.reusable.smw_hits").Inc()
 		}
 		sp.Annotate("regime", "smw")
-		return x, &GuardedReport{Method: MethodSMW}, nil
+		return x, nil
 	}
 	if !math.IsInf(rs.lambda, 1) {
 		switch {
@@ -163,15 +156,19 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 				r.Counter("thermal.reusable.beyond_limit").Inc()
 			}
 			sp.Annotate("regime", "beyond-limit")
-			return nil, nil, ErrNotPD
+			return nil, ErrNotPD
 		case i >= rs.lambda*(1-rs.window):
-			return rs.solveNear(i, rhs, sp)
+			if r != nil {
+				r.Counter("thermal.reusable.near_limit").Inc()
+			}
+			sp.Annotate("regime", "direct")
+			return rs.solveDirect(i, rhs, sp)
 		}
 	}
 
 	y, err := rs.base.Solve(rhs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cerr := rs.smw.Correct(i, y)
 	if cerr == nil {
@@ -179,74 +176,37 @@ func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []f
 			r.Counter("thermal.reusable.smw_hits").Inc()
 		}
 		sp.Annotate("regime", "smw")
-		warm := make([]float64, len(y))
-		copy(warm, y)
-		rs.warm.Store(&warm)
-		return y, &GuardedReport{Method: MethodSMW}, nil
+		return y, nil
 	}
 	if errors.Is(cerr, tecerr.ErrInvalidInput) {
-		return nil, nil, cerr
+		return nil, cerr
 	}
 	// Conditioning guard tripped (organically outside the near-limit
 	// window only for pathological spectra, or under fault injection):
-	// escalate through the guarded chain with the warm start and the
-	// shared base preconditioner, and record the degradation.
+	// the direct factorization gives the answer the direct path would.
 	if r != nil {
 		r.Counter("thermal.reusable.fallbacks").Inc()
 	}
-	sp.Annotate("regime", "guarded")
+	sp.Annotate("regime", "fallback")
 	sp.Annotate("guard_reason", tecerr.CodeOf(cerr).String())
-	opts := GuardedOptions{Precond: rs.pre}
-	if warm := rs.warm.Load(); warm != nil {
-		opts.X0 = *warm
-		if r != nil {
-			r.Counter("thermal.reusable.warm_start_solves").Inc()
-		}
-	}
-	sp.Annotate("warm_start", strconv.FormatBool(opts.X0 != nil))
-	x, rep, err := SolveGuarded(ctx, rs.shifted(i), rhs, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Degraded = true
-	rep.Attempts = append([]GuardedAttempt{{Method: MethodSMW, Err: cerr}}, rep.Attempts...)
-	if r != nil && rep.Stats.Iterative {
-		r.Counter("thermal.reusable.warm_start_iterations").Add(uint64(rep.Stats.CGIterations))
-	}
-	warm := make([]float64, len(x))
-	copy(warm, x)
-	rs.warm.Store(&warm)
-	return x, rep, nil
+	return rs.solveDirect(i, rhs, sp)
 }
 
-// shifted materializes G - i*D.
-func (rs *ReusableSystem) shifted(i float64) *sparse.CSR {
-	return rs.g.AddScaledDiag(-i, rs.d)
-}
-
-// solveNear handles currents inside the near-limit window with a
-// memoized direct factorization: deterministic, authoritative on
-// ErrNotPD, and amortized across repeated solves at one current (the
-// h_kl column sweeps solve many right-hand sides at the same i).
-func (rs *ReusableSystem) solveNear(i float64, rhs []float64, sp obs.Span) ([]float64, *GuardedReport, error) {
-	if r := obs.Enabled(); r != nil {
-		r.Counter("thermal.reusable.near_limit").Inc()
-	}
-	sp.Annotate("regime", "direct")
+// solveDirect solves with a direct factorization of G - i*D in the
+// System's RCM ordering: deterministic, authoritative on ErrNotPD, and
+// memoized across repeated solves at one current (the h_kl column
+// sweeps solve many right-hand sides at the same i).
+func (rs *ReusableSystem) solveDirect(i float64, rhs []float64, sp obs.Span) ([]float64, error) {
 	nf := rs.near.Load()
 	memo := nf != nil && num.ExactEqual(nf.i, i)
 	sp.Annotate("near_memo", strconv.FormatBool(memo))
 	if !memo {
-		f, err := Factor(rs.shifted(i), rs.perm)
+		f, err := Factor(rs.g.AddScaledDiag(-i, rs.d), rs.perm)
 		nf = &nearFactor{i: i, f: f, err: err}
 		rs.near.Store(nf)
 	}
 	if nf.err != nil {
-		return nil, nil, nf.err
+		return nil, nf.err
 	}
-	x, err := nf.f.Solve(rhs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, &GuardedReport{Method: MethodBandCholesky}, nil
+	return nf.f.Solve(rhs)
 }

@@ -25,29 +25,7 @@ const (
 	// paper's stated method, practical for small models and useful as a
 	// reference in solver-equivalence tests.
 	MethodDenseCholesky
-	// MethodSMW identifies the Sherman-Morrison-Woodbury fast path of
-	// ReusableSystem in solve reports: one base factorization of G,
-	// corrected per current against the rank-2*#TEC capacitance matrix.
-	MethodSMW
 )
-
-// String names the method for reports, trace annotations and logs.
-func (m Method) String() string {
-	switch m {
-	case MethodAuto:
-		return "auto"
-	case MethodBandCholesky:
-		return "band-cholesky"
-	case MethodCG:
-		return "cg"
-	case MethodDenseCholesky:
-		return "dense-cholesky"
-	case MethodSMW:
-		return "smw"
-	default:
-		return "unknown"
-	}
-}
 
 // ErrNotPD reports that the system matrix is not positive definite, i.e.
 // the operating point is at or beyond the thermal-runaway limit. It
@@ -124,52 +102,27 @@ func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) {
 	return cols, nil
 }
 
-// SolveStats reports per-solve statistics of the iterative path. For
-// the direct methods it is the zero value (Iterative == false).
-type SolveStats struct {
-	// Iterative is true when the solve used CG; the remaining fields
-	// are meaningful only then.
-	Iterative bool
-	// CGIterations is the iteration count the CG solve performed.
-	CGIterations int
-	// CGResidual is the final relative residual ||r|| / ||b||.
-	CGResidual float64
-}
-
 // SolveSteady solves G*theta = rhs with the selected method.
 func SolveSteady(g *sparse.CSR, rhs []float64, m Method) ([]float64, error) {
-	theta, _, err := SolveSteadyStats(g, rhs, m)
-	return theta, err
-}
-
-// SolveSteadyStats solves G*theta = rhs with the selected method and
-// returns the solve statistics — for MethodCG, the iteration count and
-// final residual that SolveSteady would otherwise discard.
-func SolveSteadyStats(g *sparse.CSR, rhs []float64, m Method) ([]float64, SolveStats, error) {
-	var st SolveStats
 	switch m {
 	case MethodAuto, MethodBandCholesky:
 		f, err := Factor(g, nil)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
-		theta, err := f.Solve(rhs)
-		return theta, st, err
+		return f.Solve(rhs)
 	case MethodCG:
 		res, err := sparse.SolveCG(g, rhs, sparse.CGOptions{
 			Tol:     1e-12,
 			Precond: sparse.NewBestPreconditioner(g),
 		})
-		if res != nil {
-			st = SolveStats{Iterative: true, CGIterations: res.Iterations, CGResidual: res.Residual}
-		}
 		if err != nil {
 			if errors.Is(err, sparse.ErrBreakdown) {
-				return nil, st, ErrNotPD
+				return nil, ErrNotPD
 			}
-			return nil, st, err
+			return nil, err
 		}
-		return res.X, st, nil
+		return res.X, nil
 	case MethodDenseCholesky:
 		n := g.Rows()
 		d := mat.NewDense(n, n)
@@ -181,11 +134,11 @@ func SolveSteadyStats(g *sparse.CSR, rhs []float64, m Method) ([]float64, SolveS
 		}
 		chol, err := mat.NewCholesky(d)
 		if err != nil {
-			return nil, st, ErrNotPD
+			return nil, ErrNotPD
 		}
-		return chol.Solve(rhs), st, nil
+		return chol.Solve(rhs), nil
 	default:
-		return nil, st, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.solve",
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.solve",
 			"thermal: unknown method %d", m)
 	}
 }
