@@ -8,9 +8,12 @@
 //	    | go run ./cmd/benchjson > BENCH_solver.json
 //
 // Each entry carries the benchmark name (with the -N GOMAXPROCS suffix
-// stripped), the package, iteration count, ns/op, and — when -benchmem
-// is on — B/op and allocs/op. `make bench-json` is the canonical
-// invocation; EXPERIMENTS.md tracks the committed snapshots.
+// stripped), the package, iteration count, ns/op, — when -benchmem
+// is on — B/op and allocs/op, and the fingerprint of the host it was
+// measured on: the CPU model from go test's "cpu:" line, GOMAXPROCS
+// from the stripped suffix, and the Go version. `make bench-json` is
+// the canonical invocation; EXPERIMENTS.md tracks the committed
+// snapshots.
 //
 // Two flags extend the converter into snapshot maintenance and CI
 // gating:
@@ -25,8 +28,10 @@
 //	              than its snapshot ns/op by more than -tol (default
 //	              0.20, i.e. 20%), or above its snapshot allocs/op or
 //	              B/op by more than 1%, fails the gate with exit status
-//	              1. Benchmarks missing from the snapshot are reported
-//	              but do not fail.
+//	              1, and prints the host fingerprints of the snapshot
+//	              entry and the run next to it: ns/op compares only
+//	              between like hosts. Benchmarks missing from the
+//	              snapshot are reported but do not fail.
 package main
 
 import (
@@ -36,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +64,36 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Host is nil on entries measured before fingerprints existed.
+	Host *Host `json:"host,omitempty"`
+}
+
+// Host fingerprints the machine a result was measured on: the CPU
+// model from the "cpu:" line go test prints per package, GOMAXPROCS
+// from the benchmark name's -N suffix, and the Go version benchjson
+// runs on. An empty field was not known.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Go         string `json:"go,omitempty"`
+}
+
+// String renders the fingerprint for the gate's report.
+func (h *Host) String() string {
+	if h == nil {
+		return "not recorded"
+	}
+	unknown := func(v string) string {
+		if v == "" {
+			return "unknown"
+		}
+		return v
+	}
+	procs := "unknown"
+	if h.GOMAXPROCS > 0 {
+		procs = strconv.Itoa(h.GOMAXPROCS)
+	}
+	return fmt.Sprintf("cpu %s, GOMAXPROCS %s, %s", unknown(h.CPU), procs, unknown(h.Go))
 }
 
 func main() {
@@ -211,6 +247,9 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 			fmt.Fprintf(out, " [%s]", strings.Join(over, ", "))
 		}
 		fmt.Fprintln(out)
+		if len(over) > 0 {
+			fmt.Fprintf(out, "      snapshot host: %s\n      run host:      %s\n", b.Host, r.Host)
+		}
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed against the snapshot (ns/op beyond %.0f%%, allocs/op or B/op beyond %.0f%%)",
@@ -241,8 +280,14 @@ func relChange(got, snap int64) float64 {
 func parseStream(in io.Reader) ([]Result, error) {
 	var results []Result
 	partial := make(map[string]string) // package -> unterminated output
+	cpus := make(map[string]string)    // package -> CPU model
 	emit := func(pkg, text string) {
-		if r, ok := parseBenchLine(strings.TrimSpace(text), pkg); ok {
+		text = strings.TrimSpace(text)
+		if cpu, ok := strings.CutPrefix(text, "cpu:"); ok {
+			cpus[pkg] = strings.TrimSpace(cpu)
+			return
+		}
+		if r, ok := parseBenchLine(text, pkg); ok {
 			results = append(results, r)
 		}
 	}
@@ -280,6 +325,10 @@ func parseStream(in io.Reader) ([]Result, error) {
 	for pkg, rest := range partial {
 		emit(pkg, rest)
 	}
+	for k := range results {
+		results[k].Host.CPU = cpus[results[k].Package]
+		results[k].Host.Go = runtime.Version()
+	}
 	sort.Slice(results, func(i, j int) bool {
 		if results[i].Package != results[j].Package {
 			return results[i].Package < results[j].Package
@@ -303,10 +352,21 @@ func parseBenchLine(line, pkg string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
+	// go test leaves the suffix off at GOMAXPROCS 1; a line from outside
+	// a go test stream (no package) without one does not say.
+	procs := 0
+	suffix := gomaxprocsSuffix(fields[0])
+	switch {
+	case suffix != "":
+		procs, _ = strconv.Atoi(suffix) // gomaxprocsSuffix checked it
+	case pkg != "":
+		procs = 1
+	}
 	r := Result{
-		Name:       strings.TrimSuffix(fields[0], "-"+gomaxprocsSuffix(fields[0])),
+		Name:       strings.TrimSuffix(fields[0], "-"+suffix),
 		Package:    pkg,
 		Iterations: iters,
+		Host:       &Host{GOMAXPROCS: procs},
 	}
 	sawNs := false
 	for i := 2; i+1 < len(fields); i += 2 {

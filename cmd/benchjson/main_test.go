@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -109,7 +110,8 @@ func TestRunFailsOnEmptyInput(t *testing.T) {
 func TestRunMergeKeepsUntouchedEntries(t *testing.T) {
 	base := []Result{
 		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", Iterations: 1, NsPerOp: 9e9},
-		{Name: "BenchmarkEngine_Old", Package: "tecopt/internal/core", Iterations: 1, NsPerOp: 5},
+		{Name: "BenchmarkEngine_Old", Package: "tecopt/internal/core", Iterations: 1, NsPerOp: 5,
+			Host: &Host{CPU: "Old CPU", GOMAXPROCS: 1, Go: "go1.22.0"}},
 	}
 	var out bytes.Buffer
 	if err := run(strings.NewReader(sampleStream), &out, base); err != nil {
@@ -130,8 +132,13 @@ func TestRunMergeKeepsUntouchedEntries(t *testing.T) {
 	if !num.ExactEqual(merged.NsPerOp, 1234567890) {
 		t.Errorf("re-measured entry not overwritten: %+v", merged)
 	}
-	if _, ok := byKey["tecopt/internal/core\x00BenchmarkEngine_Old"]; !ok {
+	if merged.Host == nil || *merged.Host != (Host{GOMAXPROCS: 8, Go: runtime.Version()}) {
+		t.Errorf("re-measured entry host %v, want this run's", merged.Host)
+	}
+	if old, ok := byKey["tecopt/internal/core\x00BenchmarkEngine_Old"]; !ok {
 		t.Error("untouched snapshot entry dropped by merge")
+	} else if old.Host == nil || old.Host.CPU != "Old CPU" {
+		t.Errorf("untouched entry host %v, want the snapshot's", old.Host)
 	}
 	for i := 1; i < len(results); i++ {
 		a, b := results[i-1], results[i]
@@ -221,5 +228,69 @@ func TestGateAllocations(t *testing.T) {
 				t.Fatalf("gate report does not flag %s:\n%s", tc.fail, out.String())
 			}
 		})
+	}
+}
+
+// Every result carries the fingerprint of its host: the CPU model of
+// its package's "cpu:" line, GOMAXPROCS from its -N suffix (1 without
+// one in a go test stream, unknown on a raw line), and the Go version.
+func TestParseStreamHostFingerprint(t *testing.T) {
+	in := `{"Action":"output","Package":"p/a","Output":"cpu: Intel(R) Xeon(R) Processor\n"}
+{"Action":"output","Package":"p/b","Output":"cpu: AMD EPYC 7B13\n"}
+{"Action":"output","Package":"p/a","Output":"BenchmarkA-2 \t 1\t 10 ns/op\n"}
+{"Action":"output","Package":"p/b","Output":"BenchmarkB \t 1\t 10 ns/op\n"}
+BenchmarkServe_solve_p50 5 100 ns/op
+`
+	results, err := parseStream(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Host{
+		"BenchmarkA":               {CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 2, Go: runtime.Version()},
+		"BenchmarkB":               {CPU: "AMD EPYC 7B13", GOMAXPROCS: 1, Go: runtime.Version()},
+		"BenchmarkServe_solve_p50": {Go: runtime.Version()},
+	}
+	if len(results) != len(want) {
+		t.Fatalf("got %d results, want %d: %+v", len(results), len(want), results)
+	}
+	for _, r := range results {
+		if r.Host == nil || *r.Host != want[r.Name] {
+			t.Errorf("%s host %+v, want %+v", r.Name, r.Host, want[r.Name])
+		}
+	}
+}
+
+// A failing gate line is followed by the snapshot entry's host and the
+// run's; a passing one is not.
+func TestGateFailurePrintsHosts(t *testing.T) {
+	stream := `{"Action":"output","Package":"tecopt/internal/bench","Output":"cpu: Run CPU\n"}
+` + sampleStream
+	base := []Result{
+		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1,
+			Host: &Host{CPU: "Snapshot CPU", GOMAXPROCS: 1, Go: "go1.22.0"}},
+		{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432},
+	}
+	var out bytes.Buffer
+	if err := gate(strings.NewReader(stream), &out, base, 0.20); err == nil {
+		t.Fatalf("regression passed the gate:\n%s", out.String())
+	}
+	text := out.String()
+	for _, want := range []string{
+		"snapshot host: cpu Snapshot CPU, GOMAXPROCS 1, go1.22.0",
+		"run host:      cpu Run CPU, GOMAXPROCS 8, " + runtime.Version(),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("gate report missing %q:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "snapshot host:"); n != 1 {
+		t.Errorf("%d host reports, want 1 (only the failing entry):\n%s", n, text)
+	}
+	// A snapshot entry from before fingerprints says so.
+	base[1].NsPerOp = 1
+	out.Reset()
+	_ = gate(strings.NewReader(stream), &out, base, 0.20)
+	if !strings.Contains(out.String(), "snapshot host: not recorded") {
+		t.Errorf("gate report missing the unrecorded snapshot host:\n%s", out.String())
 	}
 }

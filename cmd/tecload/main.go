@@ -95,7 +95,7 @@ func run() int {
 	}
 
 	fmt.Fprintf(os.Stderr, "tecload: %s %s at %.0f req/s for %s\n", path, base, *rate, *duration)
-	stats := runLoad(base+path, body, *rate, *duration)
+	stats := runLoad(&http.Client{}, base+path, body, *rate, *duration)
 	if stats.completed == 0 {
 		return fail(tecerr.New(tecerr.CodeUnavailable, "tecload", "tecload: no request completed"))
 	}
@@ -114,6 +114,7 @@ type result struct {
 
 // stats aggregates a load run.
 type stats struct {
+	scheduled int // requests the rate and duration call for
 	sent      int
 	completed int
 	ok        int
@@ -124,41 +125,45 @@ type stats struct {
 
 // runLoad fires POST bodies at url on an open-loop schedule: one
 // request every 1/rate seconds for the given duration, each on its own
-// goroutine, never gated on earlier responses.
-func runLoad(url string, body []byte, rate float64, duration time.Duration) *stats {
+// goroutine, never gated on earlier responses. A tick the loop is too
+// late for is dropped, so fewer requests may be sent than scheduled.
+func runLoad(client *http.Client, url string, body []byte, rate float64, duration time.Duration) *stats {
 	interval := time.Duration(float64(time.Second) / rate)
-	client := &http.Client{}
-	results := make(chan result, 16384)
+	// Each request writes its own slot, read after wg.Wait: nothing
+	// bounds how many a run can send.
+	var results []*result
 	var wg sync.WaitGroup
 
 	start := time.Now()
-	sent := 0
 	ticker := time.NewTicker(interval)
 	for time.Since(start) < duration {
 		<-ticker.C
-		sent++
+		res := new(result)
+		results = append(results, res)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
 			resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-			lat := time.Since(t0)
+			res.latency = time.Since(t0)
 			if err != nil {
-				results <- result{status: 0, latency: lat}
-				return
+				return // status 0: transport error
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			results <- result{status: resp.StatusCode, latency: lat}
+			res.status = resp.StatusCode
 		}()
 	}
 	ticker.Stop()
 	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
 
-	s := &stats{sent: sent, byStatus: map[int]int{}, elapsed: elapsed}
-	for r := range results {
+	s := &stats{
+		scheduled: int(duration / interval),
+		sent:      len(results),
+		byStatus:  map[int]int{},
+		elapsed:   time.Since(start),
+	}
+	for _, r := range results {
 		s.completed++
 		s.byStatus[r.status]++
 		if r.status >= 200 && r.status < 300 {
@@ -173,7 +178,7 @@ func runLoad(url string, body []byte, rate float64, duration time.Duration) *sta
 // result lines.
 func (s *stats) report(w io.Writer, bench string) {
 	sort.Slice(s.okLatency, func(i, j int) bool { return s.okLatency[i] < s.okLatency[j] })
-	fmt.Fprintf(w, "requests    %d sent, %d completed, %d ok\n", s.sent, s.completed, s.ok)
+	fmt.Fprintf(w, "requests    %d sent of %d scheduled, %d completed, %d ok\n", s.sent, s.scheduled, s.completed, s.ok)
 	statuses := make([]int, 0, len(s.byStatus))
 	for st := range s.byStatus {
 		statuses = append(statuses, st)

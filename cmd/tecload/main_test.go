@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ func TestRunLoadAgainstServer(t *testing.T) {
 
 	body := []byte(`{"chip":{"cols":4,"rows":4,"spreader_cells":5,"sink_cells":5,"tile_power_w":[0.15,0.15,0.15,0.15,0.15,1.2,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15]},"sites":[5],"current_a":0.4}`)
 
-	s := runLoad(ts.URL+"/v1/solve", body, 40, 500*time.Millisecond)
+	s := runLoad(&http.Client{}, ts.URL+"/v1/solve", body, 40, 500*time.Millisecond)
 	if s.sent < 10 {
 		t.Fatalf("sent = %d, want >= 10 at 40 req/s over 500ms", s.sent)
 	}
@@ -70,5 +72,38 @@ func TestRunLoadAgainstServer(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// instantTransport answers every request in process from the handler,
+// with no network: the cheapest server a load run can have.
+type instantTransport struct{ h http.Handler }
+
+func (t instantTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// A run of more than 16,384 requests must finish and account for every
+// request. Results used to pass through a channel of that capacity,
+// drained only after every request had finished, so request 16,385
+// blocked its sender forever and the run never returned.
+func TestRunLoadBeyond16384Requests(t *testing.T) {
+	client := &http.Client{Transport: instantTransport{http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})}}
+	s := runLoad(client, "http://tecload.test/v1/solve", nil, 1e6, time.Second)
+	if s.sent <= 16384 {
+		t.Fatalf("sent %d requests, want more than 16384", s.sent)
+	}
+	if s.completed != s.sent || s.ok != s.sent {
+		t.Fatalf("sent %d, completed %d, ok %d: every request must be accounted for", s.sent, s.completed, s.ok)
+	}
+	if s.scheduled != 1000000 {
+		t.Errorf("scheduled = %d, want 1000000 at 1e6 req/s over 1s", s.scheduled)
+	}
+	var out bytes.Buffer
+	s.report(&out, benchName("solve"))
+	if want := fmt.Sprintf("%d sent of %d scheduled", s.sent, s.scheduled); !strings.Contains(out.String(), want) {
+		t.Errorf("report missing %q:\n%s", want, out.String())
 	}
 }

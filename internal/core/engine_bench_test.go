@@ -7,9 +7,11 @@ import (
 )
 
 // BenchmarkEngine_HklSweep measures the worker pool on the Figure-6
-// inner loop: one h_kl evaluation per current-grid point. On a
-// multicore host the parallel sub-benchmark should approach
-// serial/GOMAXPROCS.
+// inner loop: one h_kl evaluation per current-grid point, on a fresh
+// System, so the fast-path setup and the column's one base solve are
+// timed with the points. The points cost microseconds each, a fraction
+// of the setup, so the parallel sub-benchmark measures the pool's
+// overhead rather than a speed-up of serial/GOMAXPROCS.
 func BenchmarkEngine_HklSweep(b *testing.B) {
 	sys, err := NewSystem(smallConfig(), []int{27, 28})
 	if err != nil {

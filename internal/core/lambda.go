@@ -222,9 +222,12 @@ func (s *System) RunawayMode(lambda float64) ([]float64, error) {
 
 // Hkl returns the transfer coefficient h_kl(i) = e_k' (G - i*D)^{-1} e_l,
 // the temperature of node k per watt injected at node l (the quantity of
-// Figure 6). The factorization is reused across l via one solve with e_l.
-// A non-finite or negative i is a tecerr.CodeInvalidInput error, as in
-// SolveAt.
+// Figure 6). On the fast path the base solve G^{-1} e_l is memoized per
+// System for the last l, and only entry k is corrected, so a sweep over
+// currents at one (k, l) costs one base solve and then O(m^2) per
+// current, bitwise the entry of the full solve; the direct path
+// factors G - i*D and solves with e_l. A non-finite or negative i is a
+// tecerr.CodeInvalidInput error, as in SolveAt.
 func (s *System) Hkl(i float64, k, l int) (float64, error) {
 	return s.HklCtx(context.Background(), i, k, l)
 }
@@ -243,6 +246,9 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 	if r := obs.Enabled(); r != nil {
 		r.Counter("core.hkl.evals").Inc()
 		defer r.ObserveSince("core.hkl.eval_ns", r.Now())
+	}
+	if rs := s.reusable(); rs != nil {
+		return rs.EntryAtCurrent(ctx, i, k, l)
 	}
 	e := make([]float64, s.NumNodes())
 	e[l] = 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"tecopt/internal/engine"
@@ -247,6 +248,56 @@ func TestHklSweepParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("point %d: serial %v != parallel %v", i, serial[i], parallel[i])
 		}
 	}
+}
+
+// Concurrent sweeps of two columns on one System replace each other's
+// memoized base column all the time: every value must still be bitwise
+// the serial sweep's on a System of its own.
+func TestHklConcurrentSweepsMatchSerialBitwise(t *testing.T) {
+	cfg := smallConfig()
+	sites := []int{27, 28}
+	sys := mustSystem(t, cfg, sites)
+	lambda, err := sys.RunawayLimit(RunawayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Points across the SMW regime, one in the near-limit window and one
+	// beyond the limit.
+	currents := make([]float64, 40)
+	for i := range currents {
+		currents[i] = 0.999 * lambda * float64(i) / float64(len(currents))
+	}
+	currents = append(currents, lambda*(1-1e-7), lambda*1.05)
+	k := sys.PN.SilNode[27]
+	cols := []int{sys.PN.SilNode[36], sys.Array.Hot[1]}
+	ref := mustSystem(t, cfg, sites)
+	want := make([][]float64, len(cols))
+	for c, l := range cols {
+		if want[c], err = ref.HklSweep(k, l, currents); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got, err := sys.HklSweep(k, cols[c], currents)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for p := range got {
+					if math.Float64bits(got[p]) != math.Float64bits(want[c][p]) {
+						t.Errorf("column %d at i = %g: concurrent %v, serial %v", cols[c], currents[p], got[p], want[c][p])
+						return
+					}
+				}
+			}
+		}(w % len(cols))
+	}
+	wg.Wait()
 }
 
 func TestHColumnsMatchHkl(t *testing.T) {

@@ -171,11 +171,60 @@ func (c *BandCholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// forward solves L y = x in place. Each row of L is sliced once, so the
-// inner product carries no per-element index arithmetic.
+// forward solves L y = x in place. Four rows are solved at a time, each
+// summed in its own order, as in the factorization: first its own
+// leading terms, then the terms all four share, then the terms on the
+// rows of the four already solved. Each sum runs over ascending columns,
+// as the row alone would, so the result is bitwise the row-by-row
+// solve's; the four sums are independent until the last stage, so they
+// do not wait on one another's additions. The last n mod 4 rows, and
+// bandwidths below 3 (where the four rows share no column), run one
+// row at a time.
 func (c *BandCholesky) forward(x []float64) {
 	n, bw, w := c.n, c.bw, c.bw+1
-	for i := 0; i < n; i++ {
+	i := 0
+	for ; bw >= 3 && i+3 < n; i += 4 {
+		// Row i+a holds column k at offset k-i-a+bw; every row covers
+		// columns kc..i-1.
+		kc := max(i+3-bw, 0)
+		r0 := c.ab[i*w : (i+1)*w]
+		r1 := c.ab[(i+1)*w : (i+2)*w]
+		r2 := c.ab[(i+2)*w : (i+3)*w]
+		r3 := c.ab[(i+3)*w : (i+4)*w]
+		s0, s1, s2, s3 := x[i], x[i+1], x[i+2], x[i+3]
+		lo0, lo1 := max(i-bw, 0), max(i+1-bw, 0)
+		for k, v := range r0[lo0-i+bw : kc-i+bw] {
+			s0 -= v * x[lo0+k]
+		}
+		for k, v := range r1[lo1-i-1+bw : kc-i-1+bw] {
+			s1 -= v * x[lo1+k]
+		}
+		if lo2 := max(i+2-bw, 0); lo2 < kc {
+			s2 -= r2[lo2-i-2+bw] * x[lo2]
+		}
+		xs := x[kc:i]
+		a0 := r0[kc-i+bw : bw][:len(xs)]
+		a1 := r1[kc-i-1+bw : bw-1][:len(xs)]
+		a2 := r2[kc-i-2+bw : bw-2][:len(xs)]
+		a3 := r3[kc-i-3+bw : bw-3][:len(xs)]
+		for k, v := range xs {
+			s0 -= a0[k] * v
+			s1 -= a1[k] * v
+			s2 -= a2[k] * v
+			s3 -= a3[k] * v
+		}
+		x0 := s0 / r0[bw]
+		s1 -= r1[bw-1] * x0
+		x1 := s1 / r1[bw]
+		s2 -= r2[bw-2] * x0
+		s2 -= r2[bw-1] * x1
+		x2 := s2 / r2[bw]
+		s3 -= r3[bw-3] * x0
+		s3 -= r3[bw-2] * x1
+		s3 -= r3[bw-1] * x2
+		x[i], x[i+1], x[i+2], x[i+3] = x0, x1, x2, s3/r3[bw]
+	}
+	for ; i < n; i++ {
 		lo := max(i-bw, 0)
 		row := c.ab[i*w+lo-i+bw : i*w+bw]
 		xs := x[lo:i]
@@ -313,9 +362,12 @@ func (c *BandCholesky) backwardBlock(x []float64, nb int) {
 			s0, s1, s2, s3, s4, s5, s6, s7 := xi[0], xi[1], xi[2], xi[3], xi[4], xi[5], xi[6], xi[7]
 			p := (i+1)*nb + col
 			// L[k][i] sits at ab[k*w+i-k+bw] = ab[(k+1)*bw+i]: a stride
-			// of bw per row k.
-			for q := (i+2)*bw + i; q <= (hi+1)*bw+i; q += bw {
+			// of bw per row k. The loop counts rows, not offsets: with
+			// bw = 0 every offset is the same.
+			q := (i+2)*bw + i
+			for k := i + 1; k <= hi; k++ {
 				v := c.ab[q]
+				q += bw
 				xk := (*[8]float64)(x[p:])
 				s0 -= v * xk[0]
 				s1 -= v * xk[1]

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -165,45 +166,122 @@ func TestBandCholeskyRCMShrinksBandwidth(t *testing.T) {
 	}
 }
 
-// SolveUnits must return, bit for bit, what Solve returns for each unit
-// vector, in the caller's index order: unsorted indices, a duplicate,
-// and a last block of nine columns, padded to sixteen, included.
-func TestBandCholeskySolveUnitsMatchesSolveBitwise(t *testing.T) {
-	a := gridLaplacian(13, 9)
-	n := a.Rows()
-	c, err := NewBandCholesky(a)
-	if err != nil {
-		t.Fatal(err)
+// randomBanded is a random symmetric, strictly diagonally dominant (so
+// positive definite) n x n matrix whose every entry within bw of the
+// diagonal is nonzero: its bandwidth is exactly bw.
+func randomBanded(rng *rand.Rand, n, bw int) *CSR {
+	b := NewBuilder(n, n)
+	for i := 0; i < n; i++ {
+		b.Add(i, i, float64(2*bw+1)+rng.Float64())
+		for j := max(i-bw, 0); j < i; j++ {
+			b.AddSym(i, j, -0.1-0.9*rng.Float64())
+		}
 	}
+	return b.Build()
+}
+
+// refSolve is forward and backward substitution one row at a time, in
+// the order every band solve must reproduce bitwise: each row's sum runs
+// over ascending (forward) or ascending-from-the-diagonal (backward)
+// columns.
+func refSolve(c *BandCholesky, b []float64) []float64 {
+	n, bw, w := c.n, c.bw, c.bw+1
+	x := append([]float64(nil), b...)
+	for i := 0; i < n; i++ {
+		s := x[i]
+		for k := max(i-bw, 0); k < i; k++ {
+			s -= c.ab[i*w+k-i+bw] * x[k]
+		}
+		x[i] = s / c.ab[i*w+bw]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k <= min(i+bw, n-1); k++ {
+			s -= c.ab[k*w+i-k+bw] * x[k]
+		}
+		x[i] = s / c.ab[i*w+bw]
+	}
+	return x
+}
+
+// Solve must return, bit for bit, the row-by-row substitution of
+// refSolve for a dense random right-hand side, and SolveUnits what Solve
+// returns for each unit vector, in the caller's index order. The shapes
+// reach every branch of the four-row forward substitution: bandwidths 0
+// to 4 (below 3 the rows run one at a time) and 9, and n mod 4 of 0 to
+// 3 (the rows left after the groups of four). The grid case adds
+// unsorted indices, a duplicate, and a last SolveUnits block of nine
+// columns, padded to sixteen.
+func TestBandCholeskySolveUnitsMatchesSolveBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	type shape struct {
+		name string
+		a    *CSR
+		idx  []int
+	}
+	grid := gridLaplacian(13, 9)
 	// Indices below n-3 keep the last column (the largest index) off
 	// the bottom rows, where its backward sums start from zero and every
 	// summation order gives the same bits.
-	idx := rng.Perm(n - 3)[:2*unitBlock+7]
-	idx = append(idx, idx[4], 0)
-	cols, err := c.SolveUnits(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != len(idx) {
-		t.Fatalf("%d columns, want %d", len(cols), len(idx))
-	}
-	e := make([]float64, n)
-	for j, k := range idx {
-		e[k] = 1
-		want, err := c.Solve(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e[k] = 0
-		for i := range want {
-			if math.Float64bits(cols[j][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("column %d (e_%d) row %d: SolveUnits %v, Solve %v", j, k, i, cols[j][i], want[i])
+	gridIdx := rng.Perm(grid.Rows() - 3)[:2*unitBlock+7]
+	shapes := []shape{{"grid13x9", grid, append(gridIdx, gridIdx[4], 0)}}
+	for _, n := range []int{3, 16, 17, 18, 19} {
+		for _, bw := range []int{0, 1, 2, 3, 4, 9} {
+			if bw >= n {
+				continue
 			}
+			idx := rng.Perm(n)
+			shapes = append(shapes, shape{fmt.Sprintf("n=%d/bw=%d", n, bw), randomBanded(rng, n, bw), append(idx, idx[0])})
 		}
 	}
-	if cols, err := c.SolveUnits(nil); err != nil || len(cols) != 0 {
-		t.Fatalf("empty index set: %d columns, err %v", len(cols), err)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			n := sh.a.Rows()
+			c, err := NewBandCholesky(sh.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.BandwidthUsed(), Bandwidth(sh.a); got != want {
+				t.Fatalf("bandwidth %d, want %d", got, want)
+			}
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			x, err := c.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range refSolve(c, b) {
+				if math.Float64bits(x[i]) != math.Float64bits(want) {
+					t.Fatalf("dense rhs row %d: Solve %v, row-by-row %v", i, x[i], want)
+				}
+			}
+			cols, err := c.SolveUnits(sh.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cols) != len(sh.idx) {
+				t.Fatalf("%d columns, want %d", len(cols), len(sh.idx))
+			}
+			e := make([]float64, n)
+			for j, k := range sh.idx {
+				e[k] = 1
+				want, err := c.Solve(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e[k] = 0
+				for i := range want {
+					if math.Float64bits(cols[j][i]) != math.Float64bits(want[i]) {
+						t.Fatalf("column %d (e_%d) row %d: SolveUnits %v, Solve %v", j, k, i, cols[j][i], want[i])
+					}
+				}
+			}
+			if cols, err := c.SolveUnits(nil); err != nil || len(cols) != 0 {
+				t.Fatalf("empty index set: %d columns, err %v", len(cols), err)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,8 @@ type layerSystem struct {
 	perm []int
 }
 
-func newLayerSystem(b *testing.B, rank int) layerSystem {
-	b.Helper()
+func newLayerSystem(tb testing.TB, rank int) layerSystem {
+	tb.Helper()
 	f, grid := floorplan.Alpha21364Grid()
 	nt := grid.NumTiles()
 	sites := make([]int, rank/2)
@@ -34,28 +34,28 @@ func newLayerSystem(b *testing.B, rank int) layerSystem {
 	}
 	sys, err := core.NewSystem(core.Config{TilePower: power.AlphaTilePowers(f, grid)}, sites)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := sys.Matrix(0)
 	return layerSystem{g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g)}
 }
 
 // factor is the base factorization of G in RCM order.
-func (ls layerSystem) factor(b *testing.B) *thermal.Factorization {
-	b.Helper()
+func (ls layerSystem) factor(tb testing.TB) *thermal.Factorization {
+	tb.Helper()
 	f, err := thermal.Factor(ls.g, ls.perm)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return f
 }
 
 // smw is the production SMW setup over the base factorization.
-func (ls layerSystem) smw(b *testing.B, f *thermal.Factorization) *sparse.SMW {
-	b.Helper()
+func (ls layerSystem) smw(tb testing.TB, f *thermal.Factorization) *sparse.SMW {
+	tb.Helper()
 	s, err := sparse.NewSMWUnits(ls.d, f.SolveUnits)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -170,6 +170,35 @@ func BenchmarkSMWCorrect(b *testing.B) {
 			for k := 0; k < b.N; k++ {
 				copy(y, y0)
 				if err := s.Correct(i, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSMWCorrectEntry times the correction of one entry, the h_kl
+// sweep's per-current work: the same shift and base solution as
+// BenchmarkSMWCorrect, entry 0 of it.
+func BenchmarkSMWCorrectEntry(b *testing.B) {
+	for _, rank := range []int{14, 288} {
+		b.Run(fmt.Sprintf("rank=%d", rank), func(b *testing.B) {
+			ls := newLayerSystem(b, rank)
+			f := ls.factor(b)
+			s := ls.smw(b, f)
+			rhs := make([]float64, len(ls.d))
+			for i := range rhs {
+				rhs[i] = 1
+			}
+			y, err := f.Solve(rhs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			i := 0.5 * s.Lambda()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				if _, err := s.CorrectEntry(i, y, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,10 +17,12 @@ import (
 //
 // where d is supported on few entries (for the TEC model: two rows per
 // device), so diag(d) = U S U' is a rank-m update of a fixed G. Given a
-// solver for G (one factorization, reused for every current), each
-// correction costs two m x m matrix-vector products, one n x m product
-// and one base solve — versus a full O(n*bw^2) refactorization per
-// current on the direct path.
+// solver for G (one factorization, reused for every current), the
+// correction of a solution (Correct) costs two m x m matrix-vector
+// products and one n x m product on top of its base solve, and that of
+// one entry (CorrectEntry) the two m x m products and m terms of the
+// n x m one — versus a full O(n*bw^2) refactorization per current on
+// the direct path.
 //
 // Construction precomputes, once per system:
 //
@@ -273,6 +275,37 @@ func (s *SMW) Lambda() float64 {
 // vector. Correct is safe for concurrent use: the precomputed data is
 // read-only and all scratch is local.
 func (s *SMW) Correct(i float64, y []float64) error {
+	return s.correction(i, y, func(c float64, col []float64) {
+		col = col[:len(y)]
+		for k := range y {
+			y[k] += c * col[k]
+		}
+	})
+}
+
+// CorrectEntry returns entry k of (G - i*diag(d))^{-1} b for y = G^{-1} b:
+// bitwise what Correct leaves in y[k], without modifying y. It pays the
+// two m x m products and m terms of the n x m one. Its errors are
+// Correct's, and an index k outside [0, n) is a tecerr.CodeInvalidInput
+// error. CorrectEntry is safe for concurrent use.
+func (s *SMW) CorrectEntry(i float64, y []float64, k int) (float64, error) {
+	if k < 0 || k >= len(y) {
+		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
+			"sparse: SMW entry %d out of range %d", k, len(y))
+	}
+	x := y[k]
+	if err := s.correction(i, y, func(c float64, col []float64) { x += c * col[k] }); err != nil {
+		return 0, err
+	}
+	return x, nil
+}
+
+// correction runs what Correct and CorrectEntry share: the checks, the
+// conditioning guard, u = diag(i/(1 - i*mu)) P1 y[idx] and c = P2 u. It
+// hands each nonzero c_a to add with column a of W, in ascending a; the
+// correction is the sum of the c_a W[a]. Both products run four rows at
+// a time, each row summed over ascending index as it would be alone.
+func (s *SMW) correction(i float64, y []float64, add func(c float64, col []float64)) error {
 	if !num.IsFinite(i) {
 		return tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
 			"sparse: non-finite SMW shift %g", i)
@@ -281,7 +314,8 @@ func (s *SMW) Correct(i float64, y []float64) error {
 		return tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
 			"sparse: SMW vector length %d, want %d", len(y), s.n)
 	}
-	m := len(s.idx)
+	idx := s.idx
+	m := len(idx)
 	if m == 0 || num.IsZero(i) {
 		return nil
 	}
@@ -312,27 +346,61 @@ func (s *SMW) Correct(i float64, y []float64) error {
 	}
 	// u = P1 * y[idx], scaled by the diagonalized resolvent.
 	u := make([]float64, m)
-	for j := 0; j < m; j++ {
+	j := 0
+	for ; j+3 < m; j += 4 {
+		r0 := s.p1[j*m : (j+1)*m][:m]
+		r1 := s.p1[(j+1)*m : (j+2)*m][:m]
+		r2 := s.p1[(j+2)*m : (j+3)*m][:m]
+		r3 := s.p1[(j+3)*m : (j+4)*m][:m]
+		var v0, v1, v2, v3 float64
+		for a, k := range idx {
+			yk := y[k]
+			v0 += r0[a] * yk
+			v1 += r1[a] * yk
+			v2 += r2[a] * yk
+			v3 += r3[a] * yk
+		}
+		u[j] = v0 * i / (1 - i*s.mu[j])
+		u[j+1] = v1 * i / (1 - i*s.mu[j+1])
+		u[j+2] = v2 * i / (1 - i*s.mu[j+2])
+		u[j+3] = v3 * i / (1 - i*s.mu[j+3])
+	}
+	for ; j < m; j++ {
 		var v float64
-		row := s.p1[j*m : (j+1)*m]
-		for a, k := range s.idx {
+		row := s.p1[j*m : (j+1)*m][:m]
+		for a, k := range idx {
 			v += row[a] * y[k]
 		}
 		u[j] = v * i / (1 - i*s.mu[j])
 	}
-	// c = P2 * u, then y += W * c.
-	for a := 0; a < m; a++ {
+	// c = P2 * u.
+	a := 0
+	for ; a+3 < m; a += 4 {
+		r0 := s.p2[a*m : (a+1)*m][:m]
+		r1 := s.p2[(a+1)*m : (a+2)*m][:m]
+		r2 := s.p2[(a+2)*m : (a+3)*m][:m]
+		r3 := s.p2[(a+3)*m : (a+4)*m][:m]
+		var v0, v1, v2, v3 float64
+		for j, uj := range u {
+			v0 += r0[j] * uj
+			v1 += r1[j] * uj
+			v2 += r2[j] * uj
+			v3 += r3[j] * uj
+		}
+		for q, v := range [4]float64{v0, v1, v2, v3} {
+			if !num.IsZero(v) {
+				add(v, s.w[a+q])
+			}
+		}
+	}
+	for ; a < m; a++ {
 		var v float64
 		row := s.p2[a*m : (a+1)*m]
 		for j := 0; j < m; j++ {
 			v += row[j] * u[j]
 		}
-		if num.IsZero(v) {
-			continue
-		}
-		col := s.w[a]
-		for k := range y {
-			y[k] += v * col[k]
+		if !num.IsZero(v) {
+			add(v, s.w[a])
 		}
 	}
 	return nil

@@ -74,8 +74,19 @@ func TestSMWMatchesDirectAcrossShifts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		entries := make([]float64, len(y))
+		for k := range y {
+			if entries[k], err = s.CorrectEntry(i, y, k); err != nil {
+				t.Fatalf("CorrectEntry at i=%g, k = %d: %v", i, k, err)
+			}
+		}
 		if err := s.Correct(i, y); err != nil {
 			t.Fatalf("Correct at i=%g (%.3g*lambda): %v", i, frac, err)
+		}
+		for k := range y {
+			if math.Float64bits(entries[k]) != math.Float64bits(y[k]) {
+				t.Fatalf("shift %.3g*lambda node %d: CorrectEntry %v, Correct %v", frac, k, entries[k], y[k])
+			}
 		}
 		want := smwDirect(t, a, d, i, b)
 		for k := range want {
@@ -112,6 +123,9 @@ func TestSMWGuardTripsNearSingularity(t *testing.T) {
 		y[k] = float64(k)
 	}
 	before := append([]float64(nil), y...)
+	if _, err := s.CorrectEntry(i, y, 3); !errors.Is(err, ErrSMWIllConditioned) {
+		t.Fatalf("CorrectEntry err = %v, want ErrSMWIllConditioned", err)
+	}
 	err := s.Correct(i, y)
 	if !errors.Is(err, ErrSMWIllConditioned) {
 		t.Fatalf("err = %v, want ErrSMWIllConditioned", err)
@@ -141,6 +155,9 @@ func TestSMWGuardFaultInjection(t *testing.T) {
 	if err := s.Correct(0.1*s.Lambda(), y); !errors.Is(err, ErrSMWIllConditioned) {
 		t.Fatalf("err = %v, want ErrSMWIllConditioned under injected NaN margin", err)
 	}
+	if _, err := s.CorrectEntry(0.1*s.Lambda(), y, 0); !errors.Is(err, ErrSMWIllConditioned) {
+		t.Fatalf("CorrectEntry err = %v, want ErrSMWIllConditioned under injected NaN margin", err)
+	}
 }
 
 func TestSMWZeroSupport(t *testing.T) {
@@ -161,6 +178,11 @@ func TestSMWZeroSupport(t *testing.T) {
 	}
 	y := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	before := append([]float64(nil), y...)
+	for k := range y {
+		if x, err := s.CorrectEntry(3.5, y, k); err != nil || !num.ExactEqual(x, y[k]) {
+			t.Fatalf("zero-support CorrectEntry(%d) = %v, %v, want %v", k, x, err, y[k])
+		}
+	}
 	if err := s.Correct(3.5, y); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +203,17 @@ func TestSMWInvalidInput(t *testing.T) {
 	}
 	if err := s.Correct(0.5, make([]float64, 3)); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("short vector err = %v, want CodeInvalidInput", err)
+	}
+	if _, err := s.CorrectEntry(math.NaN(), y, 0); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("CorrectEntry(NaN) err = %v, want CodeInvalidInput", err)
+	}
+	if _, err := s.CorrectEntry(0.5, make([]float64, 3), 0); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("CorrectEntry short vector err = %v, want CodeInvalidInput", err)
+	}
+	for _, k := range []int{-1, s.n} {
+		if _, err := s.CorrectEntry(0.5, y, k); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("CorrectEntry entry %d err = %v, want CodeInvalidInput", k, err)
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package thermal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tecopt/internal/faults"
@@ -176,6 +178,106 @@ func TestReusableGuardFallbackDegraded(t *testing.T) {
 	}
 }
 
+// EntryAtCurrent must give, in every regime, bitwise the entry of
+// SolveAtCurrent's solution for the unit vector, or the same error, and
+// count its solves in the same regime. The column alternates between a
+// plain node and a hot TEC row, so the base-column memo is replaced at
+// every change of column.
+func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
+	rs, _, d, _ := testReusable(t)
+	lam := rs.Lambda()
+	n := len(d)
+	cols := []int{3, 25}
+	if d[cols[1]] <= 0 {
+		t.Fatalf("d[%d] = %v: the second column must be a hot TEC row", cols[1], d[cols[1]])
+	}
+	ks := []int{0, 3, 11, 25, 26, n - 1}
+	solves := uint64(2 * len(cols) * (1 + len(ks)))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		i     float64
+		guard bool // arm the conditioning-guard fault
+		// counter is the regime counter every solve lands in.
+		counter string
+	}{
+		{"zero", 0, false, "thermal.reusable.smw_hits"},
+		{"smw", 0.3 * lam, false, "thermal.reusable.smw_hits"},
+		{"smw-edge", 0.999 * lam, false, "thermal.reusable.smw_hits"},
+		{"near-limit", lam * (1 - 1e-7), false, "thermal.reusable.near_limit"},
+		{"guard-trip", 0.4 * lam, true, "thermal.reusable.fallbacks"},
+		{"beyond-limit", lam * (1 + 1e-3), false, "thermal.reusable.beyond_limit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := regimeCounters(t)
+			if tc.guard {
+				faults.Install(faults.New(1).Arm(faults.Rule{
+					Site: faults.SiteSMWGuard,
+					Kind: faults.KindNaN,
+				}))
+				defer faults.Uninstall()
+			}
+			for pass := 0; pass < 2; pass++ {
+				for _, l := range cols {
+					e := make([]float64, n)
+					e[l] = 1
+					want, werr := rs.SolveAtCurrent(ctx, tc.i, e)
+					for _, k := range ks {
+						got, err := rs.EntryAtCurrent(ctx, tc.i, k, l)
+						if werr != nil {
+							if !errors.Is(err, werr) {
+								t.Fatalf("h(%d, %d): err = %v, want %v", k, l, err, werr)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("h(%d, %d): %v", k, l, err)
+						}
+						if math.Float64bits(got) != math.Float64bits(want[k]) {
+							t.Fatalf("pass %d h(%d, %d): entry %v, solve %v", pass, k, l, got, want[k])
+						}
+					}
+				}
+			}
+			if got := r.Counter(tc.counter).Value(); got != solves {
+				t.Errorf("%s = %d, want %d", tc.counter, got, solves)
+			}
+		})
+	}
+}
+
+// The base column is memoized for the last column read: a repeat of l
+// hits, a change of l replaces it, and the solve span says which.
+func TestReusableEntryUnitMemo(t *testing.T) {
+	rs, _, _, _ := testReusable(t)
+	r := regimeCounters(t)
+	r.EnableTraceOpts(obs.TraceOptions{Flight: true})
+	ctx := context.Background()
+	i := 0.5 * rs.Lambda()
+	for _, l := range []int{3, 3, 25, 3} {
+		if _, err := rs.EntryAtCurrent(ctx, i, 0, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u := rs.unit.Load(); u == nil || u.l != 3 {
+		t.Fatalf("memo holds %+v, want column 3", u)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var memo []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if j := strings.Index(line, `{"k":"unit_memo","v":"`); j >= 0 {
+			v := line[j+len(`{"k":"unit_memo","v":"`):]
+			memo = append(memo, v[:strings.IndexByte(v, '"')])
+		}
+	}
+	if want := []string{"false", "true", "false", "false"}; strings.Join(memo, ",") != strings.Join(want, ",") {
+		t.Fatalf("unit_memo annotations %v, want %v", memo, want)
+	}
+}
+
 func TestReusableZeroRankAndZeroCurrent(t *testing.T) {
 	_, g, rhs := testPackage(t)
 	rs, err := NewReusableSystem(g, make([]float64, g.Rows()), nil)
@@ -212,6 +314,15 @@ func TestReusableInvalidInput(t *testing.T) {
 	}
 	if _, err := rs.SolveAtCurrent(ctx, 0.1, rhs[:3]); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("short rhs err = %v, want CodeInvalidInput", err)
+	}
+	n := len(rhs)
+	for _, kl := range [][2]int{{-1, 0}, {0, -1}, {n, 0}, {0, n}} {
+		if _, err := rs.EntryAtCurrent(ctx, 0.1, kl[0], kl[1]); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("entry %v err = %v, want CodeInvalidInput", kl, err)
+		}
+	}
+	if _, err := rs.EntryAtCurrent(ctx, math.NaN(), 0, 0); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("entry at NaN current err = %v, want CodeInvalidInput", err)
 	}
 	if _, err := NewReusableSystem(rs.g, make([]float64, 2), nil); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("mismatched d err = %v, want CodeInvalidInput", err)
