@@ -35,9 +35,8 @@ chaos:
 # worker panics, injected latency) driven through the live tecserve
 # HTTP pipeline under the race detector, asserting the status-code
 # contract, per-request isolation, backpressure, deadline partial
-# flush, the drain state machine, and the sweep coalescer's leader
-# cancellation and leader panic, plus the gate drain-vs-acquire stress
-# in the engine. -count=1: the fault injector is process-global
+# flush and the drain state machine, plus the gate drain-vs-acquire
+# stress in the engine. -count=1: the fault injector is process-global
 # state the test cache cannot see.
 serve-chaos:
 	$(GO) test -race -count=1 ./internal/serve/
@@ -81,12 +80,12 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Benchmark snapshot: runs the Table I and h_kl-sweep engine benchmarks
-# (default-path, explicit-SMW, and explicit-direct variants) and the
-# solver layer benchmarks (SMW setup, eigendecomposition, band
-# factorization, band solves, SMW correction of a field and of one
-# entry) through
-# `go test -bench -json` and distills name / ns/op / allocs into
+# Benchmark snapshot: runs the Table I engine benchmarks (default-path,
+# explicit-SMW, and explicit-direct variants), the h_kl-sweep SMW vs
+# direct benchmark and the solver layer benchmarks (SMW setup,
+# eigendecomposition, band factorization, band solves, SMW correction
+# of a field and of one entry) through `go test -bench -json` and
+# distills name / ns/op / allocs into
 # BENCH_solver.json (committed; EXPERIMENTS.md tracks history).
 # -benchtime=1x for the engine benchmarks because Table I is a full
 # paper reproduction per iteration — one timed run is the snapshot; the
@@ -144,4 +143,4 @@ trace-golden:
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
 
 # The full gate, in the order CI runs it.
-check: build vet fmt-check lint test benchmark-check race chaos serve-chaos serve-smoke
+check: build vet fmt-check lint test benchmark-check trace-golden race chaos serve-chaos serve-smoke

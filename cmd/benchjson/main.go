@@ -3,7 +3,7 @@
 // events on stdin, extracts the benchmark result lines, and writes a
 // sorted JSON array to stdout:
 //
-//	go test -run '^$' -bench 'BenchmarkEngine_(TableI|HklSweep)$' \
+//	go test -run '^$' -bench 'BenchmarkEngine_(TableI|HklSweep_SMW)$' \
 //	    -benchmem -benchtime=1x -json ./internal/bench ./internal/core \
 //	    | go run ./cmd/benchjson > BENCH_solver.json
 //

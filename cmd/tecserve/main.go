@@ -19,7 +19,7 @@
 //
 //	tecserve [-addr localhost:8080] [-workers N] [-queue N]
 //	         [-default-deadline 30s] [-max-deadline 2m]
-//	         [-sweep-workers N] [-drain-timeout 10s]
+//	         [-drain-timeout 10s]
 //	         [-faults SPEC]
 //	         [observability flags: -metrics, -trace FILE, -log json, ...]
 //
@@ -64,7 +64,6 @@ func run() int {
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers; 0 = no waiting room, shed immediately")
 	defaultDeadline := flag.Duration("default-deadline", 30*time.Second, "per-request deadline when the request sets none")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "cap on any requested deadline_ms")
-	sweepWorkers := flag.Int("sweep-workers", 1, "parallel workers per sweep request")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGTERM before forcing exit")
 	faultsSpec := flag.String("faults", "", "arm deterministic chaos faults (kind@site:params;... — see internal/faults)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -107,9 +106,7 @@ func run() int {
 		Queue:           cliQueue(*queue),
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,
-		SweepWorkers:    *sweepWorkers,
 	})
-	obs.RegisterSnapshotHook(srv.PublishStats)
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv.Handler())

@@ -222,7 +222,7 @@ func RunValidation() (*ValidationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta, err := pn.SolvePassive(p, thermal.MethodAuto)
+	theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
 	if err != nil {
 		return nil, err
 	}

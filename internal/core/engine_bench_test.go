@@ -1,51 +1,16 @@
 package core
 
 import (
+	"context"
 	"testing"
-
-	"tecopt/internal/engine"
 )
 
-// BenchmarkEngine_HklSweep measures the worker pool on the Figure-6
-// inner loop: one h_kl evaluation per current-grid point, on a fresh
-// System, so the fast-path setup and the column's one base solve are
-// timed with the points. The points cost microseconds each, a fraction
-// of the setup, so the parallel sub-benchmark measures the pool's
-// overhead rather than a speed-up of serial/GOMAXPROCS.
-func BenchmarkEngine_HklSweep(b *testing.B) {
-	sys, err := NewSystem(smallConfig(), []int{27, 28})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lambda, err := sys.RunawayLimit(RunawayOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	currents := make([]float64, 32)
-	for i := range currents {
-		currents[i] = lambda * float64(i) / float64(len(currents))
-	}
-	k := sys.PN.SilNode[27]
-	for _, bm := range []struct {
-		name string
-		pool engine.Pool
-	}{{"serial", engine.Serial}, {"parallel", engine.Pool{}}} {
-		b.Run(bm.name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				fresh := freshSystem(b, sys) // time the setup and the sweep
-				if _, err := fresh.HklSweepParallel(k, k, currents, bm.pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEngine_HklSweep_SMW isolates the per-current solve path on
-// the same sweep: "smw" pays one base factorization plus a rank-m
-// correction per current, "direct" refactors the shifted matrix at
-// every grid point. Both run serial on a fresh System, so the ratio is
-// the pure algorithmic win.
+// the Figure-6 inner loop, one h_kl evaluation per current-grid point:
+// "smw" pays one base factorization plus a rank-m correction per
+// current, "direct" refactors the shifted matrix at every grid point.
+// Both sweep a fresh System, so the fast-path setup is timed with the
+// points and the ratio is the pure algorithmic win.
 func BenchmarkEngine_HklSweep_SMW(b *testing.B) {
 	for _, bm := range []struct {
 		name string
@@ -70,7 +35,7 @@ func BenchmarkEngine_HklSweep_SMW(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				fresh := freshSystem(b, sys)
-				if _, err := fresh.HklSweepParallel(k, k, currents, engine.Serial); err != nil {
+				if _, err := fresh.HklSweep(context.Background(), k, k, currents); err != nil {
 					b.Fatal(err)
 				}
 			}

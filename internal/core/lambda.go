@@ -233,8 +233,8 @@ func (s *System) Hkl(i float64, k, l int) (float64, error) {
 }
 
 // HklCtx is Hkl under a flight-recorder context: the underlying
-// solve's regime span parents to the span carried by ctx (worker tasks
-// of the parallel sweeps pass their task context).
+// solve's regime span parents to the span carried by ctx (HklSweep
+// passes its sweep span).
 func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, error) {
 	if err := checkCurrent("core.hkl", i); err != nil {
 		return 0, err
@@ -260,28 +260,20 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 }
 
 // HklSweep evaluates h_kl over a set of currents, for regenerating
-// Figure 6. Currents at or beyond lambda_m yield +Inf entries — the
-// divergence of Theorem 2, detected by the factorization losing
-// positive definiteness (thermal.ErrNotPD). Any other failure is a
-// genuine numerical or model error, not runaway, and is returned
-// instead of being folded into the curve.
-func (s *System) HklSweep(k, l int, currents []float64) ([]float64, error) {
-	return s.HklSweepParallel(k, l, currents, engine.Serial)
-}
-
-// HklSweepParallel is HklSweep with the sweep points evaluated by the
-// given worker pool. Each current is an independent factor-and-solve,
-// and the result slice is index-addressed, so the output is identical
-// to the serial sweep at every worker count.
-func (s *System) HklSweepParallel(k, l int, currents []float64, pool engine.Pool) ([]float64, error) {
-	return s.HklSweepParallelCtx(context.Background(), k, l, currents, pool)
-}
-
-// HklSweepParallelCtx is HklSweepParallel under a context: cancellation
-// between sweep points aborts the remaining work and returns a
-// tecerr.CodeCancelled error. Completed points are discarded — a partial
-// Figure 6 curve with unwritten zeros is worse than no curve.
-func (s *System) HklSweepParallelCtx(ctx context.Context, k, l int, currents []float64, pool engine.Pool) ([]float64, error) {
+// Figure 6, serially on the caller's goroutine: a point costs one
+// O(m^2) correction of the memoized base column, about what a worker
+// pool would add per point. Currents at or beyond lambda_m yield +Inf
+// entries — the divergence of Theorem 2, detected by the factorization
+// losing positive definiteness (thermal.ErrNotPD). Any other failure
+// is a genuine numerical or model error, not runaway, and is returned,
+// wrapped with its current, instead of being folded into the curve.
+//
+// Before every point the sweep fires faults.SiteSweepPoint and checks
+// ctx; cancellation returns a tecerr.CodeCancelled error. On
+// cancellation or any other error the values finished so far come back
+// with the error: a prefix of currents, so a caller under a deadline
+// can report a partial curve.
+func (s *System) HklSweep(ctx context.Context, k, l int, currents []float64) ([]float64, error) {
 	r := obs.Enabled()
 	if r != nil {
 		var sp obs.Span
@@ -290,27 +282,24 @@ func (s *System) HklSweepParallelCtx(ctx context.Context, k, l int, currents []f
 		r.Counter("core.hkl_sweep.sweeps").Inc()
 		r.Counter("core.hkl_sweep.points").Add(uint64(len(currents)))
 	}
-	out := make([]float64, len(currents))
-	err := pool.MapTasksCtx(ctx, len(currents), func(tctx context.Context, idx int) error {
+	out := make([]float64, 0, len(currents))
+	for _, i := range currents {
 		if err := faults.Check(faults.SiteSweepPoint); err != nil {
-			return err
+			return out, err
 		}
-		if r != nil {
-			defer r.ObserveSince("core.hkl_sweep.point_ns", r.Now())
+		if ctx.Err() != nil {
+			return out, tecerr.Cancelled("core.hkl_sweep", context.Cause(ctx))
 		}
-		v, err := s.HklCtx(tctx, currents[idx], k, l)
+		start := r.Now() // nil-safe, as is ObserveSince
+		v, err := s.HklCtx(ctx, i, k, l)
+		r.ObserveSince("core.hkl_sweep.point_ns", start)
 		if err != nil {
-			if errors.Is(err, thermal.ErrNotPD) {
-				out[idx] = math.Inf(1) // at/beyond lambda_m: true runaway
-				return nil
+			if !errors.Is(err, thermal.ErrNotPD) {
+				return out, fmt.Errorf("core: h_kl sweep at i=%g: %w", i, err)
 			}
-			return fmt.Errorf("core: h_kl sweep at i=%g: %w", currents[idx], err)
+			v = math.Inf(1) // at/beyond lambda_m: true runaway
 		}
-		out[idx] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"tecopt/internal/engine"
+	"tecopt/internal/faults"
 	"tecopt/internal/num"
+	"tecopt/internal/tecerr"
+	"tecopt/internal/thermal"
 )
 
 func TestRunawayLimitNoTEC(t *testing.T) {
@@ -187,7 +192,7 @@ func TestHklSweepInfinityBeyondLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sys.PN.SilNode[27]
-	vals, err := sys.HklSweep(k, k, []float64{0, lambda / 2, lambda * (1 - 1e-9), lambda * 1.1})
+	vals, err := sys.HklSweep(context.Background(), k, k, []float64{0, lambda / 2, lambda * (1 - 1e-9), lambda * 1.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,7 @@ func TestHklSweepPropagatesModelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.HklSweep(sys.NumNodes()+5, 0, []float64{0, 1}); err == nil {
+	if _, err := sys.HklSweep(context.Background(), sys.NumNodes()+5, 0, []float64{0, 1}); err == nil {
 		t.Fatal("out-of-range node k was silently reported as +Inf")
 	}
 	if _, err := sys.Hkl(1, 0, -1); err == nil {
@@ -221,32 +226,47 @@ func TestHklSweepPropagatesModelErrors(t *testing.T) {
 	}
 }
 
-func TestHklSweepParallelMatchesSerial(t *testing.T) {
-	sys, err := NewSystem(smallConfig(), []int{27, 28})
-	if err != nil {
-		t.Fatal(err)
-	}
+// A sweep stopped before point j, by cancellation or by an injected
+// error, returns that error with exactly the j values it finished,
+// each bitwise the single-point Hkl (+Inf for a point beyond lambda_m).
+func TestHklSweepReturnsFinishedPrefix(t *testing.T) {
+	sys := mustSystem(t, smallConfig(), []int{27})
 	lambda, err := sys.RunawayLimit(RunawayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	currents := make([]float64, 24)
-	for i := range currents {
-		currents[i] = lambda * float64(i) / float64(len(currents)) * 1.05
-	}
 	k := sys.PN.SilNode[27]
-	serial, err := sys.HklSweep(k, k, currents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := sys.HklSweepParallel(k, k, currents, engine.Pool{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !num.ExactEqual(serial[i], parallel[i]) && !(math.IsInf(serial[i], 1) && math.IsInf(parallel[i], 1)) {
-			t.Fatalf("point %d: serial %v != parallel %v", i, serial[i], parallel[i])
+	currents := []float64{0, 0.3 * lambda, 1.1 * lambda, 0.6 * lambda, lambda * (1 - 1e-7), 0.9 * lambda}
+	want := make([]float64, len(currents))
+	for p, i := range currents {
+		if want[p], err = sys.Hkl(i, k, k); errors.Is(err, thermal.ErrNotPD) {
+			want[p] = math.Inf(1)
+		} else if err != nil {
+			t.Fatal(err)
 		}
+	}
+	stopAt := func(j int, ctx context.Context, rule faults.Rule, wantErr error) {
+		t.Helper()
+		faults.Install(faults.New(1).Arm(rule))
+		defer faults.Uninstall()
+		got, err := sys.HklSweep(ctx, k, k, currents)
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("stopped at point %d: err = %v, want %v", j, err, wantErr)
+		}
+		if len(got) != j {
+			t.Fatalf("stopped at point %d: %d values, want %d", j, len(got), j)
+		}
+		for p := range got {
+			if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+				t.Fatalf("stopped at point %d: value %d = %v, Hkl %v", j, p, got[p], want[p])
+			}
+		}
+	}
+	for j := range currents {
+		ctx, cancel := context.WithCancel(context.Background())
+		stopAt(j, ctx, faults.Rule{Site: faults.SiteSweepPoint, Kind: faults.KindCall, OnHit: uint64(j + 1), Call: cancel}, tecerr.ErrCancelled)
+		cancel()
+		stopAt(j, context.Background(), faults.Rule{Site: faults.SiteSweepPoint, Kind: faults.KindError, OnHit: uint64(j + 1)}, faults.ErrInjected)
 	}
 }
 
@@ -273,7 +293,7 @@ func TestHklConcurrentSweepsMatchSerialBitwise(t *testing.T) {
 	ref := mustSystem(t, cfg, sites)
 	want := make([][]float64, len(cols))
 	for c, l := range cols {
-		if want[c], err = ref.HklSweep(k, l, currents); err != nil {
+		if want[c], err = ref.HklSweep(context.Background(), k, l, currents); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +303,7 @@ func TestHklConcurrentSweepsMatchSerialBitwise(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				got, err := sys.HklSweep(k, cols[c], currents)
+				got, err := sys.HklSweep(context.Background(), k, cols[c], currents)
 				if err != nil {
 					t.Error(err)
 					return

@@ -211,7 +211,9 @@ func (s *System) NumNodes() int { return s.PN.Net.NumNodes() }
 // Sites returns the deployed TEC tiles.
 func (s *System) Sites() []int { return s.Array.Tiles }
 
-// Matrix returns G - i*D as a fresh CSR matrix.
+// Matrix returns G - i*D: a fresh CSR matrix, except at i = 0 or with
+// no TEC deployed, where it is the System's own G. Callers must not
+// modify the result.
 func (s *System) Matrix(i float64) *sparse.CSR {
 	if num.IsZero(i) || s.Array.Count() == 0 {
 		return s.g

@@ -123,38 +123,3 @@ func (c *KeyedCache[K, V]) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: c.ll.Len()}
 }
-
-// ResetStats zeroes the counters while keeping every resident entry —
-// the benchmark hook for measuring one phase of a longer run. Safe to
-// call concurrently with Do; in-flight operations are attributed to
-// whichever side of the reset their counter increment lands on.
-func (c *KeyedCache[K, V]) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
-// PublishStats copies the current counters into registry r as
-// "<metric>.{hits,misses,evictions,len}" so a snapshot taken at exit
-// reflects the cache even if parts of the run executed before
-// observability was enabled. Callers register it as a snapshot hook:
-// obs.RegisterSnapshotHook(cache.PublishStats).
-func (c *KeyedCache[K, V]) PublishStats(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	st := c.Stats()
-	// Counters are monotonic: top them up to the locked-in totals
-	// rather than double-adding.
-	topUp(r.Counter(c.metric+".hits"), st.Hits)
-	topUp(r.Counter(c.metric+".misses"), st.Misses)
-	topUp(r.Counter(c.metric+".evictions"), st.Evictions)
-	r.Gauge(c.metric + ".len").Set(int64(st.Len))
-}
-
-// topUp raises counter c to at least total.
-func topUp(c *obs.Counter, total uint64) {
-	if cur := c.Value(); total > cur {
-		c.Add(total - cur)
-	}
-}

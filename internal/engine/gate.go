@@ -46,12 +46,6 @@ func NewGate(name string, workers, queue int) *Gate {
 	}
 }
 
-// Workers returns the concurrency bound.
-func (g *Gate) Workers() int { return cap(g.slots) }
-
-// QueueCap returns the waiting bound.
-func (g *Gate) QueueCap() int { return int(g.queue) }
-
 // Inflight returns the number of callers currently holding a slot.
 func (g *Gate) Inflight() int { return int(g.inflight.Load()) }
 

@@ -1,6 +1,7 @@
 // Chaos suite: a seeded injector crossed with {panic, NaN, cancel,
-// non-convergence} crossed with {serial, parallel}, run against the
-// real solve pipeline. The contract under test is the robustness
+// non-convergence} crossed with {serial, parallel} (a worker pool, or
+// concurrent callers of the serial h_kl sweep), run against the real
+// solve pipeline. The contract under test is the robustness
 // invariant: every injected fault must surface as a typed tecerr error
 // or, for a tripped SMW conditioning guard, as the direct path's exact
 // answer — never as a crash, a deadlock, or a silently wrong answer.
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tecopt/internal/core"
@@ -82,19 +84,57 @@ func eachPool(t *testing.T, body func(t *testing.T, pool engine.Pool)) {
 	t.Run("parallel", func(t *testing.T) { body(t, engine.Pool{Workers: 0}) })
 }
 
-// TestChaosSweepPanic injects a panic into a pool worker mid-sweep and
-// demands it comes back as a typed CodePanic error with the recovered
-// stack — not a process crash and not a deadlocked WaitGroup.
+// eachCallers is the same axis for the h_kl sweep, which runs on its
+// caller's goroutine: one sweep, then four concurrent sweeps of the
+// same System.
+func eachCallers(t *testing.T, body func(t *testing.T, callers int)) {
+	t.Helper()
+	t.Run("serial", func(t *testing.T) { body(t, 1) })
+	t.Run("parallel", func(t *testing.T) { body(t, 4) })
+}
+
+// sweepFrom runs one h_kl sweep per caller, concurrently, and returns
+// each caller's values and error.
+func sweepFrom(ctx context.Context, sys *core.System, k, l int, currents []float64, callers int) ([][]float64, []error) {
+	vals := make([][]float64, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			vals[c], errs[c] = sys.HklSweep(ctx, k, l, currents)
+		}(c)
+	}
+	wg.Wait()
+	return vals, errs
+}
+
+// requirePrefix checks that got is bitwise a prefix of want.
+func requirePrefix(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) > len(want) {
+		t.Fatalf("%d values from a %d-point sweep", len(got), len(want))
+	}
+	for p := range got {
+		if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+			t.Fatalf("point %d: %v, want %v", p, got[p], want[p])
+		}
+	}
+}
+
+// TestChaosSweepPanic injects a panic into a pool worker mid-way
+// through an H-column solve and demands it comes back as a typed
+// CodePanic error with the recovered stack — not a process crash and
+// not a deadlocked WaitGroup.
 func TestChaosSweepPanic(t *testing.T) {
 	sys := tinySystem(t, core.SolveAuto)
-	k := sys.PN.SilNode[5]
-	l := sys.Array.Hot[0]
 	eachPool(t, func(t *testing.T, pool engine.Pool) {
 		faults.Install(faults.New(1).Arm(faults.Rule{
 			Site: faults.SitePoolTask, Kind: faults.KindPanic, OnHit: 3,
 		}))
 		defer faults.Uninstall()
-		_, err := sys.HklSweepParallelCtx(context.Background(), k, l, sweepCurrents(16), pool)
+		_, err := sys.HColumns(0.05, sys.PN.SilNode, pool)
 		if !errors.Is(err, tecerr.ErrPanic) {
 			t.Fatalf("injected worker panic surfaced as %v, want CodePanic", err)
 		}
@@ -105,52 +145,87 @@ func TestChaosSweepPanic(t *testing.T) {
 	})
 }
 
-// TestChaosSweepInjectedError arms a plain injected error at a sweep
+// TestChaosSweepInjectedError arms a plain injected error at one sweep
 // point and checks it propagates unmangled (errors.Is reaches the
-// ErrInjected cause through every wrapping layer).
+// ErrInjected cause through every wrapping layer) with the points
+// finished before it, while concurrent sweeps that did not hit the
+// fault complete untouched.
 func TestChaosSweepInjectedError(t *testing.T) {
 	sys := tinySystem(t, core.SolveAuto)
 	k := sys.PN.SilNode[5]
 	l := sys.Array.Hot[0]
-	eachPool(t, func(t *testing.T, pool engine.Pool) {
+	currents := sweepCurrents(16)
+	want, err := sys.HklSweep(context.Background(), k, l, currents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eachCallers(t, func(t *testing.T, callers int) {
 		faults.Install(faults.New(2).Arm(faults.Rule{
 			Site: faults.SiteSweepPoint, Kind: faults.KindError, OnHit: 2,
 		}))
 		defer faults.Uninstall()
-		_, err := sys.HklSweepParallelCtx(context.Background(), k, l, sweepCurrents(16), pool)
-		if !errors.Is(err, faults.ErrInjected) {
-			t.Fatalf("injected sweep error surfaced as %v, want ErrInjected in the chain", err)
+		vals, errs := sweepFrom(context.Background(), sys, k, l, currents, callers)
+		failed := 0
+		for c, err := range errs {
+			requirePrefix(t, vals[c], want)
+			switch {
+			case err == nil && len(vals[c]) != len(want):
+				t.Fatalf("nil-error sweep has %d of %d points", len(vals[c]), len(want))
+			case err != nil && !errors.Is(err, faults.ErrInjected):
+				t.Fatalf("injected sweep error surfaced as %v, want ErrInjected in the chain", err)
+			case err != nil:
+				failed++
+			}
+		}
+		if failed != 1 {
+			t.Fatalf("%d sweeps failed, want exactly the one that hit the fault", failed)
+		}
+		if callers == 1 && len(vals[0]) != 1 {
+			t.Fatalf("error at the second point returned %d values, want 1", len(vals[0]))
 		}
 	})
 }
 
 // TestChaosCancelMidSweep cancels the sweep's own context from inside a
-// sweep point. Serially the remaining points must be abandoned with a
-// typed CodeCancelled error; in parallel the workers race the cancel,
-// so either the typed error surfaces or the sweep completed with every
-// sample finite — never a partial slice passed off as complete.
+// sweep point. A single sweep must stop with a typed CodeCancelled
+// error and exactly the one point it finished; concurrent sweeps on
+// the same context race the cancel, so each either stops the same way
+// with the points it finished or completed every point — never a
+// partial slice passed off as complete.
 func TestChaosCancelMidSweep(t *testing.T) {
 	sys := tinySystem(t, core.SolveAuto)
 	k := sys.PN.SilNode[5]
 	l := sys.Array.Hot[0]
-	eachPool(t, func(t *testing.T, pool engine.Pool) {
+	currents := sweepCurrents(64)
+	want, err := sys.HklSweep(context.Background(), k, l, currents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eachCallers(t, func(t *testing.T, callers int) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		faults.Install(faults.New(3).Arm(faults.Rule{
 			Site: faults.SiteSweepPoint, Kind: faults.KindCall, OnHit: 2, Call: cancel,
 		}))
 		defer faults.Uninstall()
-		hs, err := sys.HklSweepParallelCtx(ctx, k, l, sweepCurrents(64), pool)
-		if err != nil {
-			if !errors.Is(err, tecerr.ErrCancelled) {
+		vals, errs := sweepFrom(ctx, sys, k, l, currents, callers)
+		cancelled := 0
+		for c, err := range errs {
+			requirePrefix(t, vals[c], want)
+			switch {
+			case err == nil && len(vals[c]) != len(want):
+				t.Fatalf("nil-error sweep has %d of %d points", len(vals[c]), len(want))
+			case err != nil && tecerr.CodeOf(err) != tecerr.CodeCancelled:
 				t.Fatalf("mid-sweep cancel surfaced as %v, want CodeCancelled", err)
+			case err != nil:
+				cancelled++
 			}
-			return
 		}
-		for i, h := range hs {
-			if !num.IsFinite(h) {
-				t.Fatalf("nil-error sweep has non-finite sample %g at %d", h, i)
-			}
+		if cancelled == 0 {
+			t.Fatal("no sweep saw the cancel")
+		}
+		if callers == 1 && len(vals[0]) != 1 {
+			t.Fatalf("cancel at the second point returned %d values, want 1", len(vals[0]))
 		}
 	})
 }
@@ -191,7 +266,7 @@ func TestChaosPowerNaN(t *testing.T) {
 		Site: faults.SitePower, Kind: faults.KindNaN, OnHit: 3,
 	}))
 	defer faults.Uninstall()
-	if _, err := pn.SolvePassive(tp, thermal.MethodAuto); !errors.Is(err, tecerr.ErrInvalidInput) {
+	if _, err := pn.SolvePassive(tp, thermal.MethodBandCholesky); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Fatalf("NaN power surfaced as %v, want CodeInvalidInput", err)
 	}
 }
@@ -213,18 +288,18 @@ func TestChaosBandPerturbNotPD(t *testing.T) {
 // TestChaosSMWGuardTripSweep trips the SMW conditioning guard at every
 // correction of an h_kl sweep: each nonzero current must fall back to
 // the direct factorization, so the sweep equals the SolveDirect sweep
-// bitwise at every worker count.
+// bitwise, also with several sweeps of the System running at once.
 func TestChaosSMWGuardTripSweep(t *testing.T) {
 	auto := tinySystem(t, core.SolveAuto)
 	direct := tinySystem(t, core.SolveDirect)
 	k := auto.PN.SilNode[5]
 	l := auto.Array.Hot[0]
 	currents := sweepCurrents(16)
-	want, err := direct.HklSweep(k, l, currents)
+	want, err := direct.HklSweep(context.Background(), k, l, currents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eachPool(t, func(t *testing.T, pool engine.Pool) {
+	eachCallers(t, func(t *testing.T, callers int) {
 		r := obs.New(nil)
 		prev := obs.SetGlobal(r)
 		defer obs.SetGlobal(prev)
@@ -232,14 +307,15 @@ func TestChaosSMWGuardTripSweep(t *testing.T) {
 			Site: faults.SiteSMWGuard, Kind: faults.KindNaN,
 		}))
 		defer faults.Uninstall()
-		got, err := auto.HklSweepParallelCtx(context.Background(), k, l, currents, pool)
-		if err != nil {
-			t.Fatalf("guard-tripped sweep: %v", err)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("point %d (i=%g): fallback %v, direct %v", i, currents[i], got[i], want[i])
+		vals, errs := sweepFrom(context.Background(), auto, k, l, currents, callers)
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("guard-tripped sweep: %v", err)
 			}
+			if len(vals[c]) != len(want) {
+				t.Fatalf("guard-tripped sweep has %d of %d points", len(vals[c]), len(want))
+			}
+			requirePrefix(t, vals[c], want)
 		}
 		nonzero := uint64(0)
 		for _, i := range currents {
@@ -247,8 +323,8 @@ func TestChaosSMWGuardTripSweep(t *testing.T) {
 				nonzero++
 			}
 		}
-		if got := r.Counter("thermal.reusable.fallbacks").Value(); got != nonzero {
-			t.Fatalf("fallbacks = %d, want %d (one per nonzero current)", got, nonzero)
+		if got, want := r.Counter("thermal.reusable.fallbacks").Value(), nonzero*uint64(callers); got != want {
+			t.Fatalf("fallbacks = %d, want %d (one per nonzero current per sweep)", got, want)
 		}
 		if got := r.Counter("thermal.reusable.near_limit").Value(); got != 0 {
 			t.Fatalf("near_limit = %d, want 0", got)

@@ -347,36 +347,6 @@ func sortedNames[V any](m map[string]V) []string {
 	return names
 }
 
-// snapshotHooks are callbacks run at the start of every Snapshot, for
-// components that keep their own counters (the engine factorization
-// cache) to publish them into the registry being snapshotted. Hooks
-// run WITHOUT the registry lock held, so they may create and write any
-// metric handle.
-var (
-	hooksMu       sync.Mutex
-	snapshotHooks []func(*Registry)
-)
-
-// RegisterSnapshotHook adds f to the hooks run before each snapshot is
-// collected. Registration is typically done in a package init; hooks
-// are process-wide and never removed.
-func RegisterSnapshotHook(f func(*Registry)) {
-	hooksMu.Lock()
-	defer hooksMu.Unlock()
-	snapshotHooks = append(snapshotHooks, f)
-}
-
-// runSnapshotHooks invokes every registered hook against r.
-func runSnapshotHooks(r *Registry) {
-	hooksMu.Lock()
-	hooks := make([]func(*Registry), len(snapshotHooks))
-	copy(hooks, snapshotHooks)
-	hooksMu.Unlock()
-	for _, f := range hooks {
-		f(r)
-	}
-}
-
 // global is the process-wide registry installed by Enable/SetGlobal;
 // nil means observability is disabled.
 var global atomic.Pointer[Registry]

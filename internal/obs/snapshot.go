@@ -29,7 +29,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return s
 	}
-	runSnapshotHooks(r)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for name, c := range r.counter {

@@ -38,17 +38,6 @@ type (
 	trackKey struct{}
 )
 
-// ContextWithSpan returns ctx carrying sp as the current span, so
-// spans started with StartSpanCtx below it become its children. Spans
-// without flight-recorder state (recorder off) are not stored — there
-// is no identity to link to.
-func ContextWithSpan(ctx context.Context, sp Span) context.Context {
-	if sp.extra == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // SpanFromContext returns the current span carried by ctx (the zero
 // Span when none).
 func SpanFromContext(ctx context.Context) Span {

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"tecopt/internal/tecerr"
 )
@@ -11,7 +13,8 @@ import (
 const tinyPowers = `[0.15,0.15,0.15,0.15,0.15,1.2,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15]`
 
 // serveSeeds are request bodies from the serve, tecserve and tecload
-// tests, plus an overflowing tiling and an oversized layer resolution.
+// tests, plus an overflowing tiling, an oversized layer resolution and
+// a deadline whose nanosecond count overflows int64.
 var serveSeeds = []string{
 	`{"chip":{"cols":4,"rows":4,"spreader_cells":5,"sink_cells":5,"tile_power_w":` + tinyPowers + `},"sites":[5],"current_a":0.4}`,
 	`{"chip":{"cols":4,"rows":4,"spreader_cells":5,"sink_cells":5,"tile_power_w":` + tinyPowers + `},"sites":[5],"current_a":0.4,"field":true}`,
@@ -26,22 +29,35 @@ var serveSeeds = []string{
 	`{"chip":{"name":"hc:7"},"sites":[]}`,
 	`{"chip":{"name":"nope"},"current_a":0.1}`,
 	`{"deadline_ms":-5}`,
+	`{"deadline_ms":10000000000000}`,
 	`{nope`,
 	`{"chip":{"cols":4611686018427387905,"rows":16,"tile_power_w":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]},"current_a":0.1}`,
 	`{"chip":{"cols":4,"rows":4,"spreader_cells":200,"sink_cells":200,"tile_power_w":` + tinyPowers + `},"sites":[5],"current_a":0.1}`,
 }
 
 // FuzzServeRequest drives arbitrary bytes through every endpoint's
-// request decoding and the system resolution behind it: decode,
-// resolveConfig, Validate, the model-size caps, systemKey and
+// request decoding and the system resolution behind it: requestContext,
+// decode, resolveConfig, Validate, the model-size caps, systemKey and
 // core.NewSystem. No input may panic, and every rejection must be a
 // tecerr.CodeInvalidInput error. The caps keep each NewSystem bounded.
+// An accepted body's deadline lies in (now, now + MaxDeadline].
 func FuzzServeRequest(f *testing.F) {
 	for _, seed := range serveSeeds {
 		f.Add([]byte(seed))
 	}
 	s := New(Options{SystemCache: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
+		before := time.Now()
+		ctx, cancel, err := s.requestContext(context.Background(), "serve.fuzz", body)
+		if err != nil {
+			requireInvalidInput(t, "requestContext", err)
+		} else {
+			deadline, ok := ctx.Deadline()
+			cancel()
+			if !ok || !deadline.After(before) || deadline.After(time.Now().Add(s.opt.MaxDeadline)) {
+				t.Fatalf("deadline %v outside (%v, now + %v]", deadline, before, s.opt.MaxDeadline)
+			}
+		}
 		for _, req := range []any{&solveRequest{}, &optimizeRequest{}, &runawayRequest{}, &sweepRequest{}} {
 			if err := decode(body, req, "serve.fuzz"); err != nil {
 				requireInvalidInput(t, "decode", err)

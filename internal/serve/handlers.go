@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"tecopt/internal/core"
@@ -109,11 +108,15 @@ func (s *Server) requestContext(parent context.Context, op string, body []byte) 
 	}
 	d := s.opt.DefaultDeadline
 	if env.DeadlineMS > 0 {
-		d = time.Duration(env.DeadlineMS) * time.Millisecond
-	}
-	if d > s.opt.MaxDeadline {
+		// Cap in milliseconds before converting: the product overflows
+		// time.Duration above math.MaxInt64/1e6 ms (about 292 years) and
+		// would give a context born expired.
 		d = s.opt.MaxDeadline
+		if env.DeadlineMS < d.Milliseconds() {
+			d = time.Duration(env.DeadlineMS) * time.Millisecond
+		}
 	}
+	d = min(d, s.opt.MaxDeadline)
 	ctx, cancel := context.WithTimeout(parent, d)
 	return ctx, cancel, nil
 }
@@ -262,10 +265,10 @@ func (s *Server) runRunawayLimit(ctx context.Context, body []byte) (any, error) 
 	}, nil
 }
 
-// runSweep answers /v1/sweep: h_kl over a set of currents. It runs
-// point-by-point (not core.HklSweepParallelCtx) so a deadline expiry
-// can flush the points that finished — the partial-results contract —
-// and so identical in-flight points coalesce across requests.
+// runSweep answers /v1/sweep: h_kl over a set of currents, through
+// core.System.HklSweep. A deadline expiry flushes the points that
+// finished (the sweep returns them as a prefix of the currents) — the
+// partial-results contract.
 func (s *Server) runSweep(ctx context.Context, body []byte) (any, error) {
 	const op = "tecserve.sweep"
 	var req sweepRequest
@@ -297,42 +300,20 @@ func (s *Server) runSweep(ctx context.Context, body []byte) (any, error) {
 	}
 	// The wire carries tile indices (the paper's h_kl couples silicon
 	// tiles); the solver wants network node indices.
-	kn, ln := sys.PN.SilNode[req.K], sys.PN.SilNode[req.L]
+	hs, err := sys.HklSweep(ctx, sys.PN.SilNode[req.K], sys.PN.SilNode[req.L], req.CurrentsA)
+	finished := make([]sweepPoint, len(hs))
 	points := make([]*sweepPoint, n)
-	var coalesced atomic.Int64
-	err = s.pool.MapTasksCtx(ctx, n, func(tctx context.Context, idx int) error {
-		i := req.CurrentsA[idx]
-		v, shared, err := s.coal.do(tctx, pointKey{sys: sys, current: i, k: kn, l: ln},
-			func() (float64, error) { return sys.HklCtx(tctx, i, kn, ln) })
-		if shared {
-			coalesced.Add(1)
+	for idx, h := range hs {
+		// Past the runaway limit h_kl diverges (Theorem 2): a runaway
+		// point is an answer, not a failure.
+		p := &finished[idx]
+		p.CurrentA, p.Runaway = req.CurrentsA[idx], math.IsInf(h, 1)
+		if !p.Runaway {
+			p.H = &hs[idx]
 		}
-		if err != nil {
-			if errors.Is(err, tecerr.ErrNotPD) {
-				// Past the runaway limit h_kl diverges (Theorem 2): a
-				// runaway point is an answer, not a failure.
-				points[idx] = &sweepPoint{CurrentA: i, Runaway: true}
-				return nil
-			}
-			return err
-		}
-		points[idx] = &sweepPoint{CurrentA: i, H: &v}
-		return nil
-	})
-	done := 0
-	for _, p := range points {
-		if p != nil {
-			done++
-		}
+		points[idx] = p
 	}
-	if r := obs.Enabled(); r != nil && coalesced.Load() > 0 {
-		r.Counter("tecserve.sweep.coalesced").Add(uint64(coalesced.Load()))
-	}
-	resp := sweepResponse{
-		K: req.K, L: req.L,
-		Points: points, Done: done, Total: n,
-		Coalesced: int(coalesced.Load()),
-	}
+	resp := sweepResponse{K: req.K, L: req.L, Points: points, Done: len(hs), Total: n}
 	if err != nil {
 		if errors.Is(err, tecerr.ErrCancelled) {
 			// Deadline expired mid-sweep: flush what finished as the

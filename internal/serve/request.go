@@ -123,9 +123,6 @@ type sweepResponse struct {
 	Points []*sweepPoint `json:"points"`
 	Done   int           `json:"done"`
 	Total  int           `json:"total"`
-	// Coalesced counts points answered by piggybacking on an identical
-	// in-flight computation instead of solving again.
-	Coalesced int `json:"coalesced,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx API response. Code

@@ -18,10 +18,9 @@
 // deployment hash to a key in a bounded system cache, so repeated
 // requests against the same package network share one assembled
 // core.System, which owns its base factorization and SMW fast-path
-// state. The cache bound also bounds the live fast-path states. Sweep
-// points that race on the same (system, current, k, l) are coalesced:
-// one computes, the rest wait and share. Request model sizes are capped
-// (checkModelSize), so no request can ask for an unbounded assembly.
+// state. The cache bound also bounds the live fast-path states. Request
+// model sizes are capped (checkModelSize), so no request can ask for an
+// unbounded assembly.
 //
 // The package is stdlib-only plus the repo's own internal layers, and
 // it deliberately contains no net.Listen call: main owns the listener
@@ -45,9 +44,8 @@ import (
 // Options configures a Server. The zero value is usable: see the
 // field comments for the defaults withDefaults fills.
 type Options struct {
-	// Workers bounds concurrently executing requests (gate slots).
-	// <= 0 selects engine.Pool's GOMAXPROCS default behavior via 0 →
-	// defaulted to 4.
+	// Workers bounds concurrently executing requests (gate slots;
+	// default 4).
 	Workers int
 	// Queue bounds requests waiting for a worker slot; arrivals beyond
 	// it are shed with 429. < 0 means no waiting room (admit only when
@@ -58,10 +56,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps any requested deadline (default 2m).
 	MaxDeadline time.Duration
-	// SweepWorkers sets the per-request pool width for sweep points
-	// (default: the serial pool — request-level parallelism is the
-	// gate's job; raise it for few-clients/huge-sweeps deployments).
-	SweepWorkers int
 	// MaxSweepPoints bounds the currents array of one sweep request
 	// (default 20000).
 	MaxSweepPoints int
@@ -88,9 +82,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 2 * time.Minute
 	}
-	if o.SweepWorkers <= 0 {
-		o.SweepWorkers = 1
-	}
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = 20000
 	}
@@ -109,9 +100,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opt      Options
 	gate     *engine.Gate
-	pool     engine.Pool
 	systems  *engine.KeyedCache[string, *core.System]
-	coal     coalescer
 	draining atomic.Bool
 	mux      *http.ServeMux
 }
@@ -122,10 +111,8 @@ func New(opt Options) *Server {
 	s := &Server{
 		opt:     opt,
 		gate:    engine.NewGate("tecserve.gate", opt.Workers, opt.Queue),
-		pool:    engine.Pool{Workers: opt.SweepWorkers},
 		systems: engine.NewKeyedCache[string, *core.System]("tecserve.system_cache", opt.SystemCache),
 	}
-	s.coal.init()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/solve", s.endpoint("solve", s.runSolve))
 	s.mux.HandleFunc("/v1/optimize-current", s.endpoint("optimize_current", s.runOptimizeCurrent))
@@ -147,13 +134,6 @@ func (s *Server) Gate() *engine.Gate { return s.gate }
 // SystemCacheStats reports the content-addressed system cache counters
 // — the cross-request reuse scoreboard.
 func (s *Server) SystemCacheStats() engine.CacheStats { return s.systems.Stats() }
-
-// PublishStats pushes the system cache counters into an obs snapshot;
-// register as a snapshot hook so /metrics always reflects the cache.
-func (s *Server) PublishStats(r *obs.Registry) { s.systems.PublishStats(r) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // BeginDrain moves the server into the draining state: /healthz flips
 // to 503 and every new API request is refused with 503 unavailable.

@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"tecopt/internal/core"
 	"tecopt/internal/faults"
+	"tecopt/internal/obs"
 	"tecopt/internal/tecerr"
 )
 
@@ -179,6 +181,83 @@ func TestSweepRunawayPoints(t *testing.T) {
 	second := points[1].(map[string]any)
 	if run, _ := second["runaway"].(bool); !run {
 		t.Errorf("past-limit point not marked runaway: %v", second)
+	}
+}
+
+// TestSweepMatchesHklBitwise pins the sweep endpoint to the library:
+// every h on the wire is bitwise Hkl at the same (i, k, l) on a System
+// of its own, across the SMW regime and the near-limit window, and a
+// current past lambda_m reads runaway.
+func TestSweepMatchesHklBitwise(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	ref, err := New(Options{}).resolveSystem(tinyChip(), []int{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda, err := ref.RunawayLimit(core.RunawayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, l = 0, 5
+	currents := []float64{0, 0.25 * lambda, 0.5 * lambda, 0.9 * lambda, lambda * (1 - 1e-7), 1.5 * lambda}
+	r := obs.New(nil)
+	prev := obs.SetGlobal(r)
+	status, m, _ := post(t, ts.URL+"/v1/sweep", sweepRequest{
+		common:    common{Chip: tinyChip(), Sites: []int{5}},
+		K:         k,
+		L:         l,
+		CurrentsA: currents,
+	})
+	obs.SetGlobal(prev)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %v", status, m)
+	}
+	for _, c := range []string{"thermal.reusable.smw_hits", "thermal.reusable.near_limit"} {
+		if r.Counter(c).Value() == 0 {
+			t.Errorf("%s = 0: the sweep did not cover that regime", c)
+		}
+	}
+	points := m["points"].([]any)
+	if len(points) != len(currents) {
+		t.Fatalf("points = %d, want %d", len(points), len(currents))
+	}
+	for idx, p := range points {
+		pt := p.(map[string]any)
+		want, err := ref.Hkl(currents[idx], ref.PN.SilNode[k], ref.PN.SilNode[l])
+		if errors.Is(err, tecerr.ErrNotPD) {
+			if run, _ := pt["runaway"].(bool); !run || pt["h"] != nil {
+				t.Errorf("point %d past lambda_m: %v, want runaway with no h", idx, pt)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, ok := pt["h"].(float64)
+		if !ok || math.Float64bits(h) != math.Float64bits(want) {
+			t.Errorf("point %d (i=%g): h = %v, Hkl %v", idx, currents[idx], pt["h"], want)
+		}
+	}
+	if run, _ := points[len(points)-1].(map[string]any)["runaway"].(bool); !run {
+		t.Errorf("current 1.5*lambda_m not marked runaway: %v", points[len(points)-1])
+	}
+}
+
+// TestHugeDeadlineIsCapped: a deadline_ms whose nanosecond count
+// overflows int64 runs under MaxDeadline instead of expiring at once.
+func TestHugeDeadlineIsCapped(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	status, m, _ := post(t, ts.URL+"/v1/sweep", sweepRequest{
+		common:    common{Chip: tinyChip(), Sites: []int{5}, DeadlineMS: 10000000000000},
+		K:         5,
+		L:         5,
+		CurrentsA: []float64{0, 0.2, 0.4},
+	})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, body %v, want 200", status, m)
+	}
+	if done := int(m["done"].(float64)); done != 3 {
+		t.Errorf("done = %d, want 3", done)
 	}
 }
 
@@ -348,10 +427,10 @@ func TestBackpressure429(t *testing.T) {
 // deadline expires mid-flight answers 504 cancelled and flushes the
 // points that finished as the partial payload.
 func TestDeadlinePartialSweep(t *testing.T) {
-	// Each sweep point is a pool task; 60ms of injected latency per
-	// point against a 150ms deadline finishes 2-3 of the 8 points.
+	// 60ms of injected latency per sweep point against a 150ms deadline
+	// finishes 2-3 of the 8 points.
 	faults.Install(faults.New(1).Arm(faults.Rule{
-		Site: faults.SitePoolTask, Kind: faults.KindSleep, Sleep: 60 * time.Millisecond,
+		Site: faults.SiteSweepPoint, Kind: faults.KindSleep, Sleep: 60 * time.Millisecond,
 	}))
 	defer faults.Uninstall()
 
@@ -460,98 +539,6 @@ func TestDrainDeadline(t *testing.T) {
 		t.Fatalf("Drain past deadline = %v, want CodeCancelled", err)
 	}
 	wg.Wait()
-}
-
-// TestCoalescer unit-tests single-flight behavior deterministically:
-// a follower arriving while the leader computes shares the result
-// without recomputing.
-func TestCoalescer(t *testing.T) {
-	var c coalescer
-	c.init()
-	key := pointKey{current: 0.5, k: 1, l: 2}
-
-	leaderIn := make(chan struct{})
-	type out struct {
-		v      float64
-		shared bool
-		err    error
-	}
-	leaderOut := make(chan out, 1)
-	go func() {
-		v, shared, err := c.do(context.Background(), key, func() (float64, error) {
-			<-leaderIn
-			return 42, nil
-		})
-		leaderOut <- out{v, shared, err}
-	}()
-	waitFor(t, time.Second, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.inflight) == 1
-	})
-
-	followerOut := make(chan out, 1)
-	go func() {
-		v, shared, err := c.do(context.Background(), key, func() (float64, error) {
-			t.Error("follower recomputed despite in-flight leader")
-			return 0, nil
-		})
-		followerOut <- out{v, shared, err}
-	}()
-	// Release the leader only after the follower is waiting on it.
-	time.Sleep(20 * time.Millisecond)
-	close(leaderIn)
-
-	l := <-leaderOut
-	if l.shared || int(l.v) != 42 || l.err != nil {
-		t.Errorf("leader = %+v, want v=42 shared=false", l)
-	}
-	f := <-followerOut
-	if !f.shared || int(f.v) != 42 || f.err != nil {
-		t.Errorf("follower = %+v, want v=42 shared=true", f)
-	}
-	c.mu.Lock()
-	if len(c.inflight) != 0 {
-		t.Errorf("inflight map not empty after completion: %d", len(c.inflight))
-	}
-	c.mu.Unlock()
-}
-
-// TestCoalescerLeaderCancelled pins the fairness rule: a follower with
-// a live context does not inherit the leader's cancellation — it
-// recomputes.
-func TestCoalescerLeaderCancelled(t *testing.T) {
-	var c coalescer
-	c.init()
-	key := pointKey{current: 0.25, k: 0, l: 0}
-
-	leaderIn := make(chan struct{})
-	go func() {
-		_, _, _ = c.do(context.Background(), key, func() (float64, error) {
-			<-leaderIn
-			return 0, tecerr.Cancelled("test", context.Canceled)
-		})
-	}()
-	waitFor(t, time.Second, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.inflight) == 1
-	})
-
-	followerDone := make(chan struct{})
-	var v float64
-	var shared bool
-	var err error
-	go func() {
-		defer close(followerDone)
-		v, shared, err = c.do(context.Background(), key, func() (float64, error) { return 7, nil })
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(leaderIn)
-	<-followerDone
-	if err != nil || int(v) != 7 || !shared {
-		t.Errorf("follower after cancelled leader = (%v, %v, %v), want (7, true, nil)", v, shared, err)
-	}
 }
 
 // waitFor polls cond until it holds or the deadline passes.

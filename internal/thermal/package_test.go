@@ -122,7 +122,7 @@ func TestPassiveSolveUniformPower(t *testing.T) {
 	for i := range tile {
 		tile[i] = 20.0 / float64(len(tile))
 	}
-	theta, err := pn.SolvePassive(tile, MethodAuto)
+	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPassiveSolveEnergyConservation(t *testing.T) {
 	pn := defaultPN(t, nil)
 	tile := make([]float64, pn.NumTiles())
 	tile[57] = 5 // a single 5 W hotspot
-	theta, err := pn.SolvePassive(tile, MethodAuto)
+	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPassiveSolveHotspotLocality(t *testing.T) {
 	tile := make([]float64, pn.NumTiles())
 	center := pn.Opts.Cols*6 + 6
 	tile[center] = 2
-	theta, err := pn.SolvePassive(tile, MethodAuto)
+	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAlphaPassivePeakCalibration(t *testing.T) {
 	pn := defaultPN(t, nil)
 	f, g := floorplan.Alpha21364Grid()
 	p := power.AlphaTilePowers(f, g)
-	theta, err := pn.SolvePassive(p, MethodAuto)
+	theta, err := pn.SolvePassive(p, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestAttachTECPassiveComparable(t *testing.T) {
 	p := power.AlphaTilePowers(f, g)
 
 	base := defaultPN(t, nil)
-	thetaBase, err := base.SolvePassive(p, MethodAuto)
+	thetaBase, err := base.SolvePassive(p, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestAttachTECPassiveComparable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	thetaTEC, err := withTEC.SolvePassive(p, MethodAuto)
+	thetaTEC, err := withTEC.SolvePassive(p, MethodBandCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,10 @@ import (
 type Method int
 
 const (
-	// MethodAuto picks BandCholesky (direct, exact) — the right choice
-	// for the repeated factor-and-solve pattern of the optimizer.
-	MethodAuto Method = iota
-	// MethodBandCholesky forces the RCM + banded direct solver.
-	MethodBandCholesky
+	// MethodBandCholesky, the zero value, is the RCM + banded direct
+	// solver (exact) — the right choice for the repeated
+	// factor-and-solve pattern of the optimizer.
+	MethodBandCholesky Method = iota
 	// MethodCG forces the preconditioned conjugate-gradient solver.
 	MethodCG
 	// MethodDenseCholesky forces a dense O(n^3) factorization — the
@@ -105,7 +104,7 @@ func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) {
 // SolveSteady solves G*theta = rhs with the selected method.
 func SolveSteady(g *sparse.CSR, rhs []float64, m Method) ([]float64, error) {
 	switch m {
-	case MethodAuto, MethodBandCholesky:
+	case MethodBandCholesky:
 		f, err := Factor(g, nil)
 		if err != nil {
 			return nil, err
