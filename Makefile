@@ -131,14 +131,15 @@ fuzz-smoke:
 obs-overhead:
 	OBS_OVERHEAD=1 $(GO) test -count=1 -run TestObsOverheadOnTableI -v ./internal/bench
 
-# Flight-recorder format gate: the JSONL byte-compat pin (flat traces
-# must serialize exactly as before the flight recorder existed), the
-# deterministic flight/Perfetto goldens in cmd/tectrace, and the
-# concurrent-hierarchy test in the engine. Regenerate the goldens with
+# Trace format gate: span IDs, parent links and event links in the obs
+# package, the Perfetto exporter, the deterministic JSONL and Perfetto
+# goldens in cmd/tectrace (with a traced real solve in the default
+# format), and the concurrent-hierarchy test in the engine. Regenerate
+# the goldens with
 #   go test ./cmd/tectrace -update
 # after an intentional format change.
 trace-golden:
-	$(GO) test -count=1 -run 'TestFlatTraceByteCompat|TestPerfettoExport' ./internal/obs
+	$(GO) test -count=1 -run 'TestFlightSpanHierarchy|TestEventCtxFlightLinks|TestPerfettoExport' ./internal/obs
 	$(GO) test -count=1 ./cmd/tectrace
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
 

@@ -33,7 +33,16 @@ func closeObs(s *obs.Session) {
 }
 
 func main() {
-	chip := flag.String("chip", "all", "which rows: all, alpha, or hc")
+	// -chip is checked at flag.Parse, so a bad value exits 2 like an
+	// unknown flag.
+	chip := "all"
+	flag.Func("chip", `which rows: all, alpha, or hc (default "all")`, func(v string) error {
+		if v != "all" && v != "alpha" && v != "hc" {
+			return fmt.Errorf("want all, alpha or hc")
+		}
+		chip = v
+		return nil
+	})
 	limit := flag.Float64("limit", 85, "base allowable temperature (C)")
 	parallel := flag.Int("parallel", 1, "chips evaluated concurrently (0 = all cores, 1 = serial)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -50,7 +59,7 @@ func main() {
 	opt := bench.TableIOptions{BaseLimitC: *limit, Parallel: *parallel, Ctx: ctx}
 	start := time.Now()
 	var rows []*bench.TableIRow
-	switch *chip {
+	switch chip {
 	case "all":
 		rows, err = bench.RunTableI(opt)
 	case "alpha":
@@ -71,8 +80,6 @@ func main() {
 				rows = append(rows, row)
 			}
 		}
-	default:
-		err = fmt.Errorf("unknown -chip %q", *chip)
 	}
 	if err != nil {
 		// Flush whatever rows completed before the failure — a timed-out

@@ -37,11 +37,21 @@ func main() {
 	chip := flag.String("chip", "alpha", "benchmark chip: alpha, hc01..hc10, or hc:<seed>")
 	limitC := flag.Float64("limit", 85, "maximum allowable silicon temperature (C)")
 	showMap := flag.Bool("map", false, "print the Figure-7-style deployment map")
-	method := flag.String("method", "golden", "current optimizer: golden, gradient or brent")
+	// -method and -tiles are parsed as flags, so a bad value exits 2 at
+	// flag.Parse like an unknown flag.
+	method := core.CurrentGolden
+	flag.Func("method", `current optimizer: golden, gradient or brent (default "golden")`, func(v string) (err error) {
+		method, err = core.ParseCurrentMethod(v)
+		return err
+	})
 	fullCover := flag.Bool("fullcover", true, "also run the full-cover baseline")
 	flpPath := flag.String("flp", "", "custom floorplan file (HotSpot .flp format)")
 	ptracePath := flag.String("ptrace", "", "power trace for the custom floorplan (.ptrace)")
-	tiles := flag.String("tiles", "12x12", "tile grid for custom floorplans, COLSxROWS")
+	cols, rows := 12, 12
+	flag.Func("tiles", `tile grid for custom floorplans, COLSxROWS (default "12x12")`, func(v string) (err error) {
+		cols, rows, err = parseTiles(v)
+		return err
+	})
 	margin := flag.Float64("margin", 1.2, "worst-case margin over the trace envelope")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (for scripting)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
@@ -56,10 +66,6 @@ func main() {
 	ctx, cancel := obsFlags.Context()
 	defer cancel()
 
-	cols, rows, err := parseTiles(*tiles)
-	if err != nil {
-		fatal(err)
-	}
 	loaded, err := chipload.Load(chipload.Spec{
 		Name: *chip, FLP: *flpPath, Ptrace: *ptracePath,
 		Cols: cols, Rows: rows, Margin: *margin,
@@ -68,18 +74,7 @@ func main() {
 		fatal(err)
 	}
 
-	var m core.CurrentMethod
-	switch *method {
-	case "golden":
-		m = core.CurrentGolden
-	case "gradient":
-		m = core.CurrentGradient
-	case "brent":
-		m = core.CurrentBrent
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
-	}
-	opt := core.CurrentOptions{Method: m, Ctx: ctx}
+	opt := core.CurrentOptions{Method: method, Ctx: ctx}
 	cfg := core.Config{
 		Geom: loaded.Geom,
 		Cols: loaded.Grid.Cols, Rows: loaded.Grid.Rows,
@@ -181,16 +176,17 @@ func emitJSON(chip string, limitC float64, res *core.DeployResult) {
 	}
 }
 
+// parseTiles reads a COLSxROWS tile grid.
 func parseTiles(s string) (cols, rows int, err error) {
 	parts := strings.SplitN(strings.ToLower(s), "x", 2)
 	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -tiles %q, want COLSxROWS", s)
+		return 0, 0, fmt.Errorf("want COLSxROWS")
 	}
 	if _, err := fmt.Sscanf(parts[0], "%d", &cols); err != nil {
-		return 0, 0, fmt.Errorf("bad -tiles %q: %v", s, err)
+		return 0, 0, fmt.Errorf("want COLSxROWS: %v", err)
 	}
 	if _, err := fmt.Sscanf(parts[1], "%d", &rows); err != nil {
-		return 0, 0, fmt.Errorf("bad -tiles %q: %v", s, err)
+		return 0, 0, fmt.Errorf("want COLSxROWS: %v", err)
 	}
 	return cols, rows, nil
 }

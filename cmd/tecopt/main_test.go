@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
 
 func TestParseTiles(t *testing.T) {
 	cols, rows, err := parseTiles("12x12")
@@ -15,5 +19,29 @@ func TestParseTiles(t *testing.T) {
 		if _, _, err := parseTiles(bad); err == nil {
 			t.Errorf("parseTiles(%q) accepted", bad)
 		}
+	}
+}
+
+// TestBadFlagValuesExit2: a flag value outside its set is invalid
+// input, so the binary exits 2 at flag parsing, as for an unknown
+// flag. The retired -trace-format=flight is one such value.
+func TestBadFlagValuesExit2(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "tecopt")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-method", "bogus"},
+		{"-tiles", "bad"},
+		{"-trace-format", "flight"},
+		{"-log", "yaml"},
+		{"-log-level", "loud"},
+	} {
+		t.Run(args[0][1:], func(t *testing.T) {
+			err := exec.Command(bin, args...).Run()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+				t.Errorf("tecopt %v: %v, want exit status 2", args, err)
+			}
+		})
 	}
 }

@@ -35,7 +35,6 @@ type pathStep struct {
 // report is everything the analyzer derives from one recording.
 type report struct {
 	spans, points int
-	hierarchical  bool
 	wallNS        int64 // max span end - min span start
 	tracks        []int64
 
@@ -69,16 +68,13 @@ func analyze(td *traceData, top int) *report {
 	var minStart, maxEnd int64
 	for i, ev := range td.events {
 		trackSet[ev.Track] = true
-		if ev.ID != 0 {
-			rep.hierarchical = true
-			byID[ev.ID] = i
-			children[ev.Parent] = append(children[ev.Parent], i)
-		}
 		if ev.Kind != "span" {
 			rep.points++
 			continue
 		}
 		rep.spans++
+		byID[ev.ID] = i
+		children[ev.Parent] = append(children[ev.Parent], i)
 		if rep.spans == 1 || ev.StartNS < minStart {
 			minStart = ev.StartNS
 		}
@@ -122,8 +118,7 @@ func attr(ev obs.TraceEvent, key string) string {
 
 // rankSpans aggregates spans by name and returns the top entries by
 // cumulative and by self time. Self time is the span's duration minus
-// its direct children's durations; without hierarchy (flat traces) the
-// two rankings coincide.
+// its direct child spans' durations.
 func rankSpans(td *traceData, children map[uint64][]int, top int) (byCum, bySelf []nameStat) {
 	agg := map[string]*nameStat{}
 	for _, ev := range td.events {
@@ -139,9 +134,7 @@ func rankSpans(td *traceData, children map[uint64][]int, top int) (byCum, bySelf
 		st.cum += ev.DurNS
 		self := ev.DurNS
 		for _, ci := range children[ev.ID] {
-			if c := td.events[ci]; c.Kind == "span" {
-				self -= c.DurNS
-			}
+			self -= td.events[ci].DurNS
 		}
 		if self < 0 {
 			self = 0
@@ -177,12 +170,11 @@ func topN(stats []nameStat, n int, key func(nameStat) int64) []nameStat {
 
 // criticalPath locates the slowest solve span and returns its ancestor
 // chain, root first, ending at the solve (a solve span is a leaf).
-// Requires hierarchy; returns nil for flat traces.
 func criticalPath(td *traceData, byID map[uint64]int) ([]pathStep, *obs.TraceEvent) {
 	var slow *obs.TraceEvent
 	for i := range td.events {
 		ev := &td.events[i]
-		if ev.Kind != "span" || ev.ID == 0 || ev.Name != reusableSolveSpan {
+		if ev.Kind != "span" || ev.Name != reusableSolveSpan {
 			continue
 		}
 		if slow == nil || ev.DurNS > slow.DurNS {
@@ -211,20 +203,15 @@ func criticalPath(td *traceData, byID map[uint64]int) ([]pathStep, *obs.TraceEve
 // format renders the report as the tectrace text output.
 func (rep *report) format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "tectrace: %d spans, %d events", rep.spans, rep.points)
-	if !rep.hierarchical {
-		b.WriteString(" (flat trace: no span hierarchy; self time and critical path unavailable)")
-	} else {
-		fmt.Fprintf(&b, ", %d tracks, %s wall span", len(rep.tracks), durStr(rep.wallNS))
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "tectrace: %d spans, %d events, %d tracks, %s wall span\n",
+		rep.spans, rep.points, len(rep.tracks), durStr(rep.wallNS))
 	if rep.dropped > 0 {
 		fmt.Fprintf(&b, "WARNING: trace truncated, %d events dropped — counts below are lower bounds\n", rep.dropped)
 	}
 
 	b.WriteString("\nSolve regimes (thermal.reusable.solve spans):\n")
 	if rep.regimeTotal == 0 {
-		b.WriteString("  none recorded (flight recorder off? use -trace-format=flight or perfetto)\n")
+		b.WriteString("  none recorded\n")
 	} else {
 		for _, name := range sortedKeys(rep.regimes) {
 			n := rep.regimes[name]

@@ -1,18 +1,16 @@
-// Command tectrace summarizes a solve-path flight recording produced by
-// the -trace flag of the solver CLIs: per-regime solve counts (smw /
-// direct / fallback / beyond-limit), the top spans by cumulative and
-// self time, the critical path to the slowest solve, and every
-// degradation (SMW guard trips, trace truncation).
+// Command tectrace summarizes a solve-path trace recorded by the -trace
+// flag of the solver CLIs: per-regime solve counts (smw / direct /
+// fallback / beyond-limit), the top spans by cumulative and self time,
+// the critical path to the slowest solve, and every degradation (SMW
+// guard trips, trace truncation).
 //
 // Usage:
 //
 //	tectrace [-top 10] trace-file
 //
-// Both trace formats are accepted and auto-detected: hierarchical
-// JSONL (-trace-format=flight) and Chrome trace-event JSON
-// (-trace-format=perfetto). Flat JSONL (the default -trace output)
-// parses too, but carries no span hierarchy, so the parent-dependent
-// reports (self time, critical path) degrade to per-span durations.
+// Both exporters' files are accepted and auto-detected: JSON lines
+// (-trace-format=jsonl, the default) and Chrome trace-event JSON
+// (-trace-format=perfetto).
 //
 // Exit status follows the tecerr taxonomy (0 ok, 2 invalid input).
 package main

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"tecopt/internal/core"
+	"tecopt/internal/material"
 	"tecopt/internal/obs"
+	"tecopt/internal/tec"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -24,7 +28,7 @@ func buildTrace(t *testing.T) *obs.Registry {
 	t.Helper()
 	clk := &obs.ManualClock{}
 	r := obs.New(clk)
-	r.EnableTraceOpts(obs.TraceOptions{Flight: true})
+	r.EnableTraceOpts(obs.TraceOptions{})
 	ctx := context.Background()
 
 	ctx, root := r.StartSpanCtx(ctx, "core.optimize_current") // id 1
@@ -124,33 +128,117 @@ func runGolden(t *testing.T, trace []byte) {
 	checkGolden(t, "report.golden", out.Bytes())
 }
 
-func TestFlatTraceDegradesGracefully(t *testing.T) {
-	clk := &obs.ManualClock{}
-	r := obs.New(clk)
-	r.EnableTrace(0) // flat: no flight recorder
-	sp := r.StartSpan("core.hkl_sweep")
-	clk.Advance(time.Millisecond)
-	sp.End()
-	r.Event("core.runaway_limit.bracket_hi", 4.5)
+// TestDefaultTraceOfRealSolve records a real greedy deployment through
+// the CLI flag bundle with no -trace-format (the default exporter) and
+// runs the analyzer on the file: every span carries an ID and every
+// span under the deployment root a parent, the regime table matches
+// the run's regime counters, and a critical path is printed.
+func TestDefaultTraceOfRealSolve(t *testing.T) {
+	p := make([]float64, 64)
+	for i := range p {
+		p[i] = 0.08
+	}
+	for _, tile := range []int{27, 28, 35, 36} {
+		p[tile] = 0.7
+	}
+	cfg := core.Config{
+		Geom: material.DefaultPackage(), Cols: 8, Rows: 8,
+		SpreaderCells: 10, SinkCells: 10,
+		Device: tec.ChowdhuryDevice(), TilePower: p,
+	}
+	passive, err := core.NewSystem(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak0, _, _, err := passive.PeakAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var trace bytes.Buffer
-	if err := r.WriteTrace(&trace); err != nil {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	session, err := (&obs.Flags{Trace: path}).Start()
+	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "trace")
-	if err := os.WriteFile(path, trace.Bytes(), 0o644); err != nil {
+	res, err := core.GreedyDeploy(cfg, peak0-2, core.CurrentOptions{})
+	if cerr := session.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Sites) == 0 {
+		t.Fatal("deployment placed no TECs; the trace would record no TEC solves")
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := parseTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := 0
+	for _, ev := range td.events {
+		if ev.Kind != "span" {
+			continue
+		}
+		if ev.ID == 0 {
+			t.Errorf("span without ID: %+v", ev)
+		}
+		if ev.Parent == 0 {
+			roots++
+			if ev.Name != "core.greedy_deploy" {
+				t.Errorf("span outside the deployment tree: %+v", ev)
+			}
+		}
+	}
+	if roots != 1 {
+		t.Errorf("root spans = %d, want the one deployment span", roots)
+	}
+
 	var out bytes.Buffer
 	if err := run(path, 5, &out); err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	if !strings.Contains(s, "flat trace") {
-		t.Errorf("flat trace not flagged:\n%s", s)
+	report := out.String()
+	regimes := map[string]uint64{}
+	inTable := false
+	for _, line := range strings.Split(report, "\n") {
+		switch {
+		case strings.HasPrefix(line, "Solve regimes"):
+			inTable = true
+		case inTable && strings.HasPrefix(line, "  "):
+			var name string
+			var n uint64
+			if _, err := fmt.Sscan(line, &name, &n); err != nil {
+				t.Fatalf("regime row %q: %v", line, err)
+			}
+			regimes[name] = n
+		default:
+			inTable = false
+		}
 	}
-	if !strings.Contains(s, "none recorded") {
-		t.Errorf("flat trace without solve spans not reported as such:\n%s", s)
+	reg := session.Reg
+	want := map[string]uint64{
+		"smw":          reg.Counter("thermal.reusable.smw_hits").Value(),
+		"direct":       reg.Counter("thermal.reusable.near_limit").Value(),
+		"fallback":     reg.Counter("thermal.reusable.fallbacks").Value(),
+		"beyond-limit": reg.Counter("thermal.reusable.beyond_limit").Value(),
+	}
+	var total uint64
+	for name, n := range want {
+		total += n
+		if regimes[name] != n {
+			t.Errorf("regime %s: table %d, counter %d", name, regimes[name], n)
+		}
+	}
+	if want["smw"] == 0 || regimes["total"] != total {
+		t.Errorf("regime total: table %d, counters %d (smw %d)\n%s", regimes["total"], total, want["smw"], report)
+	}
+	if !strings.Contains(report, "Critical path of the slowest solve (thermal.reusable.solve") {
+		t.Errorf("no critical path in the report:\n%s", report)
 	}
 }
 

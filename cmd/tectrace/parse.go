@@ -37,7 +37,7 @@ func parseTrace(data []byte) (*traceData, error) {
 	return parseJSONL(trimmed)
 }
 
-// parseJSONL decodes the flight (or flat) JSONL exporter output. The
+// parseJSONL decodes the JSON-lines exporter output. The
 // final {"kind":"dropped",...} marker, when present, becomes the
 // dropped count instead of an event.
 func parseJSONL(data []byte) (*traceData, error) {

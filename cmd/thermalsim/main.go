@@ -38,7 +38,23 @@ func closeObs() {
 
 func main() {
 	chip := flag.String("chip", "alpha", "benchmark chip: alpha, hc01..hc10, or hc:<seed>")
-	tecList := flag.String("tec", "", "comma-separated TEC tile indices (empty = passive)")
+	// -tec is parsed as a flag, so a bad tile exits 2 at flag.Parse like
+	// an unknown flag.
+	var sites []int
+	flag.Func("tec", "comma-separated TEC tile indices (empty = passive)", func(v string) error {
+		sites = nil
+		if v == "" {
+			return nil
+		}
+		for _, f := range strings.Split(v, ",") {
+			t, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return fmt.Errorf("bad TEC tile %q", f)
+			}
+			sites = append(sites, t)
+		}
+		return nil
+	})
 	current := flag.Float64("current", 0, "TEC supply current (A)")
 	gridOut := flag.Bool("grid", false, "print the per-tile temperature grid")
 	pngPath := flag.String("png", "", "write a heatmap PNG of the silicon layer to this path")
@@ -58,16 +74,6 @@ func main() {
 	loaded, err := chipload.Load(chipload.Spec{Name: *chip, FLP: *flpPath, Ptrace: *ptracePath})
 	if err != nil {
 		fatal(err)
-	}
-	var sites []int
-	if *tecList != "" {
-		for _, s := range strings.Split(*tecList, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatal(fmt.Errorf("bad TEC tile %q: %v", s, err))
-			}
-			sites = append(sites, v)
-		}
 	}
 	cfg := core.Config{
 		Geom: loaded.Geom,

@@ -159,7 +159,7 @@ func RunTableI(opt TableIOptions) ([]*TableIRow, error) {
 	rows := make([]*TableIRow, len(names))
 	err = engine.Pool{Workers: opt.Parallel}.MapTasksCtx(ctx, len(names), func(tctx context.Context, i int) error {
 		// Each chip runs under its task context, so cancellation still
-		// flows and — when the flight recorder is on — the chip's whole
+		// flows and — when a trace is recorded — the chip's whole
 		// solve tree (greedy deploy, current optimization, runaway
 		// search) nests under its pool task with the worker's track.
 		// Current is forwarded as the caller set it: with Current.Ctx

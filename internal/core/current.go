@@ -30,6 +30,22 @@ const (
 	CurrentBrent
 )
 
+// ParseCurrentMethod maps an optimizer name to its CurrentMethod:
+// "golden" (or "", the default), "gradient" or "brent". Any other name
+// is a tecerr.CodeInvalidInput error.
+func ParseCurrentMethod(name string) (CurrentMethod, error) {
+	switch name {
+	case "", "golden":
+		return CurrentGolden, nil
+	case "gradient":
+		return CurrentGradient, nil
+	case "brent":
+		return CurrentBrent, nil
+	}
+	return 0, tecerr.Newf(tecerr.CodeInvalidInput, "core.optimize_current",
+		"core: unknown current method %q (want golden, gradient or brent)", name)
+}
+
 // CurrentOptions tunes the current optimization.
 type CurrentOptions struct {
 	Method CurrentMethod

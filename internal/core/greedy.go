@@ -44,13 +44,13 @@ type DeployResult struct {
 // GreedyDeploy runs the paper's deployment algorithm for the given
 // configuration and maximum allowable silicon temperature limitK.
 func GreedyDeploy(cfg Config, limitK float64, opt CurrentOptions) (res *DeployResult, err error) {
-	if r := obs.Enabled(); r.FlightOn() {
+	if opt.Ctx == nil {
+		opt.Ctx = context.Background()
+	}
+	if r := obs.Enabled(); r != nil {
 		// One span per deployment: the root of a chip's solve tree in
-		// Table I flight recordings (each OptimizeCurrent iteration
-		// nests under it via opt.Ctx).
-		if opt.Ctx == nil {
-			opt.Ctx = context.Background()
-		}
+		// Table I traces (the passive solve and each OptimizeCurrent
+		// iteration nest under it via opt.Ctx).
 		var sp obs.Span
 		opt.Ctx, sp = r.StartSpanCtx(opt.Ctx, "core.greedy_deploy")
 		defer func() {
@@ -67,7 +67,7 @@ func GreedyDeploy(cfg Config, limitK float64, opt CurrentOptions) (res *DeployRe
 	if err != nil {
 		return nil, err
 	}
-	peak0, _, theta0, err := passive.PeakAt(0)
+	peak0, _, theta0, err := passive.PeakAtCtx(opt.Ctx, 0)
 	if err != nil {
 		return nil, err
 	}

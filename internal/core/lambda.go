@@ -117,7 +117,7 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 	// Cholesky-breakdown boundaries agree far inside RelTol's bracket)
 	// for the cost of none of the probes.
 	rs := s.reusable()
-	flight := r.FlightOn()
+	tracing := r.Tracing()
 	var ctxErr error
 	pd := func(i float64) bool {
 		if ctxErr != nil {
@@ -135,10 +135,10 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 			_, err := s.Factor(i)
 			ok = err == nil
 		}
-		if flight {
-			// Per-probe outcomes are flight-only: they are the record of
-			// the bisection's path, but would bloat (and change) flat
-			// traces.
+		if tracing {
+			// Per-probe outcomes are the trace's record of the
+			// bisection's path; the guard keeps the attribute slice off
+			// the heap when no trace is recorded.
 			r.EventCtx(ctx, "core.runaway.probe", i,
 				obs.Attr{Key: "pd", Value: strconv.FormatBool(ok)})
 		}
@@ -232,7 +232,7 @@ func (s *System) Hkl(i float64, k, l int) (float64, error) {
 	return s.HklCtx(context.Background(), i, k, l)
 }
 
-// HklCtx is Hkl under a flight-recorder context: the underlying
+// HklCtx is Hkl under a trace context: the underlying
 // solve's regime span parents to the span carried by ctx (HklSweep
 // passes its sweep span).
 func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, error) {

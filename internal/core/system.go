@@ -279,7 +279,7 @@ func (s *System) solveVec(i float64, rhs []float64) ([]float64, error) {
 	return s.solveVecCtx(context.Background(), i, rhs)
 }
 
-// solveVecCtx is solveVec under a flight-recorder context: the regime
+// solveVecCtx is solveVec under a trace context: the regime
 // span of the solve parents to the span carried by ctx.
 func (s *System) solveVecCtx(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
 	if rs := s.reusable(); rs != nil {
@@ -297,7 +297,7 @@ func (s *System) SolveAt(i float64) ([]float64, error) {
 	return s.SolveAtCtx(context.Background(), i)
 }
 
-// SolveAtCtx is SolveAt under a context carrying the flight-recorder
+// SolveAtCtx is SolveAt under a context carrying the trace
 // span of the caller, so the solve's trace records link into the
 // caller's hierarchy. The context does not cancel the solve itself (a
 // factorization is one atomic unit of work).
@@ -330,7 +330,7 @@ func (s *System) PeakAt(i float64) (peakK float64, tile int, theta []float64, er
 	return s.PeakAtCtx(context.Background(), i)
 }
 
-// PeakAtCtx is PeakAt under a flight-recorder context (see SolveAtCtx).
+// PeakAtCtx is PeakAt under a trace context (see SolveAtCtx).
 func (s *System) PeakAtCtx(ctx context.Context, i float64) (peakK float64, tile int, theta []float64, err error) {
 	theta, err = s.SolveAtCtx(ctx, i)
 	if err != nil {

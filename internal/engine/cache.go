@@ -102,7 +102,7 @@ func (c *KeyedCache[K, V]) Do(k K, build func() (V, error)) (V, error) {
 		r.Gauge(c.metric + ".len").Set(int64(resident))
 		start := r.Now()
 		e.once.Do(func() { e.val, e.err = build() })
-		r.Histogram(c.metric + ".build_ns").Observe(clampNS(r.Now() - start))
+		r.ObserveSince(c.metric+".build_ns", start)
 		return e.val, e.err
 	}
 	e.once.Do(func() { e.val, e.err = build() })

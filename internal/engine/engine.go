@@ -76,15 +76,13 @@ func (p Pool) MapCtx(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // MapTasksCtx is MapCtx for context-aware tasks: each fn call receives
-// a task-scoped context derived from ctx. It is the flight-recorder
-// entry point of the pool — when hierarchical tracing is on, each
-// worker goroutine gets its own track (1..W; the serial path inherits
-// the caller's track) and each task runs inside an "engine.pool.task"
-// span parented to the surrounding "engine.pool.map" span, so callers
-// that start spans inside fn with the task context get correct
-// parent links and worker attribution. With the recorder off, the task
-// context is ctx itself (plus the obs wrapper) and the trace output is
-// unchanged from MapCtx.
+// a task-scoped context derived from ctx. With a registry installed,
+// each task runs inside an "engine.pool.task" span under the
+// surrounding "engine.pool.map" span. When a trace is recorded, each
+// worker goroutine also gets its own track (1..W; the serial path
+// inherits the caller's track), so callers that start spans inside fn
+// with the task context get correct parent links and worker
+// attribution.
 func (p Pool) MapTasksCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -95,33 +93,24 @@ func (p Pool) MapTasksCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	r := obs.Enabled()
 	if r != nil {
 		// Wrap fn so every task reports its queue wait (map entry to
-		// task start) and run time, and the queue-depth gauge tracks
-		// unclaimed work. The wrapper is installed only when a registry
-		// exists: the disabled path costs one atomic load + nil check.
+		// task start) and run time (the task span), and the queue-depth
+		// gauge tracks unclaimed work. The wrapper is installed only when
+		// a registry exists: the disabled path costs one atomic load +
+		// nil check.
 		var sp obs.Span
 		ctx, sp = r.StartSpanCtx(ctx, "engine.pool.map")
 		defer sp.End()
 		r.Counter("engine.pool.maps").Inc()
 		r.Counter("engine.pool.tasks").Add(uint64(n))
 		mapStart := r.Now()
-		flight := r.FlightOn()
 		inner := fn
 		fn = func(tctx context.Context, i int) error {
-			start := r.Now()
+			r.ObserveSince("engine.pool.wait_ns", mapStart)
 			r.Gauge("engine.pool.queue_depth").Set(int64(n - 1 - i))
-			r.Histogram("engine.pool.wait_ns").Observe(clampNS(start - mapStart))
-			if flight {
-				// The per-task span exists only in flight mode so flat
-				// JSONL traces and metric snapshots stay byte-identical
-				// to the pre-flight format.
-				var tsp obs.Span
-				tctx, tsp = r.StartSpanCtx(tctx, "engine.pool.task")
-				tsp.AnnotateInt("index", int64(i))
-				defer tsp.End()
-			}
-			err := inner(tctx, i)
-			r.Histogram("engine.pool.task_ns").Observe(clampNS(r.Now() - start))
-			return err
+			tctx, tsp := r.StartSpanCtx(tctx, "engine.pool.task")
+			tsp.AnnotateInt("index", int64(i))
+			defer tsp.End()
+			return inner(tctx, i)
 		}
 	}
 	w := p.workers()
@@ -148,7 +137,7 @@ func (p Pool) MapTasksCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		wctx := ctx
-		if r.FlightOn() {
+		if r.Tracing() {
 			// Each worker is one track: spans recorded inside its tasks
 			// render as one lane per worker in the Perfetto view.
 			wctx = obs.ContextWithTrack(ctx, int64(k+1))
@@ -206,14 +195,4 @@ func runTask(ctx context.Context, fn func(context.Context, int) error, i int) (e
 		return err
 	}
 	return fn(ctx, i)
-}
-
-// clampNS converts a clock difference to a histogram value, flooring
-// negative diffs (possible only with a misbehaving injected clock) at
-// zero.
-func clampNS(d int64) uint64 {
-	if d < 0 {
-		return 0
-	}
-	return uint64(d)
 }

@@ -10,15 +10,15 @@ import (
 	"tecopt/internal/obs"
 )
 
-// TestMapTasksCtxFlightHierarchy drives the pool with the flight
-// recorder on from many workers (run it under -race): nested spans and
+// TestMapTasksCtxFlightHierarchy drives the pool with a trace
+// recorded from many workers (run it under -race): nested spans and
 // events from every task must link back to recorded parents, task
 // spans must land on worker tracks 1..W, and the Perfetto export must
 // be valid JSON with one named thread row per track.
 func TestMapTasksCtxFlightHierarchy(t *testing.T) {
 	const workers, tasks = 8, 64
 	r := obs.New(&obs.ManualClock{})
-	r.EnableTraceOpts(obs.TraceOptions{Flight: true})
+	r.EnableTraceOpts(obs.TraceOptions{})
 	prev := obs.SetGlobal(r)
 	defer obs.SetGlobal(prev)
 
@@ -54,7 +54,7 @@ func TestMapTasksCtxFlightHierarchy(t *testing.T) {
 		records = append(records, rec{ev, line})
 		if ev.Kind == "span" {
 			if ev.ID == 0 {
-				t.Fatalf("flight span without ID: %s", line)
+				t.Fatalf("span without ID: %s", line)
 			}
 			ids[ev.ID] = ev.Name
 		}
@@ -150,7 +150,7 @@ func TestMapTasksCtxFlightHierarchy(t *testing.T) {
 // tasks on the caller's track instead of minting worker lanes.
 func TestMapTasksCtxSerialInheritsTrack(t *testing.T) {
 	r := obs.New(&obs.ManualClock{})
-	r.EnableTraceOpts(obs.TraceOptions{Flight: true})
+	r.EnableTraceOpts(obs.TraceOptions{})
 	prev := obs.SetGlobal(r)
 	defer obs.SetGlobal(prev)
 

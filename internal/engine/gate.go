@@ -105,7 +105,7 @@ func (g *Gate) granted(r *obs.Registry, start int64, queuedPath int64) {
 	r.Gauge(g.metric + ".inflight").Set(g.inflight.Load())
 	r.Gauge(g.metric + ".queue_depth").Set(g.queued.Load())
 	if queuedPath == 1 {
-		r.Histogram(g.metric + ".queue_wait_ns").Observe(clampNS(r.Now() - start))
+		r.ObserveSince(g.metric+".queue_wait_ns", start)
 	} else {
 		r.Histogram(g.metric + ".queue_wait_ns").Observe(0)
 	}

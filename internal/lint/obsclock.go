@@ -14,7 +14,7 @@ const obsImportPath = "tecopt/internal/obs"
 // time.Since() — inside instrumented packages, i.e. non-main packages
 // that import tecopt/internal/obs. Instrumented code must time itself
 // on the registry's injected monotonic clock (obs.Registry.Now,
-// StartSpan, ObserveSince): that is what keeps span timings coherent
+// StartSpanCtx, ObserveSince): that is what keeps span timings coherent
 // with each other and lets tests drive time deterministically through
 // a ManualClock. A stray time.Now() in a hot path silently mixes two
 // clocks in one trace. Test files are exempt (they may measure real
@@ -69,7 +69,7 @@ func runObsClock(pass *Pass) {
 			if !ok || pkgName.Imported().Path() != "time" {
 				return true
 			}
-			pass.Reportf(call.Pos(), "time.%s in an instrumented package; use the obs registry clock (r.Now, StartSpan, ObserveSince) so timings stay on one monotonic clock", sel.Sel.Name)
+			pass.Reportf(call.Pos(), "time.%s in an instrumented package; use the obs registry clock (r.Now, StartSpanCtx, ObserveSince) so timings stay on one monotonic clock", sel.Sel.Name)
 			return true
 		})
 	}

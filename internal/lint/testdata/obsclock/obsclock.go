@@ -27,7 +27,7 @@ func registryClock() int64 {
 // spanClock is also clean: spans read the registry clock internally.
 func spanClock() {
 	r := obs.Enabled()
-	sp := r.StartSpan("fixture.op")
+	_, sp := r.StartSpanCtx(context.Background(), "fixture.op")
 	defer sp.End()
 }
 

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -18,13 +20,13 @@ import (
 //	-metrics            print a text metric snapshot to stderr on exit
 //	-metrics-out FILE   write the JSON snapshot (the machine-readable
 //	                    run report) to FILE on exit
-//	-trace FILE         record trace spans/events and write them to
-//	                    FILE on exit
-//	-trace-format FMT   trace exporter: "jsonl" (flat JSON lines, the
-//	                    historical format), "flight" (JSONL with
-//	                    hierarchical span IDs/parents/tracks/attrs for
-//	                    cmd/tectrace), or "perfetto" (Chrome
-//	                    trace-event JSON for ui.perfetto.dev)
+//	-trace FILE         record the trace (spans with IDs, parents,
+//	                    tracks and attributes, plus events) and write
+//	                    it to FILE on exit
+//	-trace-format FMT   trace exporter: "jsonl" (one JSON record per
+//	                    line, the default) or "perfetto" (Chrome
+//	                    trace-event JSON for ui.perfetto.dev); cmd/tectrace
+//	                    reads both
 //	-log FMT            structured logging to stderr: off, text or json
 //	-log-level LVL      minimum log level: debug, info, warn or error
 //	-pprof ADDR         serve /metrics and /debug/pprof on ADDR while
@@ -35,7 +37,8 @@ import (
 //
 // With none of the flags set, Start installs nothing and the process
 // runs the pre-obs disabled path (stdout byte-identical to a build
-// without observability).
+// without observability). A -trace-format, -log or -log-level value
+// outside its set fails flag parsing, like an unknown flag.
 type Flags struct {
 	Metrics     bool
 	MetricsOut  string
@@ -52,7 +55,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Metrics, "metrics", false, "print a metric snapshot to stderr when the run completes")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the JSON metric snapshot (run report) to this file")
 	fs.StringVar(&f.Trace, "trace", "", "record trace spans and write them to this file")
-	fs.StringVar(&f.TraceFormat, "trace-format", "jsonl", "trace exporter: jsonl (flat lines), flight (hierarchical JSONL) or perfetto (Chrome trace-event JSON)")
+	oneOf(fs, &f.TraceFormat, "trace-format", "trace exporter: jsonl (JSON lines) or perfetto (Chrome trace-event JSON)", "jsonl", "perfetto")
 	f.Log.bind(fs)
 	fs.StringVar(&f.Pprof, "pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.DurationVar(&f.Timeout, "timeout", 0, "cancel the run after this duration (0 = no limit), flushing partial results")
@@ -87,23 +90,17 @@ type Session struct {
 }
 
 // Start activates the requested observability: it installs a global
-// registry on the wall clock, enables tracing if -trace was given
-// (hierarchical when -trace-format is flight or perfetto), installs
-// the structured logger if -log was given, and starts the debug server
-// if -pprof was given. It returns nil (fully disabled, zero overhead)
-// when no flag was set.
+// registry on the wall clock, records a trace if -trace was given,
+// installs the structured logger if -log was given, and starts the
+// debug server if -pprof was given. It returns nil (fully disabled,
+// zero overhead) when no flag was set.
 func (f *Flags) Start() (*Session, error) {
 	if !f.enabled() {
 		return nil, nil
 	}
-	switch f.TraceFormat {
-	case "", "jsonl", "flight", "perfetto":
-	default:
-		return nil, fmt.Errorf("obs: unknown -trace-format %q (want jsonl, flight or perfetto)", f.TraceFormat)
-	}
 	reg := New(nil)
 	if f.Trace != "" {
-		reg.EnableTraceOpts(TraceOptions{Flight: f.TraceFormat == "flight" || f.TraceFormat == "perfetto"})
+		reg.EnableTraceOpts(TraceOptions{})
 	}
 	s := &Session{Reg: reg, flags: *f, stderr: os.Stderr}
 	restore, err := f.Log.Install(s.stderr)
@@ -171,6 +168,8 @@ func (s *Session) Close() error {
 	return errors.Join(errs...)
 }
 
+// writeTraceFile writes the trace in the -trace-format exporter:
+// Chrome trace-event JSON for perfetto, JSON lines otherwise.
 func (s *Session) writeTraceFile() error {
 	out, err := os.Create(s.flags.Trace)
 	if err != nil {
@@ -185,4 +184,18 @@ func (s *Session) writeTraceFile() error {
 		return err
 	}
 	return out.Close()
+}
+
+// oneOf registers a string flag that accepts only the given values;
+// the first is the default. Any other value fails fs.Parse, which exits
+// 2 under flag.ExitOnError, as an unknown flag does.
+func oneOf(fs *flag.FlagSet, p *string, name, usage string, values ...string) {
+	*p = values[0]
+	fs.Func(name, fmt.Sprintf("%s (default %q)", usage, values[0]), func(v string) error {
+		if !slices.Contains(values, v) {
+			return fmt.Errorf("want one of %s", strings.Join(values, ", "))
+		}
+		*p = v
+		return nil
+	})
 }

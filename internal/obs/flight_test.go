@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -12,48 +13,19 @@ import (
 	"time"
 )
 
-// TestFlatTraceByteCompat pins the recorder-off JSONL schema: with the
-// flight bit off, spans and EventCtx serialize to exactly the
-// pre-flight byte layout — no id/parent/track/attrs keys, attrs
-// silently dropped — so existing trace consumers keep working.
-func TestFlatTraceByteCompat(t *testing.T) {
-	clk := &ManualClock{}
-	r := New(clk)
-	r.EnableTrace(0) // flat
-
-	_, sp := r.StartSpanCtx(context.Background(), "solve")
-	sp.Annotate("regime", "smw") // must vanish: recorder off
-	clk.Advance(100 * time.Nanosecond)
-	sp.End()
-	r.Event("bracket_hi", 2.5)
-	r.EventCtx(context.Background(), "probe", 1.5, Attr{Key: "pd", Value: "true"})
-
-	var buf bytes.Buffer
-	if err := r.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"kind":"span","name":"solve","start_ns":0,"dur_ns":100}
-{"kind":"event","name":"bracket_hi","start_ns":100,"value":2.5}
-{"kind":"event","name":"probe","start_ns":100,"value":1.5}
-`
-	if got := buf.String(); got != want {
-		t.Errorf("flat trace bytes changed:\n got: %q\nwant: %q", got, want)
-	}
-}
-
 // TestFlightSpanHierarchy checks ID assignment, parent links, track
 // inheritance, and that annotations made after a defer-captured copy
 // still land in the trace record.
 func TestFlightSpanHierarchy(t *testing.T) {
 	clk := &ManualClock{}
 	r := New(clk)
-	r.EnableTraceOpts(TraceOptions{Flight: true})
+	r.EnableTraceOpts(TraceOptions{})
 
 	ctx := ContextWithTrack(context.Background(), 3)
 	ctx, root := r.StartSpanCtx(ctx, "outer")
 	_, child := r.StartSpanCtx(ctx, "inner")
 	if root.ID() == 0 || child.ID() == 0 {
-		t.Fatal("flight spans must carry IDs")
+		t.Fatal("recorded spans must carry IDs")
 	}
 	if child.ParentID() != root.ID() {
 		t.Errorf("child parent = %d, want %d", child.ParentID(), root.ID())
@@ -83,10 +55,10 @@ func TestFlightSpanHierarchy(t *testing.T) {
 }
 
 // TestEventCtxFlightLinks checks EventCtx records parent/track/attrs
-// when the recorder is on.
+// when a trace is recorded.
 func TestEventCtxFlightLinks(t *testing.T) {
 	r := New(&ManualClock{})
-	r.EnableTraceOpts(TraceOptions{Flight: true})
+	r.EnableTraceOpts(TraceOptions{})
 	ctx := ContextWithTrack(context.Background(), 2)
 	ctx, sp := r.StartSpanCtx(ctx, "outer")
 	r.EventCtx(ctx, "cache.hit", 1.25, Attr{Key: "gen", Value: "7"})
@@ -107,7 +79,7 @@ func TestEventCtxFlightLinks(t *testing.T) {
 // warning through the installed slog handler.
 func TestTraceDropCounterAndWarning(t *testing.T) {
 	r := New(&ManualClock{})
-	r.EnableTrace(1)
+	r.EnableTraceOpts(TraceOptions{Capacity: 1})
 
 	var logBuf bytes.Buffer
 	h, err := NewLogHandler(&logBuf, "json", "warn")
@@ -118,7 +90,7 @@ func TestTraceDropCounterAndWarning(t *testing.T) {
 	defer SetLogger(prev)
 
 	for i := 0; i < 4; i++ {
-		r.Event("e", float64(i))
+		r.EventCtx(context.Background(), "e", float64(i))
 	}
 	snap := r.Snapshot()
 	if snap.Counters["trace.dropped"] != 3 {
@@ -130,18 +102,22 @@ func TestTraceDropCounterAndWarning(t *testing.T) {
 	}
 }
 
-// TestSpanEndAllocFree verifies satellite 2: with tracing off (registry
-// installed, no trace buffer) a StartSpan/End pair performs zero
-// allocations — the histogram handle is interned, not rebuilt per End.
+// TestSpanEndAllocFree verifies that with no trace recorded (registry
+// installed, no trace buffer) a StartSpanCtx/End pair and an EventCtx
+// perform zero allocations — the histogram handle is interned, not
+// rebuilt per End, and the context is returned as is.
 func TestSpanEndAllocFree(t *testing.T) {
 	r := New(&ManualClock{})
-	r.StartSpan("hot.solve").End() // intern the handle outside the measurement
+	ctx := context.Background()
+	_, sp := r.StartSpanCtx(ctx, "hot.solve") // intern the handle outside the measurement
+	sp.End()
 	allocs := testing.AllocsPerRun(100, func() {
-		sp := r.StartSpan("hot.solve")
+		_, sp := r.StartSpanCtx(ctx, "hot.solve")
 		sp.End()
+		r.EventCtx(ctx, "hot.probe", 1)
 	})
 	if allocs != 0 { // teclint:ignore floateq AllocsPerRun counts are exact integers
-		t.Errorf("StartSpan+End allocs = %g, want 0", allocs)
+		t.Errorf("StartSpanCtx+End+EventCtx allocs = %g, want 0", allocs)
 	}
 }
 
@@ -151,7 +127,7 @@ func TestSpanEndAllocFree(t *testing.T) {
 func TestPerfettoExport(t *testing.T) {
 	clk := &ManualClock{}
 	r := New(clk)
-	r.EnableTraceOpts(TraceOptions{Flight: true})
+	r.EnableTraceOpts(TraceOptions{})
 
 	wctx := ContextWithTrack(context.Background(), 1)
 	wctx, sp := r.StartSpanCtx(wctx, "task")
@@ -214,7 +190,7 @@ func TestPerfettoExport(t *testing.T) {
 // span_id/parent_id from the context span.
 func TestLogHandlerSpanStamping(t *testing.T) {
 	r := New(&ManualClock{})
-	r.EnableTraceOpts(TraceOptions{Flight: true})
+	r.EnableTraceOpts(TraceOptions{})
 	var buf bytes.Buffer
 	h, err := NewLogHandler(&buf, "json", "info")
 	if err != nil {
@@ -326,27 +302,45 @@ func TestHandlerMethodAndSniffGuards(t *testing.T) {
 	}
 }
 
-// TestFlagsTraceFormatValidation checks Start rejects unknown formats
-// and maps flight/perfetto to the flight recorder.
+// TestFlagsTraceFormatValidation checks that flag parsing accepts
+// exactly jsonl (the default) and perfetto for -trace-format, rejects
+// anything else (the retired "flight" included) along with bad -log
+// and -log-level values, and that every accepted format records a
+// trace.
 func TestFlagsTraceFormatValidation(t *testing.T) {
-	bad := &Flags{Trace: "x", TraceFormat: "protobuf"}
-	if _, err := bad.Start(); err == nil {
-		t.Error("unknown -trace-format accepted")
+	for _, args := range [][]string{
+		{"-trace-format", "flight"},
+		{"-trace-format", "protobuf"},
+		{"-trace-format", "JSONL"},
+		{"-log", "yaml"},
+		{"-log-level", "loud"},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		BindFlags(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
-	for _, tc := range []struct {
-		format string
-		flight bool
-	}{{"jsonl", false}, {"", false}, {"flight", true}, {"perfetto", true}} {
-		f := &Flags{Trace: t.TempDir() + "/trace", TraceFormat: tc.format}
+	for _, format := range []string{"", "jsonl", "perfetto"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		f := BindFlags(fs)
+		args := []string{"-trace", t.TempDir() + "/trace"}
+		if format != "" {
+			args = append(args, "-trace-format", format)
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("format %q: %v", format, err)
+		}
 		s, err := f.Start()
 		if err != nil {
-			t.Fatalf("format %q: %v", tc.format, err)
+			t.Fatalf("format %q: %v", format, err)
 		}
-		if got := s.Reg.FlightOn(); got != tc.flight {
-			t.Errorf("format %q: flight = %v, want %v", tc.format, got, tc.flight)
+		if !s.Reg.Tracing() {
+			t.Errorf("format %q: no trace recorded", format)
 		}
 		if err := s.Close(); err != nil {
-			t.Errorf("close %q: %v", tc.format, err)
+			t.Errorf("close %q: %v", format, err)
 		}
 	}
 }

@@ -38,10 +38,9 @@ func logWarn(msg string, args ...any) {
 	}
 }
 
-// spanHandler decorates a slog.Handler with the flight-recorder
-// identity of the context: records carry span_id/parent_id attributes
-// when the context holds an active span, so log lines correlate with
-// trace spans.
+// spanHandler decorates a slog.Handler with the trace identity of the
+// context: records carry span_id/parent_id attributes when the context
+// holds a recorded span, so log lines correlate with trace spans.
 type spanHandler struct {
 	slog.Handler
 }
@@ -71,7 +70,7 @@ func (h spanHandler) WithGroup(name string) slog.Handler {
 // NewLogHandler builds the shared structured-logging handler used by
 // every CLI: format is "text" or "json", level one of
 // debug/info/warn/error. The handler stamps span_id/parent_id from the
-// context when the flight recorder is active.
+// context when a trace is recorded.
 func NewLogHandler(w io.Writer, format, level string) (slog.Handler, error) {
 	var lv slog.Level
 	switch strings.ToLower(level) {
@@ -120,8 +119,8 @@ func BindLogFlags(fs *flag.FlagSet) *LogFlags {
 
 // bind registers -log/-log-level on fs.
 func (f *LogFlags) bind(fs *flag.FlagSet) {
-	fs.StringVar(&f.Format, "log", "off", "structured logging: off, text or json (to stderr)")
-	fs.StringVar(&f.Level, "log-level", "info", "minimum log level: debug, info, warn or error")
+	oneOf(fs, &f.Format, "log", "structured logging to stderr: off, text or json", "off", "text", "json")
+	oneOf(fs, &f.Level, "log-level", "minimum log level: debug, info, warn or error", "info", "debug", "warn", "warning", "error")
 }
 
 // enabled reports whether the flags ask for logging.

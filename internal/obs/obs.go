@@ -203,17 +203,15 @@ type Registry struct {
 	fgauge  map[string]*FloatGauge
 	hist    map[string]*Histogram
 
-	trace *traceBuffer // nil when tracing is off
-
-	// flight is true when the flight recorder (hierarchical tracing) is
-	// on: spans take IDs, parent links, tracks and attributes. It is read
-	// on every StartSpan, so it lives outside mu.
-	flight atomic.Bool
+	// trace is the recorded trace; nil when no trace is recorded. It is
+	// read by every span and event, so it is an atomic pointer outside
+	// mu.
+	trace atomic.Pointer[traceBuffer]
 	// spanID allocates span IDs: sequential from 1, so serial runs under
 	// an injected clock produce byte-identical traces.
 	spanID atomic.Uint64
 	// spanHists interns the "span.<name>_ns" histogram handles so the
-	// hot-loop StartSpan/End pair never rebuilds the name string
+	// hot-loop StartSpanCtx/End pair never rebuilds the name string
 	// (map[string]*Histogram).
 	spanHists sync.Map
 }

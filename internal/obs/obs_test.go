@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
@@ -29,9 +30,12 @@ func TestNilDisabledPath(t *testing.T) {
 	r.Gauge("x").Add(-1)
 	r.FloatGauge("x").Set(1.5)
 	r.Histogram("x").Observe(10)
-	r.Event("x", 1)
-	r.EnableTrace(0)
-	sp := r.StartSpan("x")
+	r.EventCtx(context.Background(), "x", 1)
+	r.EnableTraceOpts(TraceOptions{})
+	if r.Tracing() {
+		t.Error("nil registry reports a recorded trace")
+	}
+	_, sp := r.StartSpanCtx(context.Background(), "x")
 	sp.End()
 	if got := r.Now(); got != 0 {
 		t.Errorf("nil registry Now() = %d, want 0", got)
@@ -100,8 +104,8 @@ func TestHandleIdentity(t *testing.T) {
 func TestSpanWithManualClock(t *testing.T) {
 	clk := &ManualClock{}
 	r := New(clk)
-	r.EnableTrace(0)
-	sp := r.StartSpan("unit.work")
+	r.EnableTraceOpts(TraceOptions{})
+	_, sp := r.StartSpanCtx(context.Background(), "unit.work")
 	clk.Advance(250 * time.Nanosecond)
 	sp.End()
 
@@ -118,16 +122,16 @@ func TestSpanWithManualClock(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
 		t.Fatalf("trace line not JSON: %v\n%s", err, buf.String())
 	}
-	if ev.Kind != "span" || ev.Name != "unit.work" || ev.DurNS != 250 {
+	if ev.Kind != "span" || ev.Name != "unit.work" || ev.DurNS != 250 || ev.ID != 1 {
 		t.Errorf("trace event = %+v", ev)
 	}
 }
 
 func TestTraceCapDrops(t *testing.T) {
 	r := New(&ManualClock{})
-	r.EnableTrace(2)
+	r.EnableTraceOpts(TraceOptions{Capacity: 2})
 	for i := 0; i < 5; i++ {
-		r.Event("e", float64(i))
+		r.EventCtx(context.Background(), "e", float64(i))
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -223,7 +227,7 @@ func TestHTTPHandler(t *testing.T) {
 // meaningful under -race.
 func TestConcurrentRegistry(t *testing.T) {
 	r := New(WallClock())
-	r.EnableTrace(0)
+	r.EnableTraceOpts(TraceOptions{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -234,7 +238,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				r.Gauge("depth").Add(1)
 				r.Gauge("depth").Add(-1)
 				r.Histogram("vals").Observe(uint64(i))
-				sp := r.StartSpan("work")
+				_, sp := r.StartSpanCtx(context.Background(), "work")
 				sp.End()
 				if i%50 == 0 {
 					_ = r.Snapshot().Text()
@@ -281,7 +285,7 @@ func TestFlagsMetricsOut(t *testing.T) {
 		t.Fatal("Start did not install the registry")
 	}
 	Enabled().Counter("flagged").Add(2)
-	Enabled().Event("marker", 1.5)
+	Enabled().EventCtx(context.Background(), "marker", 1.5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,16 +11,13 @@ import (
 // WriteTracePerfetto serializes the recorded trace in Chrome
 // trace-event JSON (the format ui.perfetto.dev and chrome://tracing
 // load directly): spans become "X" complete events, point events
-// become "i" instants, and each flight-recorder track gets a named
+// become "i" instants, and each track gets a named
 // thread row ("main", "worker 01", ...). Timestamps are microseconds
 // with three decimals, preserving exact nanosecond precision from the
 // registry clock. It is a no-op on a nil registry or when tracing was
 // never enabled.
 func (r *Registry) WriteTracePerfetto(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	if tb := r.tracer(); tb == nil {
+	if !r.Tracing() {
 		return nil
 	}
 	events, dropped := r.traceSnapshot()

@@ -8,27 +8,26 @@ import (
 
 // Span is a lightweight trace span: a named interval on the registry
 // clock. Spans are value types — starting and ending one allocates
-// nothing when tracing is off, and ending always feeds the
+// nothing when no trace is recorded, and ending always feeds the
 // "span.<name>_ns" histogram so timings appear in metric snapshots even
-// without a trace file. The histogram handle is interned at StartSpan,
-// so End never rebuilds the metric name. The zero Span (from StartSpan
-// on a nil registry) is a no-op.
+// without a trace file. The histogram handle is interned at
+// StartSpanCtx, so End never rebuilds the metric name. The zero Span
+// (from a nil registry) is a no-op.
 //
-// When the flight recorder is on (EnableTraceOpts with Flight set) a
-// span additionally carries an ID, a parent link and a track, all
-// shared through one heap cell so every copy of the value — including
-// the one a `defer sp.End()` captures — sees later Annotate calls.
+// When a trace is recorded (EnableTraceOpts) a span additionally
+// carries an ID, a parent link and a track, all shared through one
+// heap cell so every copy of the value — including the one a
+// `defer sp.End()` captures — sees later Annotate calls.
 type Span struct {
 	r     *Registry
 	name  string
 	start int64
 	hist  *Histogram // interned "span.<name>_ns" handle
-	extra *spanExtra // flight-recorder state; nil unless the recorder is on
+	extra *spanExtra // trace record state; nil unless a trace is recorded
 }
 
-// spanExtra is the flight-recorder half of a span. It is allocated only
-// when hierarchical recording is enabled, and shared by all copies of
-// the Span value.
+// spanExtra is the trace-record half of a span. It is allocated only
+// when a trace is recorded, and shared by all copies of the Span value.
 type spanExtra struct {
 	id     uint64
 	parent uint64
@@ -56,55 +55,36 @@ func (r *Registry) spanHist(name string) *Histogram {
 	return h
 }
 
-// FlightOn reports whether the flight recorder (hierarchical tracing)
-// is enabled. Nil-safe; instrumentation sites use it to gate work that
-// only pays off when hierarchy is being recorded (per-probe events,
-// attribute formatting).
-func (r *Registry) FlightOn() bool {
-	return r != nil && r.flight.Load()
+// Tracing reports whether a trace is being recorded (EnableTraceOpts
+// was called). Nil-safe; instrumentation sites use it to gate work that
+// only pays off in a trace: per-solve spans, per-probe events and
+// attribute formatting.
+func (r *Registry) Tracing() bool {
+	return r != nil && r.trace.Load() != nil
 }
 
-// newSpan builds the span value shared by StartSpan and StartSpanCtx:
-// clock read, interned histogram handle, and (flight recorder on) a
-// fresh sequential ID.
-func (r *Registry) newSpan(name string) Span {
-	s := Span{r: r, name: name, start: r.clock.Now(), hist: r.spanHist(name)}
-	if r.flight.Load() {
-		s.extra = &spanExtra{id: r.spanID.Add(1)}
-	}
-	return s
-}
-
-// StartSpan opens a span. Close it with End.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return r.newSpan(name)
-}
-
-// StartSpanCtx opens a span as a child of the span carried by ctx (if
-// any) and returns a derived context carrying the new span, so deeper
-// solve layers parent to it — the context-propagation entry point of
-// the flight recorder. With the recorder off it degrades to StartSpan
-// and returns ctx unchanged; on a nil registry it is a no-op.
+// StartSpanCtx opens a span and closes it with End. When a trace is
+// recorded, the span takes a fresh sequential ID, becomes a child of
+// the span carried by ctx (if any), takes ctx's track, and the returned
+// context carries it, so deeper solve layers parent to it. Otherwise
+// it returns ctx unchanged; on a nil registry it is a no-op.
 func (r *Registry) StartSpanCtx(ctx context.Context, name string) (context.Context, Span) {
 	if r == nil {
 		return ctx, Span{}
 	}
-	s := r.newSpan(name)
-	if s.extra != nil {
+	s := Span{r: r, name: name, start: r.clock.Now(), hist: r.spanHist(name)}
+	if r.Tracing() {
+		s.extra = &spanExtra{id: r.spanID.Add(1), track: TrackFromContext(ctx)}
 		if parent := SpanFromContext(ctx); parent.extra != nil {
 			s.extra.parent = parent.extra.id
 		}
-		s.extra.track = TrackFromContext(ctx)
 		ctx = context.WithValue(ctx, spanKey{}, s)
 	}
 	return ctx, s
 }
 
-// ID returns the span's flight-recorder ID (0 when the recorder is off
-// or the span is the zero value).
+// ID returns the span's trace ID (0 when no trace is recorded or the
+// span is the zero value).
 func (s Span) ID() uint64 {
 	if s.extra == nil {
 		return 0
@@ -113,7 +93,7 @@ func (s Span) ID() uint64 {
 }
 
 // ParentID returns the ID of the span's parent (0 for a root span or
-// when the recorder is off).
+// when no trace is recorded).
 func (s Span) ParentID() uint64 {
 	if s.extra == nil {
 		return 0
@@ -132,7 +112,7 @@ func (s Span) Track() int64 {
 
 // Annotate attaches a key/value attribute to the span's trace record —
 // the regime a solve took, a guard-trip reason, a cache outcome. It is
-// a no-op unless the flight recorder is on, so callers may annotate
+// a no-op unless a trace is recorded, so callers may annotate
 // unconditionally on hot paths.
 func (s Span) Annotate(key, value string) {
 	x := s.extra
@@ -145,7 +125,7 @@ func (s Span) Annotate(key, value string) {
 }
 
 // AnnotateInt is Annotate for integer values; the value is formatted
-// only when the recorder is on.
+// only when a trace is recorded.
 func (s Span) AnnotateInt(key string, v int64) {
 	if s.extra == nil {
 		return
@@ -154,7 +134,7 @@ func (s Span) AnnotateInt(key string, v int64) {
 }
 
 // AnnotateFloat is Annotate for float values; the value is formatted
-// (shortest round-trip form) only when the recorder is on.
+// (shortest round-trip form) only when a trace is recorded.
 func (s Span) AnnotateFloat(key string, v float64) {
 	if s.extra == nil {
 		return
@@ -163,55 +143,41 @@ func (s Span) AnnotateFloat(key string, v float64) {
 }
 
 // End closes the span, recording its duration in the span histogram and
-// (when tracing is enabled) appending a trace event carrying the
-// flight-recorder identity and annotations.
+// (when a trace is recorded) appending its trace record with the ID,
+// parent, track and annotations.
 func (s Span) End() {
 	if s.r == nil {
 		return
 	}
-	end := s.r.clock.Now()
-	dur := end - s.start
+	dur := s.r.clock.Now() - s.start
 	if dur < 0 {
 		dur = 0
 	}
 	s.hist.Observe(uint64(dur))
-	ev := TraceEvent{Kind: "span", Name: s.name, StartNS: s.start, DurNS: dur}
-	if x := s.extra; x != nil {
-		ev.ID, ev.Parent, ev.Track = x.id, x.parent, x.track
-		x.mu.Lock()
-		ev.Attrs = x.attrs
-		x.mu.Unlock()
+	x := s.extra
+	if x == nil {
+		return
 	}
+	ev := TraceEvent{Kind: "span", Name: s.name, StartNS: s.start, DurNS: dur, ID: x.id, Parent: x.parent, Track: x.track}
+	x.mu.Lock()
+	ev.Attrs = x.attrs
+	x.mu.Unlock()
 	s.r.traceAppend(ev)
 }
 
-// Event records a named point value into the trace stream (when
-// tracing is enabled): bracket endpoints of the runaway search,
-// controller current decisions, cache evictions. Events are cheap but
-// not free — callers should guard with Enabled() like any other site.
-func (r *Registry) Event(name string, value float64) {
-	if r == nil {
-		return
-	}
-	r.traceAppend(TraceEvent{Kind: "event", Name: name, StartNS: r.clock.Now(), Value: value})
-}
-
-// EventCtx is Event linked into the flight-recorder hierarchy: when the
-// recorder is on, the event takes the context span as its parent, the
-// context track, and the given attributes. With the recorder off it
-// serializes byte-identically to Event (attrs are dropped), keeping
-// flat JSONL traces compatible.
+// EventCtx records a named point value into the trace (bracket
+// endpoints of the runaway search, PD probes, controller decisions),
+// with the context span as its parent, the context track and the given
+// attributes. Without a recorded trace it returns before reading the
+// clock.
 func (r *Registry) EventCtx(ctx context.Context, name string, value float64, attrs ...Attr) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
-	ev := TraceEvent{Kind: "event", Name: name, StartNS: r.clock.Now(), Value: value}
-	if r.flight.Load() {
-		if sp := SpanFromContext(ctx); sp.extra != nil {
-			ev.Parent = sp.extra.id
-		}
-		ev.Track = TrackFromContext(ctx)
-		ev.Attrs = attrs
+	ev := TraceEvent{Kind: "event", Name: name, StartNS: r.clock.Now(), Value: value,
+		Track: TrackFromContext(ctx), Attrs: attrs}
+	if sp := SpanFromContext(ctx); sp.extra != nil {
+		ev.Parent = sp.extra.id
 	}
 	r.traceAppend(ev)
 }

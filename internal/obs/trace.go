@@ -9,18 +9,15 @@ import (
 )
 
 // TraceEvent is one record of the trace stream, serialized as a JSON
-// line by WriteTrace. The first five fields are the original flat
-// schema; ID/Parent/Track/Attrs are populated only by the flight
-// recorder and are omitted when zero, so a trace taken with the
-// recorder off is byte-identical to the pre-flight format.
+// line by WriteTrace and as a Chrome trace-event record by
+// WriteTracePerfetto. Zero fields are omitted from the JSON line.
 type TraceEvent struct {
 	Kind    string  `json:"kind"` // "span" or "event"
 	Name    string  `json:"name"`
 	StartNS int64   `json:"start_ns"`
 	DurNS   int64   `json:"dur_ns,omitempty"`
 	Value   float64 `json:"value,omitempty"`
-	// ID is the span's flight-recorder ID (sequential from 1); 0 for
-	// plain events and recorder-off traces.
+	// ID is the span's ID (sequential from 1); 0 for events.
 	ID uint64 `json:"id,omitempty"`
 	// Parent is the ID of the enclosing span (0 = root).
 	Parent uint64 `json:"parent,omitempty"`
@@ -67,7 +64,7 @@ func TrackFromContext(ctx context.Context) int64 {
 // requestTracks feeds NextRequestTrack; see below for the numbering.
 var requestTracks atomic.Int64
 
-// NextRequestTrack allocates a process-unique flight-recorder track for
+// NextRequestTrack allocates a process-unique trace track for
 // one served request, so a server can give every request its own lane
 // in the Perfetto view without coordinating IDs. Request tracks count
 // down from -1: engine pool workers own the small positive tracks
@@ -98,23 +95,18 @@ type TraceOptions struct {
 	// Capacity bounds the in-memory event buffer (<= 0 selects the
 	// default, 2^20 events).
 	Capacity int
-	// Flight turns on the flight recorder: spans take sequential IDs,
-	// parent links, tracks and attributes, and flight-only events
-	// (cache hits, runaway probes) are recorded. Off, the trace stays
-	// byte-compatible with the flat JSONL schema.
+	// Flight has no effect: every recorded trace carries span IDs,
+	// parent links, tracks and attributes. The field remains only for
+	// callers that still set it.
 	Flight bool
 }
 
-// EnableTrace turns on trace recording with the given event capacity
-// (<= 0 selects the default). Without this call spans still feed their
-// histograms but no per-event stream is kept.
-func (r *Registry) EnableTrace(capacity int) {
-	r.EnableTraceOpts(TraceOptions{Capacity: capacity})
-}
-
-// EnableTraceOpts turns on trace recording with explicit options; see
-// TraceOptions. Calling it again on an already-tracing registry only
-// updates the Flight bit.
+// EnableTraceOpts turns on trace recording: from then on spans take
+// IDs, parent links, tracks and attributes, and spans and events are
+// kept in a buffer of opt.Capacity events for WriteTrace and
+// WriteTracePerfetto. Without this call spans still feed their
+// histograms but no trace is kept. Calling it again on a registry that
+// already records a trace changes nothing.
 func (r *Registry) EnableTraceOpts(opt TraceOptions) {
 	if r == nil {
 		return
@@ -122,26 +114,13 @@ func (r *Registry) EnableTraceOpts(opt TraceOptions) {
 	if opt.Capacity <= 0 {
 		opt.Capacity = defaultTraceCap
 	}
-	r.mu.Lock()
-	if r.trace == nil {
-		r.trace = &traceBuffer{cap: opt.Capacity}
-	}
-	r.mu.Unlock()
-	r.flight.Store(opt.Flight)
+	r.trace.CompareAndSwap(nil, &traceBuffer{cap: opt.Capacity})
 }
 
-// tracer returns the trace buffer under the registry read lock.
-func (r *Registry) tracer() *traceBuffer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.trace
-}
-
+// traceAppend adds ev to the recorded trace. Callers have seen a trace
+// installed, and it is never removed.
 func (r *Registry) traceAppend(ev TraceEvent) {
-	tb := r.tracer()
-	if tb == nil {
-		return
-	}
+	tb := r.trace.Load()
 	tb.mu.Lock()
 	if len(tb.events) >= tb.cap {
 		tb.dropped++
@@ -162,15 +141,9 @@ func (r *Registry) traceAppend(ev TraceEvent) {
 }
 
 // traceSnapshot copies the recorded events and drop count out of the
-// buffer (nil, 0 when tracing is off).
+// buffer. Callers have checked that a trace is recorded.
 func (r *Registry) traceSnapshot() ([]TraceEvent, uint64) {
-	if r == nil {
-		return nil, 0
-	}
-	tb := r.tracer()
-	if tb == nil {
-		return nil, 0
-	}
+	tb := r.trace.Load()
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	events := make([]TraceEvent, len(tb.events))
@@ -182,10 +155,7 @@ func (r *Registry) traceSnapshot() ([]TraceEvent, uint64) {
 // per line) followed by a final line reporting drops, if any. It is a
 // no-op on a nil registry or when tracing was never enabled.
 func (r *Registry) WriteTrace(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	if tb := r.tracer(); tb == nil {
+	if !r.Tracing() {
 		return nil
 	}
 	events, dropped := r.traceSnapshot()

@@ -1,16 +1,18 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"tecopt/internal/core"
 )
 
-// BenchmarkRunSweep times the /v1/sweep endpoint body on a warm
-// system: 1,000 h_kl points on Alpha with seven TECs (SMW rank 14),
-// decode to response, without HTTP.
+// BenchmarkRunSweep times a /v1/sweep request on a warm system: 1,000
+// h_kl points on Alpha with seven TECs (SMW rank 14), through the
+// service handler from body to encoded response, without a network.
 func BenchmarkRunSweep(b *testing.B) {
 	s := New(Options{})
 	chip, sites := ChipSpec{Name: "alpha"}, []int{40, 41, 52, 53, 64, 65, 66}
@@ -30,15 +32,18 @@ func BenchmarkRunSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := s.runSweep(ctx, body); err != nil {
-		b.Fatal(err)
+	h := s.Handler()
+	sweep := func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
 	}
+	sweep()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := s.runSweep(ctx, body); err != nil {
-			b.Fatal(err)
-		}
+		sweep()
 	}
 }

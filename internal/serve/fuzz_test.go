@@ -36,43 +36,34 @@ var serveSeeds = []string{
 }
 
 // FuzzServeRequest drives arbitrary bytes through every endpoint's
-// request decoding and the system resolution behind it: requestContext,
-// decode, resolveConfig, Validate, the model-size caps, systemKey and
-// core.NewSystem. No input may panic, and every rejection must be a
-// tecerr.CodeInvalidInput error. The caps keep each NewSystem bounded.
-// An accepted body's deadline lies in (now, now + MaxDeadline].
+// request decoding and the system resolution behind it: decode,
+// requestContext, resolveConfig, Validate, the model-size caps,
+// systemKey and core.NewSystem. No input may panic, and every rejection
+// must be a tecerr.CodeInvalidInput error. The caps keep each NewSystem
+// bounded. A body accepted as any request type yields a deadline in
+// (now, now + MaxDeadline].
 func FuzzServeRequest(f *testing.F) {
 	for _, seed := range serveSeeds {
 		f.Add([]byte(seed))
 	}
 	s := New(Options{SystemCache: 1})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		before := time.Now()
-		ctx, cancel, err := s.requestContext(context.Background(), "serve.fuzz", body)
-		if err != nil {
-			requireInvalidInput(t, "requestContext", err)
-		} else {
-			deadline, ok := ctx.Deadline()
-			cancel()
-			if !ok || !deadline.After(before) || deadline.After(time.Now().Add(s.opt.MaxDeadline)) {
-				t.Fatalf("deadline %v outside (%v, now + %v]", deadline, before, s.opt.MaxDeadline)
-			}
-		}
-		for _, req := range []any{&solveRequest{}, &optimizeRequest{}, &runawayRequest{}, &sweepRequest{}} {
+		for _, req := range []request{&solveRequest{}, &optimizeRequest{}, &runawayRequest{}, &sweepRequest{}} {
 			if err := decode(body, req, "serve.fuzz"); err != nil {
 				requireInvalidInput(t, "decode", err)
 				continue
 			}
-			var c common
-			switch r := req.(type) {
-			case *solveRequest:
-				c = r.common
-			case *optimizeRequest:
-				c = r.common
-			case *runawayRequest:
-				c = r.common
-			case *sweepRequest:
-				c = r.common
+			c := req.shared()
+			before := time.Now()
+			ctx, cancel, err := s.requestContext(context.Background(), "serve.fuzz", c.DeadlineMS)
+			if err != nil {
+				requireInvalidInput(t, "requestContext", err)
+			} else {
+				deadline, ok := ctx.Deadline()
+				cancel()
+				if !ok || !deadline.After(before) || deadline.After(time.Now().Add(s.opt.MaxDeadline)) {
+					t.Fatalf("%T: deadline %v outside (%v, now + %v]", req, deadline, before, s.opt.MaxDeadline)
+				}
 			}
 			if _, err := s.resolveSystem(c.Chip, c.Sites); err != nil {
 				requireInvalidInput(t, "resolveSystem", err)

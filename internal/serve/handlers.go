@@ -18,10 +18,14 @@ import (
 )
 
 // endpoint wraps one endpoint body in the request pipeline every /v1
-// route shares: draining refusal, admission faults, body limit,
-// deadline, gate slot, per-request flight track, panic isolation, and
-// the tecerr→HTTP status mapping on the way out.
-func (s *Server) endpoint(name string, run func(ctx context.Context, body []byte) (any, error)) http.HandlerFunc {
+// route shares: draining refusal, admission faults, body limit, one
+// decode of the body into the endpoint's request type R, deadline, gate
+// slot, per-request trace track, panic isolation, and the
+// tecerr→HTTP status mapping on the way out.
+func endpoint[T any, R interface {
+	*T
+	request
+}](s *Server, name string, run func(ctx context.Context, req R) (any, error)) http.HandlerFunc {
 	op := "tecserve." + name
 	return func(w http.ResponseWriter, req *http.Request) {
 		r := obs.Enabled()
@@ -49,13 +53,18 @@ func (s *Server) endpoint(name string, run func(ctx context.Context, body []byte
 			s.writeError(w, name, nil, err, 0)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.opt.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 		if err != nil {
 			s.writeError(w, name, nil, tecerr.Wrapf(tecerr.CodeInvalidInput, op, err,
 				"serve: reading request body"), 0)
 			return
 		}
-		ctx, cancel, err := s.requestContext(req.Context(), op, body)
+		in := R(new(T))
+		if err := decode(body, in, op); err != nil {
+			s.writeError(w, name, nil, err, 0)
+			return
+		}
+		ctx, cancel, err := s.requestContext(req.Context(), op, in.shared().DeadlineMS)
 		if err != nil {
 			s.writeError(w, name, nil, err, 0)
 			return
@@ -71,7 +80,7 @@ func (s *Server) endpoint(name string, run func(ctx context.Context, body []byte
 		}
 		defer release()
 		if r != nil {
-			// Each admitted request gets its own flight-recorder lane, so
+			// Each admitted request gets its own trace lane, so
 			// a Perfetto view of a busy server shows per-request spans
 			// instead of one interleaved smear.
 			ctx = obs.ContextWithTrack(ctx, obs.NextRequestTrack())
@@ -81,7 +90,7 @@ func (s *Server) endpoint(name string, run func(ctx context.Context, body []byte
 			defer sp.End()
 		}
 		result, err := runProtected(ctx, op, func(ctx context.Context) (any, error) {
-			return run(ctx, body)
+			return run(ctx, in)
 		})
 		if err != nil {
 			s.writeError(w, name, result, err, 0)
@@ -94,26 +103,22 @@ func (s *Server) endpoint(name string, run func(ctx context.Context, body []byte
 	}
 }
 
-// requestContext derives the per-request deadline context: the body's
-// deadline_ms when given (capped by MaxDeadline), the server default
-// otherwise.
-func (s *Server) requestContext(parent context.Context, op string, body []byte) (context.Context, context.CancelFunc, error) {
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, nil, tecerr.Wrapf(tecerr.CodeInvalidInput, op, err, "serve: decoding request")
-	}
-	if env.DeadlineMS < 0 {
+// requestContext derives the per-request deadline context: the
+// request's deadline_ms when given (capped by MaxDeadline), the server
+// default otherwise.
+func (s *Server) requestContext(parent context.Context, op string, deadlineMS int64) (context.Context, context.CancelFunc, error) {
+	if deadlineMS < 0 {
 		return nil, nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
-			"serve: deadline_ms %d is negative", env.DeadlineMS)
+			"serve: deadline_ms %d is negative", deadlineMS)
 	}
 	d := s.opt.DefaultDeadline
-	if env.DeadlineMS > 0 {
+	if deadlineMS > 0 {
 		// Cap in milliseconds before converting: the product overflows
 		// time.Duration above math.MaxInt64/1e6 ms (about 292 years) and
 		// would give a context born expired.
 		d = s.opt.MaxDeadline
-		if env.DeadlineMS < d.Milliseconds() {
-			d = time.Duration(env.DeadlineMS) * time.Millisecond
+		if deadlineMS < d.Milliseconds() {
+			d = time.Duration(deadlineMS) * time.Millisecond
 		}
 	}
 	d = min(d, s.opt.MaxDeadline)
@@ -162,9 +167,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// decode unmarshals an endpoint body, typing failures as invalid
-// input.
-func decode(body []byte, v any, op string) error {
+// decode unmarshals a /v1 body into its request type, typing failures
+// as invalid input.
+func decode(body []byte, v request, op string) error {
 	if err := json.Unmarshal(body, v); err != nil {
 		return tecerr.Wrapf(tecerr.CodeInvalidInput, op, err, "serve: decoding request")
 	}
@@ -173,12 +178,8 @@ func decode(body []byte, v any, op string) error {
 
 // runSolve answers /v1/solve: the steady-state field at one supply
 // current.
-func (s *Server) runSolve(ctx context.Context, body []byte) (any, error) {
+func (s *Server) runSolve(ctx context.Context, req *solveRequest) (any, error) {
 	const op = "tecserve.solve"
-	var req solveRequest
-	if err := decode(body, &req, op); err != nil {
-		return nil, err
-	}
 	if math.IsNaN(req.CurrentA) || math.IsInf(req.CurrentA, 0) || req.CurrentA < 0 {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
 			"serve: current_a %g must be finite and nonnegative", req.CurrentA)
@@ -207,23 +208,10 @@ func (s *Server) runSolve(ctx context.Context, body []byte) (any, error) {
 
 // runOptimizeCurrent answers /v1/optimize-current: the optimal shared
 // supply current for the deployment.
-func (s *Server) runOptimizeCurrent(ctx context.Context, body []byte) (any, error) {
-	const op = "tecserve.optimize_current"
-	var req optimizeRequest
-	if err := decode(body, &req, op); err != nil {
+func (s *Server) runOptimizeCurrent(ctx context.Context, req *optimizeRequest) (any, error) {
+	m, err := core.ParseCurrentMethod(req.Method)
+	if err != nil {
 		return nil, err
-	}
-	var m core.CurrentMethod
-	switch req.Method {
-	case "", "golden":
-		m = core.CurrentGolden
-	case "gradient":
-		m = core.CurrentGradient
-	case "brent":
-		m = core.CurrentBrent
-	default:
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
-			"serve: unknown method %q (want golden, gradient, or brent)", req.Method)
 	}
 	sys, err := s.resolveSystem(req.Chip, req.Sites)
 	if err != nil {
@@ -245,12 +233,7 @@ func (s *Server) runOptimizeCurrent(ctx context.Context, body []byte) (any, erro
 
 // runRunawayLimit answers /v1/runaway-limit: the thermal-runaway
 // current lambda_m of the deployment.
-func (s *Server) runRunawayLimit(ctx context.Context, body []byte) (any, error) {
-	const op = "tecserve.runaway_limit"
-	var req runawayRequest
-	if err := decode(body, &req, op); err != nil {
-		return nil, err
-	}
+func (s *Server) runRunawayLimit(ctx context.Context, req *runawayRequest) (any, error) {
 	sys, err := s.resolveSystem(req.Chip, req.Sites)
 	if err != nil {
 		return nil, err
@@ -269,19 +252,15 @@ func (s *Server) runRunawayLimit(ctx context.Context, body []byte) (any, error) 
 // core.System.HklSweep. A deadline expiry flushes the points that
 // finished (the sweep returns them as a prefix of the currents) — the
 // partial-results contract.
-func (s *Server) runSweep(ctx context.Context, body []byte) (any, error) {
+func (s *Server) runSweep(ctx context.Context, req *sweepRequest) (any, error) {
 	const op = "tecserve.sweep"
-	var req sweepRequest
-	if err := decode(body, &req, op); err != nil {
-		return nil, err
-	}
 	n := len(req.CurrentsA)
 	if n == 0 {
 		return nil, tecerr.New(tecerr.CodeInvalidInput, op, "serve: currents_a is empty")
 	}
-	if n > s.opt.MaxSweepPoints {
+	if n > maxSweepPoints {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, op,
-			"serve: %d sweep points exceed the per-request limit %d", n, s.opt.MaxSweepPoints)
+			"serve: %d sweep points exceed the per-request limit %d", n, maxSweepPoints)
 	}
 	for idx, i := range req.CurrentsA {
 		if math.IsNaN(i) || math.IsInf(i, 0) || i < 0 {

@@ -44,11 +44,14 @@ type common struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// envelope is the pre-decode peek that extracts only the deadline, so
-// the pipeline can build the request context before the endpoint
-// decodes its full body.
-type envelope struct {
-	DeadlineMS int64 `json:"deadline_ms"`
+// shared returns the fields every request type carries; through it each
+// request type satisfies request.
+func (c *common) shared() *common { return c }
+
+// request is a /v1 request type: the pipeline decodes the body into it
+// once and reads the deadline from its shared fields.
+type request interface {
+	shared() *common
 }
 
 type solveRequest struct {
@@ -150,6 +153,13 @@ type errorBody struct {
 const (
 	maxTiling     = 24 // chip.cols and chip.rows
 	maxLayerCells = 64 // chip.spreader_cells and chip.sink_cells
+)
+
+// Request-size caps: the pipeline reads at most maxBodyBytes of a body,
+// and a sweep takes at most maxSweepPoints currents.
+const (
+	maxBodyBytes   = 16 << 20
+	maxSweepPoints = 20000
 )
 
 // checkModelSize rejects a resolved configuration beyond the caps.

@@ -56,11 +56,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps any requested deadline (default 2m).
 	MaxDeadline time.Duration
-	// MaxSweepPoints bounds the currents array of one sweep request
-	// (default 20000).
-	MaxSweepPoints int
-	// MaxBodyBytes bounds a request body (default 16 MiB).
-	MaxBodyBytes int64
 	// SystemCache bounds the content-addressed chip+deployment cache
 	// (default 16 systems).
 	SystemCache int
@@ -81,12 +76,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 2 * time.Minute
-	}
-	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = 20000
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 16 << 20
 	}
 	if o.SystemCache <= 0 {
 		o.SystemCache = 16
@@ -114,10 +103,10 @@ func New(opt Options) *Server {
 		systems: engine.NewKeyedCache[string, *core.System]("tecserve.system_cache", opt.SystemCache),
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/solve", s.endpoint("solve", s.runSolve))
-	s.mux.HandleFunc("/v1/optimize-current", s.endpoint("optimize_current", s.runOptimizeCurrent))
-	s.mux.HandleFunc("/v1/runaway-limit", s.endpoint("runaway_limit", s.runRunawayLimit))
-	s.mux.HandleFunc("/v1/sweep", s.endpoint("sweep", s.runSweep))
+	s.mux.HandleFunc("/v1/solve", endpoint(s, "solve", s.runSolve))
+	s.mux.HandleFunc("/v1/optimize-current", endpoint(s, "optimize_current", s.runOptimizeCurrent))
+	s.mux.HandleFunc("/v1/runaway-limit", endpoint(s, "runaway_limit", s.runRunawayLimit))
+	s.mux.HandleFunc("/v1/sweep", endpoint(s, "sweep", s.runSweep))
 	s.mux.HandleFunc("/healthz", s.healthz)
 	return s
 }

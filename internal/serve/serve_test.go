@@ -262,7 +262,7 @@ func TestHugeDeadlineIsCapped(t *testing.T) {
 }
 
 func TestInvalidInputs(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	cases := []struct {
 		name string
 		path string
@@ -274,6 +274,7 @@ func TestInvalidInputs(t *testing.T) {
 		{"empty sweep", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}}},
 		{"sweep tile range", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, K: 99, CurrentsA: []float64{0.1}}},
 		{"sweep negative current", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, CurrentsA: []float64{-1}}},
+		{"sweep points over cap", "/v1/sweep", sweepRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, CurrentsA: make([]float64, maxSweepPoints+1)}},
 		{"bad method", "/v1/optimize-current", optimizeRequest{common: common{Chip: tinyChip(), Sites: []int{5}}, Method: "newton"}},
 		{"negative deadline", "/v1/solve", map[string]any{"deadline_ms": -5}},
 		{"bad site", "/v1/solve", solveRequest{common: common{Chip: tinyChip(), Sites: []int{99}}, CurrentA: 0.1}},
@@ -298,6 +299,19 @@ func TestInvalidInputs(t *testing.T) {
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status = %d, want 400", resp.StatusCode)
+		}
+	})
+	t.Run("body over cap", func(t *testing.T) {
+		body := []byte(`{"current_a":0.1}`)
+		body = append(body, bytes.Repeat([]byte(" "), maxBodyBytes+1-len(body))...)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		var m map[string]any
+		if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusBadRequest || errCode(t, m) != "invalid_input" {
+			t.Errorf("status = %d, body %v, want 400 invalid_input", w.Code, m)
 		}
 	})
 	t.Run("wrong verb", func(t *testing.T) {

@@ -38,7 +38,7 @@ func NewBandCholesky(a *CSR) (*BandCholesky, error) {
 	start := r.Now()
 	c, err := newBandCholesky(a)
 	r.Counter("sparse.band.factors").Inc()
-	r.Histogram("sparse.band.factor_ns").Observe(clampNS(r.Now() - start))
+	r.ObserveSince("sparse.band.factor_ns", start)
 	if err != nil {
 		r.Counter("sparse.band.factor_failures").Inc()
 	} else {
@@ -161,7 +161,7 @@ func (c *BandCholesky) Solve(b []float64) ([]float64, error) {
 		start := r.Now()
 		defer func() {
 			r.Counter("sparse.band.solves").Inc()
-			r.Histogram("sparse.band.solve_ns").Observe(clampNS(r.Now() - start))
+			r.ObserveSince("sparse.band.solve_ns", start)
 		}()
 	}
 	x := make([]float64, c.n)
@@ -280,7 +280,7 @@ func (c *BandCholesky) SolveUnits(idx []int) ([][]float64, error) {
 		start := r.Now()
 		defer func() {
 			r.Counter("sparse.band.unit_solves").Add(uint64(len(idx)))
-			r.Histogram("sparse.band.solve_units_ns").Observe(clampNS(r.Now() - start))
+			r.ObserveSince("sparse.band.solve_units_ns", start)
 		}()
 	}
 	order := make([]int, len(idx))

@@ -102,7 +102,7 @@ func SolveCG(a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
 	start := r.Now()
 	res, err := solveCG(a, b, opt)
 	r.Counter("sparse.cg.solves").Inc()
-	r.Histogram("sparse.cg.solve_ns").Observe(clampNS(r.Now() - start))
+	r.ObserveSince("sparse.cg.solve_ns", start)
 	if res != nil {
 		r.Histogram("sparse.cg.iterations").Observe(uint64(res.Iterations))
 		r.Gauge("sparse.cg.last_iterations").Set(int64(res.Iterations))
@@ -216,16 +216,6 @@ func solveCG(a *CSR, b []float64, opt CGOptions) (*CGResult, error) {
 		}
 	}
 	return &CGResult{X: x, Iterations: opt.MaxIter, Residual: norm2(r) / normB}, ErrNotConverged
-}
-
-// clampNS converts a clock difference to a histogram value, flooring
-// negative diffs (possible only with a misbehaving injected clock) at
-// zero.
-func clampNS(d int64) uint64 {
-	if d < 0 {
-		return 0
-	}
-	return uint64(d)
 }
 
 func dot(x, y []float64) float64 {

@@ -31,7 +31,7 @@ func NewIC0(a *CSR) (*IC0, error) {
 	start := r.Now()
 	p, err := newIC0(a)
 	r.Counter("sparse.ic0.setups").Inc()
-	r.Histogram("sparse.ic0.setup_ns").Observe(clampNS(r.Now() - start))
+	r.ObserveSince("sparse.ic0.setup_ns", start)
 	if err != nil {
 		r.Counter("sparse.ic0.setup_failures").Inc()
 	}

@@ -122,7 +122,7 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 		start := r.Now()
 		defer func() {
 			r.Counter("sparse.smw.setups").Inc()
-			r.Histogram("sparse.smw.setup_ns").Observe(clampNS(r.Now() - start))
+			r.ObserveSince("sparse.smw.setup_ns", start)
 			r.Gauge("sparse.smw.rank").Set(int64(m))
 		}()
 	}
@@ -341,11 +341,18 @@ func (s *SMW) correction(i float64, y []float64, add func(c float64, col []float
 		start := r.Now()
 		defer func() {
 			r.Counter("sparse.smw.corrections").Inc()
-			r.Histogram("sparse.smw.correct_ns").Observe(clampNS(r.Now() - start))
+			r.ObserveSince("sparse.smw.correct_ns", start)
 		}()
 	}
-	// u = P1 * y[idx], scaled by the diagonalized resolvent.
-	u := make([]float64, m)
+	// u = P1 * y[idx], scaled by the diagonalized resolvent. It lives on
+	// the stack up to rank 288 (the 12x12 full cover), so an h_kl point
+	// makes no heap allocation.
+	var ubuf [288]float64
+	u := ubuf[:]
+	if m > len(ubuf) {
+		u = make([]float64, m)
+	}
+	u = u[:m]
 	j := 0
 	for ; j+3 < m; j += 4 {
 		r0 := s.p1[j*m : (j+1)*m][:m]

@@ -194,11 +194,12 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 	}
 	r := obs.Enabled()
 	var sp obs.Span
-	if r.FlightOn() {
-		// The per-solve span is the flight recorder's record of WHICH
-		// regime this solve took; it exists only in flight mode so flat
-		// traces stay byte-compatible. Annotate is a no-op on the zero
-		// Span, so the regime paths below annotate unconditionally.
+	if r.Tracing() {
+		// The per-solve span is the trace's record of WHICH regime this
+		// solve took; it exists only in a recorded trace, so a
+		// metrics-only registry pays nothing per solve. Annotate is a
+		// no-op on the zero Span, so the regime paths below annotate
+		// unconditionally.
 		_, sp = r.StartSpanCtx(ctx, "thermal.reusable.solve")
 		sp.AnnotateFloat("current", i)
 		defer sp.End()

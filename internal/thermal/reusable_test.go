@@ -251,7 +251,7 @@ func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 func TestReusableEntryUnitMemo(t *testing.T) {
 	rs, _, _, _ := testReusable(t)
 	r := regimeCounters(t)
-	r.EnableTraceOpts(obs.TraceOptions{Flight: true})
+	r.EnableTraceOpts(obs.TraceOptions{})
 	ctx := context.Background()
 	i := 0.5 * rs.Lambda()
 	for _, l := range []int{3, 3, 25, 3} {

@@ -169,16 +169,13 @@ func Simulate(sys *core.System, schedule []Phase, opt Options) (*Trace, error) {
 
 	step := 0
 	for _, ph := range schedule {
-		// Each phase runs in a closure so its flight-recorder span (one
-		// per factor-and-integrate segment) closes on every exit path.
+		// Each phase runs in a closure so its span (one per
+		// factor-and-integrate segment) closes on every exit path.
 		res, err := func(ph Phase) (*Trace, error) {
-			if r.FlightOn() {
-				var psp obs.Span
-				_, psp = r.StartSpanCtx(ctx, "transient.phase")
-				psp.AnnotateFloat("current", ph.Current)
-				psp.AnnotateFloat("duration_s", ph.Duration)
-				defer psp.End()
-			}
+			_, psp := r.StartSpanCtx(ctx, "transient.phase")
+			psp.AnnotateFloat("current", ph.Current)
+			psp.AnnotateFloat("duration_s", ph.Duration)
+			defer psp.End()
 			if ph.Duration <= 0 || ph.Current < 0 {
 				return nil, ErrBadSchedule
 			}
