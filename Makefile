@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-engine chaos serve-chaos serve-smoke bench-serve vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
+.PHONY: all build test race chaos serve-chaos serve-smoke bench-serve vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
 
 all: check
 
@@ -16,11 +16,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Focused race gate for the parallel solve engine and its core call
-# sites: the concurrency-heavy packages, without the full-suite cost.
-race-engine:
-	$(GO) test -race ./internal/engine/... ./internal/core/...
 
 # Chaos gate: the seeded fault-injection suite (injected panics, NaNs,
 # cancellations and SMW guard trips against the real pipeline, plus the

@@ -71,7 +71,7 @@ func BenchmarkFigure6_RunawaySweep(b *testing.B) {
 	var res *bench.Figure6Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = bench.RunFigure6(16)
+		res, err = bench.RunFigure6Opts(bench.Figure6Options{Points: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

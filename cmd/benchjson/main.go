@@ -102,19 +102,9 @@ func main() {
 	tol := flag.Float64("tol", 0.20, "relative ns/op regression tolerance for -gate")
 	logFlags := obs.BindLogFlags(flag.CommandLine)
 	flag.Parse()
-	restoreLog, err := logFlags.Install(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(2)
-	}
-	defer restoreLog()
-	if err := runMode(os.Stdin, os.Stdout, *mergeFile, *gateFile, *tol); err != nil {
-		if l := obs.Logger(); l != nil {
-			l.Error("benchjson failed", "err", err.Error())
-		}
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	os.Exit(logFlags.Run("benchjson", func() error {
+		return runMode(os.Stdin, os.Stdout, *mergeFile, *gateFile, *tol)
+	}))
 }
 
 // runMode dispatches on the flag set: plain conversion, snapshot merge,

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,16 +22,7 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/obs"
 	"tecopt/internal/power"
-	"tecopt/internal/tecerr"
 )
-
-// closeObs flushes the observability session, reporting (but not
-// failing on) write errors.
-func closeObs(s *obs.Session) {
-	if err := s.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtable:", err)
-	}
-}
 
 func main() {
 	// -chip is checked at flag.Parse, so a bad value exits 2 like an
@@ -47,59 +39,52 @@ func main() {
 	parallel := flag.Int("parallel", 1, "chips evaluated concurrently (0 = all cores, 1 = serial)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	session, err := obsFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtable:", err)
-		os.Exit(1)
-	}
-	defer closeObs(session)
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
-
-	opt := bench.TableIOptions{BaseLimitC: *limit, Parallel: *parallel, Ctx: ctx}
-	start := time.Now()
-	var rows []*bench.TableIRow
-	switch chip {
-	case "all":
-		rows, err = bench.RunTableI(opt)
-	case "alpha":
-		f, g := floorplan.Alpha21364Grid()
-		var row *bench.TableIRow
-		row, err = bench.RunTableIRow("Alpha", power.AlphaTilePowers(f, g), opt)
-		rows = []*bench.TableIRow{row}
-	case "hc":
-		var chips []*power.HCChip
-		chips, err = power.GenerateHCSuite(power.DefaultHCSpec())
-		if err == nil {
-			for _, c := range chips {
-				var row *bench.TableIRow
-				row, err = bench.RunTableIRow(c.Name, c.TilePower, opt)
-				if err != nil {
-					break
+	os.Exit(obsFlags.Run("benchtable", func(ctx context.Context) error {
+		opt := bench.TableIOptions{BaseLimitC: *limit, Parallel: *parallel, Ctx: ctx}
+		start := time.Now()
+		var rows []*bench.TableIRow
+		var err error
+		switch chip {
+		case "all":
+			rows, err = bench.RunTableI(opt)
+		case "alpha":
+			f, g := floorplan.Alpha21364Grid()
+			var row *bench.TableIRow
+			row, err = bench.RunTableIRow("Alpha", power.AlphaTilePowers(f, g), opt)
+			rows = []*bench.TableIRow{row}
+		case "hc":
+			var chips []*power.HCChip
+			chips, err = power.GenerateHCSuite(power.DefaultHCSpec())
+			if err == nil {
+				for _, c := range chips {
+					var row *bench.TableIRow
+					row, err = bench.RunTableIRow(c.Name, c.TilePower, opt)
+					if err != nil {
+						break
+					}
+					rows = append(rows, row)
 				}
-				rows = append(rows, row)
 			}
 		}
-	}
-	if err != nil {
-		// Flush whatever rows completed before the failure — a timed-out
-		// table run still paid for them.
-		var done []*bench.TableIRow
-		for _, r := range rows {
-			if r != nil {
-				done = append(done, r)
+		if err != nil {
+			// Flush whatever rows completed before the failure — a timed-out
+			// table run still paid for them.
+			var done []*bench.TableIRow
+			for _, r := range rows {
+				if r != nil {
+					done = append(done, r)
+				}
 			}
+			if len(done) > 0 {
+				fmt.Printf("(partial: %d of %d rows before error)\n", len(done), len(rows))
+				fmt.Print(bench.FormatTableI(done))
+			}
+			return err
 		}
-		if len(done) > 0 {
-			fmt.Printf("(partial: %d of %d rows before error)\n", len(done), len(rows))
-			fmt.Print(bench.FormatTableI(done))
-		}
-		fmt.Fprintln(os.Stderr, "benchtable:", err)
-		closeObs(session)
-		os.Exit(tecerr.ExitCode(err))
-	}
-	fmt.Print(bench.FormatTableI(rows))
-	fmt.Printf("\nmax cooling swing %.1f C | avg swing loss %.1f C | failures at %.0f C: %v | total %v\n",
-		bench.MaxCoolingSwingC(rows), bench.AvgSwingLossC(rows), *limit,
-		bench.FailuresAtBase(rows), time.Since(start).Round(time.Millisecond))
+		fmt.Print(bench.FormatTableI(rows))
+		fmt.Printf("\nmax cooling swing %.1f C | avg swing loss %.1f C | failures at %.0f C: %v | total %v\n",
+			bench.MaxCoolingSwingC(rows), bench.AvgSwingLossC(rows), *limit,
+			bench.FailuresAtBase(rows), time.Since(start).Round(time.Millisecond))
+		return nil
+	}))
 }

@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	conjecture [-matrices 1000] [-maxorder 20] [-pairs 0] [-seed 1] [-parallel N]
+//	conjecture [-matrices 1000] [-maxorder 20] [-pairs 0] [-seed 1]
+//	           [-family random|grid|path|tree] [-parallel N]
 //
 // -pairs 0 checks every (k, l) pair per matrix.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -20,16 +22,7 @@ import (
 
 	"tecopt/internal/core"
 	"tecopt/internal/obs"
-	"tecopt/internal/tecerr"
 )
-
-// closeObs flushes the observability session, reporting (but not
-// failing on) write errors.
-func closeObs(s *obs.Session) {
-	if err := s.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "conjecture:", err)
-	}
-}
 
 func main() {
 	matrices := flag.Int("matrices", 1000, "number of random Stieltjes matrices")
@@ -37,60 +30,51 @@ func main() {
 	pairs := flag.Int("pairs", 0, "sampled (k,l) pairs per matrix (0 = all pairs)")
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	density := flag.Float64("density", 0.3, "extra-edge probability of the generator")
-	family := flag.String("family", "random", "matrix ensemble: random, grid, path or tree")
+	// -family is checked at flag.Parse, so a bad value exits 2 like an
+	// unknown flag.
+	fam := core.FamilyRandom
+	flag.Func("family", `matrix ensemble: random, grid, path or tree (default "random")`, func(v string) error {
+		switch v {
+		case "random":
+			fam = core.FamilyRandom
+		case "grid":
+			fam = core.FamilyGrid
+		case "path":
+			fam = core.FamilyPath
+		case "tree":
+			fam = core.FamilyTree
+		default:
+			return fmt.Errorf("want random, grid, path or tree")
+		}
+		return nil
+	})
 	parallel := flag.Int("parallel", 1, "trial workers (0 = all cores, 1 = serial); report is identical either way")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	session, err := obsFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "conjecture:", err)
-		os.Exit(1)
-	}
-	defer closeObs(session)
-
-	var fam core.MatrixFamily
-	switch *family {
-	case "random":
-		fam = core.FamilyRandom
-	case "grid":
-		fam = core.FamilyGrid
-	case "path":
-		fam = core.FamilyPath
-	case "tree":
-		fam = core.FamilyTree
-	default:
-		fmt.Fprintf(os.Stderr, "conjecture: unknown family %q\n", *family)
-		closeObs(session)
-		os.Exit(2)
-	}
-
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
-	start := time.Now()
-	rep, err := core.VerifyConjecture1Ctx(ctx, rand.New(rand.NewSource(*seed)), core.ConjectureOptions{
-		Matrices: *matrices, MaxOrder: *maxOrder, PairsPerMatrix: *pairs, Density: *density,
-		Family: fam, Parallel: *parallel,
-	})
-	if err != nil {
-		// Flush the partial campaign before exiting: the completed trials
-		// are still evidence.
-		fmt.Printf("conjecture-1 campaign (PARTIAL): %d matrices, %d pairs checked, %d violations before error\n",
-			rep.Matrices, rep.PairsChecked, rep.Violations)
-		fmt.Fprintln(os.Stderr, "conjecture:", err)
-		closeObs(session)
-		os.Exit(tecerr.ExitCode(err))
-	}
-	fmt.Printf("conjecture-1 campaign: %d matrices, %d pairs checked in %v\n",
-		rep.Matrices, rep.PairsChecked, time.Since(start).Round(time.Millisecond))
-	if rep.Violations == 0 {
-		fmt.Println("no violations: Conjecture 1 holds on every sampled case")
-		return
-	}
-	fmt.Printf("VIOLATIONS: %d\n", rep.Violations)
-	if rep.FirstViolation != nil {
-		fmt.Printf("first counterexample: k=%d l=%d S=\n%v\n",
-			rep.FirstViolation.K, rep.FirstViolation.L, rep.FirstViolation.S)
-	}
-	closeObs(session)
-	os.Exit(1)
+	os.Exit(obsFlags.Run("conjecture", func(ctx context.Context) error {
+		start := time.Now()
+		rep, err := core.VerifyConjecture1Ctx(ctx, rand.New(rand.NewSource(*seed)), core.ConjectureOptions{
+			Matrices: *matrices, MaxOrder: *maxOrder, PairsPerMatrix: *pairs, Density: *density,
+			Family: fam, Parallel: *parallel,
+		})
+		if err != nil {
+			// Flush the partial campaign: the completed trials are still
+			// evidence.
+			fmt.Printf("conjecture-1 campaign (PARTIAL): %d matrices, %d pairs checked, %d violations before error\n",
+				rep.Matrices, rep.PairsChecked, rep.Violations)
+			return err
+		}
+		fmt.Printf("conjecture-1 campaign: %d matrices, %d pairs checked in %v\n",
+			rep.Matrices, rep.PairsChecked, time.Since(start).Round(time.Millisecond))
+		if rep.Violations == 0 {
+			fmt.Println("no violations: Conjecture 1 holds on every sampled case")
+			return nil
+		}
+		fmt.Printf("VIOLATIONS: %d\n", rep.Violations)
+		if rep.FirstViolation != nil {
+			fmt.Printf("first counterexample: k=%d l=%d S=\n%v\n",
+				rep.FirstViolation.K, rep.FirstViolation.L, rep.FirstViolation.S)
+		}
+		return fmt.Errorf("%d violation(s) of Conjecture 1", rep.Violations)
+	}))
 }

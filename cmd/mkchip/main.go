@@ -22,7 +22,6 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/obs"
 	"tecopt/internal/power"
-	"tecopt/internal/tecerr"
 )
 
 func main() {
@@ -30,69 +29,55 @@ func main() {
 	out := flag.String("out", "chip", "output basename (writes <out>.flp and <out>.ptrace)")
 	logFlags := obs.BindLogFlags(flag.CommandLine)
 	flag.Parse()
-	restoreLog, err := logFlags.Install(os.Stderr)
-	if err != nil {
-		fatal(err)
-	}
-	defer restoreLog()
-
-	loaded, err := chipload.Load(chipload.Spec{Name: *chip})
-	if err != nil {
-		fatal(err)
-	}
-
-	flpPath := *out + ".flp"
-	ff, err := os.Create(flpPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := floorplan.WriteFLP(ff, loaded.Floorplan); err != nil {
-		fatal(err)
-	}
-	if err := ff.Close(); err != nil {
-		fatal(err)
-	}
-
-	var tr *power.Trace
-	if *chip == "alpha" || *chip == "" {
-		// Full synthetic workload trace; envelope*1.2 = worst case.
-		tr = power.SynthesizeTrace(power.NewAlphaModel(), loaded.Floorplan, power.SyntheticSPECWorkloads())
-	} else {
-		// HC chips define worst-case powers directly: one sample, and
-		// the consumer should use -margin 1.
-		row := make([]float64, len(loaded.Floorplan.Units))
-		perUnit := map[string]float64{}
-		for t, p := range loaded.TilePower {
-			owner := loaded.Grid.OwnerUnit[t]
-			perUnit[loaded.Floorplan.Units[owner].Name] += p
+	os.Exit(logFlags.Run("mkchip", func() error {
+		loaded, err := chipload.Load(chipload.Spec{Name: *chip})
+		if err != nil {
+			return err
 		}
-		for i, u := range loaded.Floorplan.Units {
-			row[i] = perUnit[u.Name]
-		}
-		tr = &power.Trace{Units: loaded.Floorplan.UnitNames(), Samples: [][]float64{row}}
-	}
-	ptPath := *out + ".ptrace"
-	pf, err := os.Create(ptPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := power.WritePtrace(pf, tr); err != nil {
-		fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d units) and %s (%d samples)\n",
-		flpPath, len(loaded.Floorplan.Units), ptPath, len(tr.Samples))
-}
 
-// fatal reports the error and exits with its tecerr taxonomy status.
-// With -log on, the error also goes to the structured log with its
-// tecerr code attached.
-func fatal(err error) {
-	if l := obs.Logger(); l != nil {
-		l.Error("mkchip failed", tecerr.LogAttrs(err)...)
-	}
-	fmt.Fprintln(os.Stderr, "mkchip:", err)
-	os.Exit(tecerr.ExitCode(err))
+		flpPath := *out + ".flp"
+		ff, err := os.Create(flpPath)
+		if err != nil {
+			return err
+		}
+		if err := floorplan.WriteFLP(ff, loaded.Floorplan); err != nil {
+			return err
+		}
+		if err := ff.Close(); err != nil {
+			return err
+		}
+
+		var tr *power.Trace
+		if *chip == "alpha" || *chip == "" {
+			// Full synthetic workload trace; envelope*1.2 = worst case.
+			tr = power.SynthesizeTrace(power.NewAlphaModel(), loaded.Floorplan, power.SyntheticSPECWorkloads())
+		} else {
+			// HC chips define worst-case powers directly: one sample, and
+			// the consumer should use -margin 1.
+			row := make([]float64, len(loaded.Floorplan.Units))
+			perUnit := map[string]float64{}
+			for t, p := range loaded.TilePower {
+				owner := loaded.Grid.OwnerUnit[t]
+				perUnit[loaded.Floorplan.Units[owner].Name] += p
+			}
+			for i, u := range loaded.Floorplan.Units {
+				row[i] = perUnit[u.Name]
+			}
+			tr = &power.Trace{Units: loaded.Floorplan.UnitNames(), Samples: [][]float64{row}}
+		}
+		ptPath := *out + ".ptrace"
+		pf, err := os.Create(ptPath)
+		if err != nil {
+			return err
+		}
+		if err := power.WritePtrace(pf, tr); err != nil {
+			return err
+		}
+		if err := pf.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s (%d units) and %s (%d samples)\n",
+			flpPath, len(loaded.Floorplan.Units), ptPath, len(tr.Samples))
+		return nil
+	}))
 }

@@ -4,107 +4,84 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"tecopt/internal/bench"
 	"tecopt/internal/obs"
-	"tecopt/internal/tecerr"
 )
 
-// session is the tool-wide observability session; fatal flushes it
-// before exiting with the error's tecerr taxonomy status.
-var session *obs.Session
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "report:", err)
-	if cerr := session.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "report:", cerr)
-	}
-	session = nil
-	os.Exit(tecerr.ExitCode(err))
-}
-
 func main() {
-	parallel := flag.Int("parallel", 1, "Figure-6 points solved concurrently (0 = all cores, 1 = serial)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	var err error
-	session, err = obsFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
-	// fatal closes the session on every error path, so -metrics-out
-	// still captures whatever ran before a failure.
-	defer func() {
-		if err := session.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-		}
-	}()
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
+	os.Exit(obsFlags.Run("report", run))
+}
+
+// run executes every experiment in turn, printing each as it finishes.
+func run(ctx context.Context) error {
 	val, err := bench.RunValidation()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("validation: matched worst %.3f C | fine worst %.3f C mean bias %.3f C | ref nodes %d\n\n",
 		val.WorstDiffC, val.FineWorstDiffC, val.FineMeanBiasC, val.ReferenceNodes)
 
-	f6, err := bench.RunFigure6Opts(bench.Figure6Options{Points: 12, Parallel: *parallel, Ctx: ctx})
+	f6, err := bench.RunFigure6Opts(bench.Figure6Options{Points: 12, Ctx: ctx})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(bench.FormatFigure6(f6))
 
 	f7, err := bench.RunFigure7()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("\nFigure 7(b): %d TEC sites %v\n%s\n", len(f7.Sites), f7.Sites, f7.Map)
 
 	opt, err := bench.RunOptimizerAblation()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sol, err := bench.RunSolverAblation()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cvx, err := bench.RunConvexityAblation([]int{1, 2, 4, 8})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	lam, err := bench.RunLambdaToleranceAblation([]float64{1e-3, 1e-6, 1e-10})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(bench.FormatAblations(opt, sol, cvx, lam))
 
 	contact, err := bench.RunContactSensitivity([]float64{0.25, 0.5, 1, 2, 4})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	strategies, err := bench.RunDeploymentStrategies()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(bench.FormatSensitivity(contact, strategies))
 
 	workloads, err := bench.RunWorkloadValidation()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := bench.RunResolutionAblation([]int{10, 20, 30})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(bench.FormatValidationStudies(workloads, res))
 
 	active, err := bench.RunActiveValidation()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(active)
+	return nil
 }

@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	runaway [-points 16] [-parallel N] [-transient]
+//	runaway [-points 16] [-transient] [-csv FILE]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,89 +20,60 @@ import (
 	"tecopt/internal/material"
 	"tecopt/internal/obs"
 	"tecopt/internal/power"
-	"tecopt/internal/tecerr"
 	"tecopt/internal/transient"
 )
 
-// obsSession is the tool-wide observability session; fatal flushes it
-// before exiting.
-var obsSession *obs.Session
-
 func main() {
 	points := flag.Int("points", 16, "number of current samples")
-	parallel := flag.Int("parallel", 1, "current-grid points solved concurrently (0 = all cores, 1 = serial)")
 	doTransient := flag.Bool("transient", false, "also simulate a beyond-limit transient trajectory")
 	csvPath := flag.String("csv", "", "write the sweep as CSV (current_A,hkl_KperW,peak_C) to this path")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	var err error
-	obsSession, err = obsFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer closeObs()
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
-
-	res, err := bench.RunFigure6Opts(bench.Figure6Options{Points: *points, Parallel: *parallel, Ctx: ctx})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(bench.FormatFigure6(res))
-
-	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
+	os.Exit(obsFlags.Run("runaway", func(ctx context.Context) error {
+		res, err := bench.RunFigure6Opts(bench.Figure6Options{Points: *points, Ctx: ctx})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintln(out, "current_A,hkl_KperW,peak_C")
-		for n := range res.Currents {
-			fmt.Fprintf(out, "%g,%g,%g\n", res.Currents[n], res.Hkl[n], res.PeakC[n])
-		}
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sweep written to %s\n", *csvPath)
-	}
+		fmt.Print(bench.FormatFigure6(res))
 
-	if *doTransient {
-		f, g := floorplan.Alpha21364Grid()
-		p := power.AlphaTilePowers(f, g)
-		dep, err := core.GreedyDeploy(core.Config{TilePower: p}, material.CelsiusToKelvin(85), core.CurrentOptions{Ctx: ctx})
-		if err != nil {
-			fatal(err)
+		if *csvPath != "" {
+			out, err := os.Create(*csvPath)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(out, "current_A,hkl_KperW,peak_C")
+			for n := range res.Currents {
+				fmt.Fprintf(out, "%g,%g,%g\n", res.Currents[n], res.Hkl[n], res.PeakC[n])
+			}
+			if err := out.Close(); err != nil {
+				return err
+			}
+			fmt.Printf("sweep written to %s\n", *csvPath)
 		}
-		sys := dep.System
-		fmt.Printf("\ntransient at 1.2 * lambda_m = %.2f A (dynamic runaway):\n", 1.2*res.LambdaM)
-		tr, err := transient.Simulate(sys, []transient.Phase{{Current: 1.2 * res.LambdaM, Duration: 600}},
-			transient.Options{Dt: 0.05, SampleEvery: 100, RunawayCeilingK: 600, Ctx: ctx})
-		if err != nil {
-			fatal(err)
-		}
-		for _, s := range tr.Samples {
-			fmt.Printf("  t=%7.2fs peak=%8.2f C\n", s.TimeS, material.KelvinToCelsius(s.PeakK))
-		}
-		if tr.Runaway {
-			fmt.Println("  -> thermal runaway: trajectory crossed the temperature ceiling")
-		} else {
-			fmt.Println("  -> no runaway within the horizon")
-		}
-	}
-}
 
-// fatal reports the error and exits with its tecerr taxonomy status
-// (2 invalid input, 3 not PD, 4 diverged, 5 cancelled, ...).
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "runaway:", err)
-	closeObs()
-	os.Exit(tecerr.ExitCode(err))
-}
-
-// closeObs flushes the observability session, reporting (but not
-// failing on) write errors.
-func closeObs() {
-	if err := obsSession.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "runaway:", err)
-	}
-	obsSession = nil
+		if *doTransient {
+			f, g := floorplan.Alpha21364Grid()
+			p := power.AlphaTilePowers(f, g)
+			dep, err := core.GreedyDeploy(core.Config{TilePower: p}, material.CelsiusToKelvin(85), core.CurrentOptions{Ctx: ctx})
+			if err != nil {
+				return err
+			}
+			sys := dep.System
+			fmt.Printf("\ntransient at 1.2 * lambda_m = %.2f A (dynamic runaway):\n", 1.2*res.LambdaM)
+			tr, err := transient.Simulate(sys, []transient.Phase{{Current: 1.2 * res.LambdaM, Duration: 600}},
+				transient.Options{Dt: 0.05, SampleEvery: 100, RunawayCeilingK: 600, Ctx: ctx})
+			if err != nil {
+				return err
+			}
+			for _, s := range tr.Samples {
+				fmt.Printf("  t=%7.2fs peak=%8.2f C\n", s.TimeS, material.KelvinToCelsius(s.PeakK))
+			}
+			if tr.Runaway {
+				fmt.Println("  -> thermal runaway: trajectory crossed the temperature ceiling")
+			} else {
+				fmt.Println("  -> no runaway within the horizon")
+			}
+		}
+		return nil
+	}))
 }

@@ -55,12 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	restoreLog, err := logFlags.Install(stderr)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return 2
-	}
-	defer restoreLog()
+	defer logFlags.Install(stderr)()
 	analyzers := lint.All()
 	if *listRules {
 		for _, a := range analyzers {

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,7 +31,6 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/obs"
-	"tecopt/internal/tecerr"
 )
 
 func main() {
@@ -57,83 +57,76 @@ func main() {
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	var err error
-	session, err = obsFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer closeObs(session)
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
-
-	loaded, err := chipload.Load(chipload.Spec{
-		Name: *chip, FLP: *flpPath, Ptrace: *ptracePath,
-		Cols: cols, Rows: rows, Margin: *margin,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	opt := core.CurrentOptions{Method: method, Ctx: ctx}
-	cfg := core.Config{
-		Geom: loaded.Geom,
-		Cols: loaded.Grid.Cols, Rows: loaded.Grid.Rows,
-		TilePower: loaded.TilePower,
-	}
-	// Validate before solving so a bad chip file exits with the
-	// invalid-input status instead of surfacing as a solver failure.
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-
-	res, err := core.GreedyDeploy(cfg, material.CelsiusToKelvin(*limitC), opt)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut {
-		emitJSON(loaded.Name, *limitC, res)
-		return
-	}
-	fmt.Printf("chip %s: no-TEC peak %.2f C, limit %.1f C\n",
-		loaded.Name, material.KelvinToCelsius(res.NoTECPeakK), *limitC)
-	if res.Success {
-		fmt.Printf("greedy deployment SUCCEEDS: %d TECs, %d iteration(s)\n",
-			len(res.Sites), len(res.Iterations))
-	} else {
-		fmt.Printf("greedy deployment FAILS (limit unreachable): best with %d TECs\n", len(res.Sites))
-	}
-	fmt.Printf("  I_opt   = %.3f A (lambda_m = %.2f A)\n", res.Current.IOpt, res.Current.LambdaM)
-	fmt.Printf("  peak    = %.2f C (cooling swing %.2f C)\n",
-		material.KelvinToCelsius(res.Current.PeakK),
-		res.NoTECPeakK-res.Current.PeakK)
-	fmt.Printf("  P_TEC   = %.3f W\n", res.Current.TECPowerW)
-	if res.System.Array.Count() > 0 && res.Current.IOpt > 0 {
-		fmt.Printf("  COP     = %.2f\n", res.System.Array.ArrayCOP(res.Current.Theta, res.Current.IOpt))
-		fmt.Printf("  V_str   = %.3f V (series string)\n",
-			res.System.Array.StringVoltage(res.Current.Theta, res.Current.IOpt))
-	}
-	for n, it := range res.Iterations {
-		fmt.Printf("  iter %d: +%d tiles -> peak %.2f C, %d still over\n",
-			n+1, len(it.Added), material.KelvinToCelsius(it.PeakK), len(it.OverLimit))
-	}
-
-	if *fullCover {
-		fc, _, err := core.FullCover(cfg, opt)
+	os.Exit(obsFlags.Run("tecopt", func(ctx context.Context) error {
+		loaded, err := chipload.Load(chipload.Spec{
+			Name: *chip, FLP: *flpPath, Ptrace: *ptracePath,
+			Cols: cols, Rows: rows, Margin: *margin,
+		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("full-cover baseline: min peak %.2f C at %.3f A (P_TEC %.2f W, lambda_m %.2f A)\n",
-			material.KelvinToCelsius(fc.PeakK), fc.IOpt, fc.TECPowerW, fc.LambdaM)
-		fmt.Printf("  swing loss vs greedy: %.2f C\n", fc.PeakK-res.Current.PeakK)
-	}
 
-	if *showMap {
-		marked := map[int]bool{}
-		for _, s := range res.Sites {
-			marked[s] = true
+		opt := core.CurrentOptions{Method: method, Ctx: ctx}
+		cfg := core.Config{
+			Geom: loaded.Geom,
+			Cols: loaded.Grid.Cols, Rows: loaded.Grid.Rows,
+			TilePower: loaded.TilePower,
 		}
-		fmt.Print(floorplan.AsciiMap(loaded.Floorplan, loaded.Grid, marked))
-	}
+		// Validate before solving so a bad chip file exits with the
+		// invalid-input status instead of surfacing as a solver failure.
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+
+		res, err := core.GreedyDeploy(cfg, material.CelsiusToKelvin(*limitC), opt)
+		if err != nil {
+			return err
+		}
+		if *jsonOut {
+			return emitJSON(loaded.Name, *limitC, res)
+		}
+		fmt.Printf("chip %s: no-TEC peak %.2f C, limit %.1f C\n",
+			loaded.Name, material.KelvinToCelsius(res.NoTECPeakK), *limitC)
+		if res.Success {
+			fmt.Printf("greedy deployment SUCCEEDS: %d TECs, %d iteration(s)\n",
+				len(res.Sites), len(res.Iterations))
+		} else {
+			fmt.Printf("greedy deployment FAILS (limit unreachable): best with %d TECs\n", len(res.Sites))
+		}
+		fmt.Printf("  I_opt   = %.3f A (lambda_m = %.2f A)\n", res.Current.IOpt, res.Current.LambdaM)
+		fmt.Printf("  peak    = %.2f C (cooling swing %.2f C)\n",
+			material.KelvinToCelsius(res.Current.PeakK),
+			res.NoTECPeakK-res.Current.PeakK)
+		fmt.Printf("  P_TEC   = %.3f W\n", res.Current.TECPowerW)
+		if res.System.Array.Count() > 0 && res.Current.IOpt > 0 {
+			fmt.Printf("  COP     = %.2f\n", res.System.Array.ArrayCOP(res.Current.Theta, res.Current.IOpt))
+			fmt.Printf("  V_str   = %.3f V (series string)\n",
+				res.System.Array.StringVoltage(res.Current.Theta, res.Current.IOpt))
+		}
+		for n, it := range res.Iterations {
+			fmt.Printf("  iter %d: +%d tiles -> peak %.2f C, %d still over\n",
+				n+1, len(it.Added), material.KelvinToCelsius(it.PeakK), len(it.OverLimit))
+		}
+
+		if *fullCover {
+			fc, _, err := core.FullCover(cfg, opt)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("full-cover baseline: min peak %.2f C at %.3f A (P_TEC %.2f W, lambda_m %.2f A)\n",
+				material.KelvinToCelsius(fc.PeakK), fc.IOpt, fc.TECPowerW, fc.LambdaM)
+			fmt.Printf("  swing loss vs greedy: %.2f C\n", fc.PeakK-res.Current.PeakK)
+		}
+
+		if *showMap {
+			marked := map[int]bool{}
+			for _, s := range res.Sites {
+				marked[s] = true
+			}
+			fmt.Print(floorplan.AsciiMap(loaded.Floorplan, loaded.Grid, marked))
+		}
+		return nil
+	}))
 }
 
 // jsonResult is the stable machine-readable summary emitted by -json.
@@ -152,7 +145,7 @@ type jsonResult struct {
 	Iterations  int     `json:"iterations"`
 }
 
-func emitJSON(chip string, limitC float64, res *core.DeployResult) {
+func emitJSON(chip string, limitC float64, res *core.DeployResult) error {
 	out := jsonResult{
 		Chip:       chip,
 		LimitC:     limitC,
@@ -171,9 +164,7 @@ func emitJSON(chip string, limitC float64, res *core.DeployResult) {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
+	return enc.Encode(out)
 }
 
 // parseTiles reads a COLSxROWS tile grid.
@@ -189,30 +180,4 @@ func parseTiles(s string) (cols, rows int, err error) {
 		return 0, 0, fmt.Errorf("want COLSxROWS: %v", err)
 	}
 	return cols, rows, nil
-}
-
-// session is the process observability session, closed by fatal before
-// exiting so -metrics/-trace output survives error paths (os.Exit skips
-// the deferred close).
-var session *obs.Session
-
-// closeObs flushes the observability session, reporting (but not
-// failing on) write errors.
-func closeObs(s *obs.Session) {
-	if err := s.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "tecopt:", err)
-	}
-}
-
-// fatal reports the error and exits with its tecerr taxonomy status
-// (2 invalid input, 3 not PD, 4 diverged, 5 cancelled, ...). The error
-// also goes to the structured log when -log is on, carrying its tecerr
-// code.
-func fatal(err error) {
-	if l := obs.Logger(); l != nil {
-		l.Error("tecopt failed", tecerr.LogAttrs(err)...)
-	}
-	fmt.Fprintln(os.Stderr, "tecopt:", err)
-	closeObs(session)
-	os.Exit(tecerr.ExitCode(err))
 }

@@ -53,12 +53,6 @@ import (
 )
 
 func main() {
-	os.Exit(run())
-}
-
-// run is main's body; returning (instead of os.Exit inline) lets the
-// deferred obs session flush its snapshot and trace on every path.
-func run() int {
 	addr := flag.String("addr", "localhost:8080", "listen address (host:port; :0 picks a free port)")
 	workers := flag.Int("workers", 0, "max concurrently executing requests (0 = default 4)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers; 0 = no waiting room, shed immediately")
@@ -68,93 +62,82 @@ func run() int {
 	faultsSpec := flag.String("faults", "", "arm deterministic chaos faults (kind@site:params;... — see internal/faults)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	if flag.NArg() > 0 {
-		return fatal(tecerr.Newf(tecerr.CodeInvalidInput, "tecserve",
-			"tecserve: unexpected arguments %q", flag.Args()))
-	}
-
-	session, err := obsFlags.Start()
-	if err != nil {
-		return fatal(err)
-	}
-	defer func() {
-		if err := session.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "tecserve: obs shutdown: %v\n", err)
+	os.Exit(obsFlags.Run("tecserve", func(context.Context) error {
+		if flag.NArg() > 0 {
+			return tecerr.Newf(tecerr.CodeInvalidInput, "tecserve", "unexpected arguments %q", flag.Args())
 		}
-	}()
-	// A service always has a live registry — /metrics must answer even
-	// when no observability flag was given. The flag bundle's registry
-	// wins when present (it carries the trace/log configuration).
-	reg := obs.Enabled()
-	if reg == nil {
-		reg = obs.New(nil)
-		obs.SetGlobal(reg)
-		defer obs.SetGlobal(nil)
-	}
+		// A service always has a live registry — /metrics must answer even
+		// when no observability flag was given. The flag bundle's registry
+		// wins when present (it carries the trace/log configuration).
+		reg := obs.Enabled()
+		if reg == nil {
+			reg = obs.New(nil)
+			obs.SetGlobal(reg)
+			defer obs.SetGlobal(nil)
+		}
 
-	if *faultsSpec != "" {
-		in, err := faults.ParseSpec(*faultsSpec)
+		if *faultsSpec != "" {
+			in, err := faults.ParseSpec(*faultsSpec)
+			if err != nil {
+				return err
+			}
+			faults.Install(in)
+			fmt.Fprintf(os.Stderr, "tecserve: CHAOS MODE — fault injection armed: %s\n", *faultsSpec)
+		}
+
+		srv := serve.New(serve.Options{
+			Workers:         *workers,
+			Queue:           cliQueue(*queue),
+			DefaultDeadline: *defaultDeadline,
+			MaxDeadline:     *maxDeadline,
+		})
+
+		mux := http.NewServeMux()
+		mux.Handle("/v1/", srv.Handler())
+		mux.Handle("/healthz", srv.Handler())
+		mux.Handle("/metrics", obs.Handler(reg))
+		mux.Handle("/debug/", obs.DebugMux(reg))
+
+		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
-			return fatal(err)
+			return tecerr.Wrapf(tecerr.CodeUnavailable, "tecserve", err, "listen on %s", *addr)
 		}
-		faults.Install(in)
-		fmt.Fprintf(os.Stderr, "tecserve: CHAOS MODE — fault injection armed: %s\n", *faultsSpec)
-	}
+		// The smoke tests and operators parse this line; keep it stable.
+		fmt.Printf("tecserve: listening on http://%s\n", ln.Addr())
 
-	srv := serve.New(serve.Options{
-		Workers:         *workers,
-		Queue:           cliQueue(*queue),
-		DefaultDeadline: *defaultDeadline,
-		MaxDeadline:     *maxDeadline,
-	})
+		httpServer := &http.Server{Handler: mux}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- httpServer.Serve(ln) }()
 
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", srv.Handler())
-	mux.Handle("/healthz", srv.Handler())
-	mux.Handle("/metrics", obs.Handler(reg))
-	mux.Handle("/debug/", obs.DebugMux(reg))
+		sigs := make(chan os.Signal, 1)
+		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+		select {
+		case sig := <-sigs:
+			fmt.Fprintf(os.Stderr, "tecserve: %v — draining (timeout %s)\n", sig, *drainTimeout)
+		case err := <-serveErr:
+			return tecerr.Wrapf(tecerr.CodeUnavailable, "tecserve", err, "serve")
+		}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fatal(tecerr.Wrapf(tecerr.CodeUnavailable, "tecserve", err,
-			"tecserve: listen on %s", *addr))
-	}
-	// The smoke tests and operators parse this line; keep it stable.
-	fmt.Printf("tecserve: listening on http://%s\n", ln.Addr())
-
-	httpServer := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpServer.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigs:
-		fmt.Fprintf(os.Stderr, "tecserve: %v — draining (timeout %s)\n", sig, *drainTimeout)
-	case err := <-serveErr:
-		return fatal(tecerr.Wrapf(tecerr.CodeUnavailable, "tecserve", err, "tecserve: serve"))
-	}
-
-	// Drain state machine: refuse new work (503) while in-flight
-	// requests finish, bounded by -drain-timeout; only then close the
-	// listener.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	drainErr := srv.Drain(ctx)
-	cancel()
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
-	if err := httpServer.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "tecserve: shutdown: %v\n", err)
-	}
-	shutCancel()
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(os.Stderr, "tecserve: serve: %v\n", err)
-	}
-	if drainErr != nil {
-		fmt.Fprintf(os.Stderr, "tecserve: drain forced: %v\n", drainErr)
-		return tecerr.ExitCode(drainErr)
-	}
-	fmt.Fprintln(os.Stderr, "tecserve: drained cleanly")
-	return 0
+		// Drain state machine: refuse new work (503) while in-flight
+		// requests finish, bounded by -drain-timeout; only then close the
+		// listener.
+		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		drainErr := srv.Drain(ctx)
+		cancel()
+		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
+		if err := httpServer.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			fmt.Fprintf(os.Stderr, "tecserve: shutdown: %v\n", err)
+		}
+		shutCancel()
+		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintf(os.Stderr, "tecserve: serve: %v\n", err)
+		}
+		if drainErr != nil {
+			return fmt.Errorf("drain forced: %w", drainErr)
+		}
+		fmt.Fprintln(os.Stderr, "tecserve: drained cleanly")
+		return nil
+	}))
 }
 
 // cliQueue maps the flag convention (0 = no waiting room) onto the
@@ -164,9 +147,4 @@ func cliQueue(q int) int {
 		return -1
 	}
 	return q
-}
-
-func fatal(err error) int {
-	fmt.Fprintln(os.Stderr, err)
-	return tecerr.ExitCode(err)
 }

@@ -17,7 +17,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -29,24 +28,12 @@ func main() {
 	top := flag.Int("top", 10, "number of spans in the top-by-time tables")
 	logFlags := obs.BindLogFlags(flag.CommandLine)
 	flag.Parse()
-	restoreLog, err := logFlags.Install(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tectrace:", err)
-		os.Exit(tecerr.ExitCode(tecerr.New(tecerr.CodeInvalidInput, "tectrace", err.Error())))
-	}
-	defer restoreLog()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tectrace [-top N] trace-file")
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), *top, os.Stdout); err != nil {
-		if l := obs.Logger(); l != nil {
-			l.Error("tectrace failed", tecerr.LogAttrs(err)...)
+	os.Exit(logFlags.Run("tectrace", func() error {
+		if flag.NArg() != 1 {
+			return tecerr.New(tecerr.CodeInvalidInput, "tectrace", "usage: tectrace [-top N] trace-file")
 		}
-		fmt.Fprintln(os.Stderr, "tectrace:", err)
-		os.Exit(tecerr.ExitCode(err))
-	}
+		return run(flag.Arg(0), *top, os.Stdout)
+	}))
 }
 
 func run(path string, top int, out io.Writer) error {

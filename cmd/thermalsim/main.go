@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -19,22 +20,8 @@ import (
 	"tecopt/internal/core"
 	"tecopt/internal/material"
 	"tecopt/internal/obs"
-	"tecopt/internal/tecerr"
 	"tecopt/internal/visual"
 )
-
-// obsSession is the tool-wide observability session; fatal flushes it
-// before exiting.
-var obsSession *obs.Session
-
-// closeObs flushes the observability session, reporting (but not
-// failing on) write errors.
-func closeObs() {
-	if err := obsSession.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "thermalsim:", err)
-	}
-	obsSession = nil
-}
 
 func main() {
 	chip := flag.String("chip", "alpha", "benchmark chip: alpha, hc01..hc10, or hc:<seed>")
@@ -62,91 +49,78 @@ func main() {
 	ptracePath := flag.String("ptrace", "", "power trace for the custom floorplan (.ptrace)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	var err error
-	obsSession, err = obsFlags.Start()
-	if err != nil {
-		fatal(err)
-	}
-	defer closeObs()
-	ctx, cancel := obsFlags.Context()
-	defer cancel()
-
-	loaded, err := chipload.Load(chipload.Spec{Name: *chip, FLP: *flpPath, Ptrace: *ptracePath})
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.Config{
-		Geom: loaded.Geom,
-		Cols: loaded.Grid.Cols, Rows: loaded.Grid.Rows,
-		TilePower: loaded.TilePower,
-	}
-	// Validate the assembled configuration before any solve so a bad
-	// input exits with the invalid-input status instead of a solver error.
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	sys, err := core.NewSystem(cfg, sites)
-	if err != nil {
-		fatal(err)
-	}
-	peak, tile, theta, err := sys.PeakAt(*current)
-	if err != nil {
-		fatal(fmt.Errorf("solve at %.3f A: %w", *current, err))
-	}
-	sil := sys.PN.SiliconTemps(theta)
-	var mean float64
-	for _, v := range sil {
-		mean += v
-	}
-	mean /= float64(len(sil))
-
-	fmt.Printf("chip %s: %d tiles, %d TEC(s) at %.3f A\n", loaded.Name, len(sil), len(sites), *current)
-	fmt.Printf("  peak %.2f C at tile %d, mean %.2f C, ambient %.2f C\n",
-		material.KelvinToCelsius(peak), tile, material.KelvinToCelsius(mean),
-		material.KelvinToCelsius(sys.Cfg.Geom.AmbientK))
-	if len(sites) > 0 {
-		fmt.Printf("  TEC input power %.3f W", sys.TECPower(theta, *current))
-		if *current > 0 {
-			fmt.Printf(", COP %.2f", sys.Array.ArrayCOP(theta, *current))
+	os.Exit(obsFlags.Run("thermalsim", func(ctx context.Context) error {
+		loaded, err := chipload.Load(chipload.Spec{Name: *chip, FLP: *flpPath, Ptrace: *ptracePath})
+		if err != nil {
+			return err
 		}
-		fmt.Println()
-		lambda, err := sys.RunawayLimit(core.RunawayOptions{Ctx: ctx})
-		if err == nil {
-			fmt.Printf("  runaway limit lambda_m = %.2f A\n", lambda)
+		cfg := core.Config{
+			Geom: loaded.Geom,
+			Cols: loaded.Grid.Cols, Rows: loaded.Grid.Rows,
+			TilePower: loaded.TilePower,
 		}
-	}
-	if *gridOut {
-		g := loaded.Grid
-		for r := g.Rows - 1; r >= 0; r-- {
-			for c := 0; c < g.Cols; c++ {
-				fmt.Printf("%6.1f ", material.KelvinToCelsius(sil[g.TileIndex(c, r)]))
+		// Validate the assembled configuration before any solve so a bad
+		// input exits with the invalid-input status instead of a solver error.
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		sys, err := core.NewSystem(cfg, sites)
+		if err != nil {
+			return err
+		}
+		peak, tile, theta, err := sys.PeakAtCtx(ctx, *current)
+		if err != nil {
+			return fmt.Errorf("solve at %.3f A: %w", *current, err)
+		}
+		sil := sys.PN.SiliconTemps(theta)
+		var mean float64
+		for _, v := range sil {
+			mean += v
+		}
+		mean /= float64(len(sil))
+
+		fmt.Printf("chip %s: %d tiles, %d TEC(s) at %.3f A\n", loaded.Name, len(sil), len(sites), *current)
+		fmt.Printf("  peak %.2f C at tile %d, mean %.2f C, ambient %.2f C\n",
+			material.KelvinToCelsius(peak), tile, material.KelvinToCelsius(mean),
+			material.KelvinToCelsius(sys.Cfg.Geom.AmbientK))
+		if len(sites) > 0 {
+			fmt.Printf("  TEC input power %.3f W", sys.TECPower(theta, *current))
+			if *current > 0 {
+				fmt.Printf(", COP %.2f", sys.Array.ArrayCOP(theta, *current))
 			}
 			fmt.Println()
+			lambda, err := sys.RunawayLimit(core.RunawayOptions{Ctx: ctx})
+			if err == nil {
+				fmt.Printf("  runaway limit lambda_m = %.2f A\n", lambda)
+			}
 		}
-	}
-	if *pngPath != "" {
-		out, err := os.Create(*pngPath)
-		if err != nil {
-			fatal(err)
+		if *gridOut {
+			g := loaded.Grid
+			for r := g.Rows - 1; r >= 0; r-- {
+				for c := 0; c < g.Cols; c++ {
+					fmt.Printf("%6.1f ", material.KelvinToCelsius(sil[g.TileIndex(c, r)]))
+				}
+				fmt.Println()
+			}
 		}
-		err = visual.WriteHeatmap(out, loaded.Grid, sil, visual.HeatmapOptions{
-			TECSites:  sites,
-			Floorplan: loaded.Floorplan,
-			ColorBar:  true,
-		})
-		if cerr := out.Close(); cerr != nil && err == nil {
-			err = cerr
+		if *pngPath != "" {
+			out, err := os.Create(*pngPath)
+			if err != nil {
+				return err
+			}
+			err = visual.WriteHeatmap(out, loaded.Grid, sil, visual.HeatmapOptions{
+				TECSites:  sites,
+				Floorplan: loaded.Floorplan,
+				ColorBar:  true,
+			})
+			if cerr := out.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Printf("  heatmap written to %s\n", *pngPath)
 		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  heatmap written to %s\n", *pngPath)
-	}
-}
-
-// fatal reports the error and exits with its tecerr taxonomy status.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "thermalsim:", err)
-	closeObs()
-	os.Exit(tecerr.ExitCode(err))
+		return nil
+	}))
 }

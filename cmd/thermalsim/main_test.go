@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,5 +19,33 @@ func TestBadFlagValueExit2(t *testing.T) {
 	err := exec.Command(bin, "-tec", "x").Run()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 		t.Errorf("thermalsim -tec x: %v, want exit status 2", err)
+	}
+}
+
+// TestFailureLogRecord: with -log json, a failing run writes one ERROR
+// record carrying the error's tecerr code and op, then the plain error
+// line, and exits with the code's status (2 for an unknown chip).
+func TestFailureLogRecord(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "thermalsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-log", "json", "-chip", "bogus")
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("thermalsim -chip bogus: %v, want exit status 2\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "thermalsim: ") {
+		t.Fatalf("stderr = %q, want one record and one error line", lines)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("record %q: %v", lines[0], err)
+	}
+	if rec["msg"] != "thermalsim failed" || rec["level"] != "ERROR" || rec["code"] != "invalid_input" || rec["op"] != "chipload" {
+		t.Errorf("record = %v, want a thermalsim failed ERROR with code invalid_input and op chipload", rec)
 	}
 }

@@ -1,17 +1,15 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"tecopt/internal/core"
 )
 
-// Benchmarks for the engine-parallelized evaluation paths. Each has a
-// serial sub-benchmark (Parallel: 1) and a parallel one (Parallel: 0 =
-// GOMAXPROCS); comparing the two on a multicore host measures the
-// worker-pool speedup. Full Table I is minutes of work per iteration —
-// run it with -benchtime=1x:
+// BenchmarkEngine_TableI has a serial sub-benchmark (Parallel: 1) and a
+// parallel one (Parallel: 0 = GOMAXPROCS); comparing the two on a
+// multicore host measures the worker-pool speedup. Full Table I is
+// seconds of work per iteration — run it with -benchtime=1x:
 //
 //	go test ./internal/bench -bench BenchmarkEngine_TableI -benchtime=1x
 func BenchmarkEngine_TableI(b *testing.B) {
@@ -51,18 +49,12 @@ func BenchmarkEngine_TableI_Direct(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine_Figure6 times the serial runaway-curve sweep:
+// deployment, lambda_m, the h_kl sweep and one peak solve per point.
 func BenchmarkEngine_Figure6(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "parallel"
+	for n := 0; n < b.N; n++ {
+		if _, err := RunFigure6Opts(Figure6Options{Points: 24}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("%s/points=24", name), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if _, err := RunFigure6Opts(Figure6Options{Points: 24, Parallel: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"strings"
 
 	"tecopt/internal/core"
-	"tecopt/internal/engine"
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
 	"tecopt/internal/refsolver"
+	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
 
@@ -37,29 +37,18 @@ type Figure6Result struct {
 type Figure6Options struct {
 	// Points is the number of current samples (default 16, minimum 4).
 	Points int
-	// Parallel is the number of sample points solved concurrently: <= 0
-	// uses GOMAXPROCS, 1 is the pure-serial fallback. Samples land in
-	// index-addressed slices, so the curve is identical at every worker
-	// count.
-	Parallel int
 	// Ctx, when non-nil, cancels the sweep between sample points and
 	// flows into the deployment and runaway-limit stages.
 	Ctx context.Context
 }
 
-// RunFigure6 sweeps the runaway curve serially with the given number of
-// points. It is the legacy entry point kept for cmd/report; new callers
-// should use RunFigure6Opts.
-func RunFigure6(points int) (*Figure6Result, error) {
-	return RunFigure6Opts(Figure6Options{Points: points})
-}
-
 // RunFigure6Opts builds the Alpha system with its greedy deployment and
 // sweeps h_kl(i) from 0 toward lambda_m. k is the silicon node of the
 // hottest tile and l the hot node of the first deployed device,
-// the pairing whose divergence dominates the runaway. Only a loss of
-// positive definiteness (thermal runaway) reads as +Inf; any other
-// solver error aborts the sweep.
+// the pairing whose divergence dominates the runaway. The sweep is
+// serial: System.HklSweep builds the curve, then each point's peak is
+// one solve. Only a loss of positive definiteness (thermal runaway)
+// reads as +Inf; any other solver error aborts the sweep.
 func RunFigure6Opts(opt Figure6Options) (*Figure6Result, error) {
 	points := opt.Points
 	if points < 4 {
@@ -84,37 +73,31 @@ func RunFigure6Opts(opt Figure6Options) (*Figure6Result, error) {
 	res := &Figure6Result{
 		LambdaM:  lambda,
 		Currents: make([]float64, points),
-		Hkl:      make([]float64, points),
 		PeakC:    make([]float64, points),
+	}
+	for n := range res.Currents {
+		// Denser sampling near the limit, where the curve shoots up.
+		frac := 1 - math.Pow(1-float64(n)/float64(points-1), 2)
+		res.Currents[n] = lambda * frac * (1 - 1e-6)
 	}
 	k := sys.PN.SilNode[dep.Current.PeakTile]
 	l := sys.Array.Hot[0]
-	err = engine.Pool{Workers: opt.Parallel}.MapTasksCtx(ctx, points, func(tctx context.Context, n int) error {
-		// Denser sampling near the limit, where the curve shoots up.
-		frac := 1 - math.Pow(1-float64(n)/float64(points-1), 2)
-		i := lambda * frac * (1 - 1e-6)
-		res.Currents[n] = i
-		h, err := sys.HklCtx(tctx, i, k, l)
-		switch {
-		case errors.Is(err, thermal.ErrNotPD):
-			h = math.Inf(1)
-		case err != nil:
-			return fmt.Errorf("bench: figure 6 at i=%g A: %w", i, err)
+	if res.Hkl, err = sys.HklSweep(ctx, k, l, res.Currents); err != nil {
+		return nil, err
+	}
+	for n, i := range res.Currents {
+		if ctx.Err() != nil {
+			return nil, tecerr.Cancelled("bench.figure6", context.Cause(ctx))
 		}
-		res.Hkl[n] = h
-		peak, _, _, err := sys.PeakAtCtx(tctx, i)
+		peak, _, _, err := sys.PeakAtCtx(ctx, i)
 		switch {
 		case errors.Is(err, thermal.ErrNotPD):
 			res.PeakC[n] = math.Inf(1)
 		case err != nil:
-			return fmt.Errorf("bench: figure 6 peak at i=%g A: %w", i, err)
+			return nil, fmt.Errorf("bench: figure 6 peak at i=%g A: %w", i, err)
 		default:
 			res.PeakC[n] = material.KelvinToCelsius(peak)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return res, nil
 }

@@ -8,7 +8,7 @@ import (
 
 func TestRunFigure6Shape(t *testing.T) {
 	skipIfRace(t)
-	res, err := RunFigure6(12)
+	res, err := RunFigure6Opts(Figure6Options{Points: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +41,6 @@ func TestRunFigure6Shape(t *testing.T) {
 	out := FormatFigure6(res)
 	if !strings.Contains(out, "lambda_m") || !strings.Contains(out, "*") {
 		t.Error("formatted figure incomplete")
-	}
-}
-
-func TestRunFigure6ParallelDeterminism(t *testing.T) {
-	skipIfRace(t)
-	serial, err := RunFigure6Opts(Figure6Options{Points: 12, Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunFigure6Opts(Figure6Options{Points: 12, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FormatFigure6(serial) != FormatFigure6(parallel) {
-		t.Error("parallel Figure 6 sweep differs from serial")
 	}
 }
 

@@ -60,7 +60,7 @@ func TestDisabledObsFigure6MatchesPreObsGolden(t *testing.T) {
 	if obs.Enabled() != nil {
 		t.Fatal("a global registry is installed; this test needs the disabled path")
 	}
-	res, err := RunFigure6Opts(Figure6Options{Points: 8, Parallel: 1})
+	res, err := RunFigure6Opts(Figure6Options{Points: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func figure6SnapshotJSON(t *testing.T) []byte {
 	t.Helper()
 	var out []byte
 	withRegistry(t, func(r *obs.Registry) {
-		if _, err := RunFigure6Opts(Figure6Options{Points: 8, Parallel: 1}); err != nil {
+		if _, err := RunFigure6Opts(Figure6Options{Points: 8}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := r.Snapshot().WithoutTimings().JSON()

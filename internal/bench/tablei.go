@@ -19,6 +19,7 @@ import (
 	"tecopt/internal/material"
 	"tecopt/internal/num"
 	"tecopt/internal/power"
+	"tecopt/internal/tecerr"
 )
 
 // TableIRow is one benchmark row of Table I.
@@ -110,7 +111,7 @@ func RunTableIRow(name string, tilePower []float64, opt TableIOptions) (*TableIR
 		row.FailedAt85 = true
 	}
 	if res == nil || !res.Success {
-		return nil, fmt.Errorf("bench: %s infeasible up to %g C", name, opt.MaxLimitC)
+		return nil, tecerr.Newf(tecerr.CodeInternal, "bench.tablei", "bench: %s infeasible up to %g C", name, opt.MaxLimitC)
 	}
 	row.NoTECPeakC = material.KelvinToCelsius(res.NoTECPeakK)
 	row.NumTECs = len(res.Sites)

@@ -13,7 +13,7 @@ import (
 
 // Tests for the per-System solver state (the SMW fast path a System
 // builds on first use) and the safety of concurrent solves on one
-// System (run under -race in CI via `make race-engine`).
+// System (run under -race by `make race` and CI's race step).
 
 func TestFastPathBuiltOnceUnderConcurrentFirstSolves(t *testing.T) {
 	// Eight goroutines make the first solve of one fresh System at

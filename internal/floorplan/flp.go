@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -122,16 +121,4 @@ func AsciiMap(f *Floorplan, g *Grid, marked map[int]bool) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// SortedTiles returns the keys of a tile set in ascending order.
-func SortedTiles(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for t, on := range set {
-		if on {
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -88,16 +88,3 @@ func TestAsciiMap(t *testing.T) {
 		t.Errorf("marked tile not at expected position; line %q", lines[3])
 	}
 }
-
-func TestSortedTiles(t *testing.T) {
-	got := SortedTiles(map[int]bool{5: true, 1: true, 3: false, 2: true})
-	want := []int{1, 2, 5}
-	if len(got) != len(want) {
-		t.Fatalf("SortedTiles = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedTiles = %v, want %v", got, want)
-		}
-	}
-}

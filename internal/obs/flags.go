@@ -12,10 +12,13 @@ import (
 	"slices"
 	"strings"
 	"time"
+
+	"tecopt/internal/tecerr"
 )
 
-// Flags is the uniform observability flag bundle shared by every cmd
-// tool (benchtable, conjecture, runaway, report, dtmsim, thermalsim):
+// Flags is the uniform observability flag bundle shared by the solver
+// commands (tecopt, thermalsim, benchtable, runaway, report,
+// conjecture, dtmsim, tecserve), each of which runs through Run:
 //
 //	-metrics            print a text metric snapshot to stderr on exit
 //	-metrics-out FILE   write the JSON snapshot (the machine-readable
@@ -35,7 +38,7 @@ import (
 //	                    tool flushes whatever partial results it has and
 //	                    exits with the cancelled status code
 //
-// With none of the flags set, Start installs nothing and the process
+// With none of the flags set, Run installs nothing and the process
 // runs the pre-obs disabled path (stdout byte-identical to a build
 // without observability). A -trace-format, -log or -log-level value
 // outside its set fails flag parsing, like an unknown flag.
@@ -62,19 +65,65 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Context returns the context governing the run: context.Background()
-// without -timeout, or a deadline context honoring it. The returned
-// cancel func must be called (defer it) to release the timer.
-func (f *Flags) Context() (context.Context, context.CancelFunc) {
-	if f.Timeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), f.Timeout)
-}
-
 // enabled reports whether any observability flag was set.
 func (f *Flags) enabled() bool {
 	return f.Metrics || f.MetricsOut != "" || f.Trace != "" || f.Pprof != "" || f.Log.enabled()
+}
+
+// Run is the one way a command that binds the bundle runs and ends.
+// It starts the session the flags ask for, runs body under a context
+// that carries the -timeout deadline, and returns the process exit
+// status:
+//
+//	os.Exit(obsFlags.Run("tool", func(ctx context.Context) error { ... }))
+//
+// A failure of body is reported once: an ERROR record carrying the
+// error's tecerr code and op while -log is on, then one "tool: err"
+// line on stderr. The status is tecerr.ExitCode of the error (0 on
+// success). -metrics, -metrics-out and -trace are written on every
+// path; a failure to write them is reported on stderr but leaves the
+// status alone. A body that has partial results prints them before it
+// returns its error.
+func (f *Flags) Run(tool string, body func(ctx context.Context) error) int {
+	return f.run(os.Stderr, tool, body)
+}
+
+// run is Run writing to stderr.
+func (f *Flags) run(stderr io.Writer, tool string, body func(ctx context.Context) error) int {
+	s, err := f.start(stderr)
+	if err != nil {
+		// start installed nothing; the failure is still logged.
+		defer f.Log.Install(stderr)()
+		return fail(stderr, tool, err)
+	}
+	// Deferred, so the outputs are also written when body panics; it
+	// runs after fail has logged through the installed logger.
+	defer func() {
+		if err := s.Close(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+		}
+	}()
+	ctx := context.Background()
+	if f.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
+		defer cancel()
+	}
+	if err := body(ctx); err != nil {
+		return fail(stderr, tool, err)
+	}
+	return 0
+}
+
+// fail reports a command's failure — the structured ERROR record while
+// a logger is installed, then the "tool: err" line — and returns the
+// error's exit status.
+func fail(stderr io.Writer, tool string, err error) int {
+	if l := Logger(); l != nil {
+		l.Error(tool+" failed", tecerr.LogAttrs(err)...)
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	return tecerr.ExitCode(err)
 }
 
 // Session is one activated observability run: the installed registry
@@ -86,54 +135,54 @@ type Session struct {
 	server     *http.Server
 	errs       chan error // server outcome, buffered
 	stderr     io.Writer
-	restoreLog func() // uninstalls the slog logger; nil when -log is off
+	restoreLog func() // uninstalls the slog logger
 }
 
-// Start activates the requested observability: it installs a global
-// registry on the wall clock, records a trace if -trace was given,
-// installs the structured logger if -log was given, and starts the
-// debug server if -pprof was given. It returns nil (fully disabled,
-// zero overhead) when no flag was set.
+// Start activates the requested observability: it starts the debug
+// server if -pprof was given, records a trace if -trace was given,
+// installs the structured logger if -log was given, and installs a
+// global registry on the wall clock. It returns nil (fully disabled,
+// zero overhead) when no flag was set, and installs nothing when it
+// fails. Commands run through Run instead; tests that record a run
+// without a command body call Start and Close directly.
 func (f *Flags) Start() (*Session, error) {
+	return f.start(os.Stderr)
+}
+
+// start is Start writing to stderr.
+func (f *Flags) start(stderr io.Writer) (*Session, error) {
 	if !f.enabled() {
 		return nil, nil
 	}
-	reg := New(nil)
-	if f.Trace != "" {
-		reg.EnableTraceOpts(TraceOptions{})
-	}
-	s := &Session{Reg: reg, flags: *f, stderr: os.Stderr}
-	restore, err := f.Log.Install(s.stderr)
-	if err != nil {
-		return nil, err
-	}
-	s.restoreLog = restore
+	s := &Session{Reg: New(nil), flags: *f, stderr: stderr}
 	if f.Pprof != "" {
 		ln, err := net.Listen("tcp", f.Pprof)
 		if err != nil {
 			return nil, fmt.Errorf("obs: -pprof listen on %s: %w", f.Pprof, err)
 		}
-		s.server = &http.Server{Handler: DebugMux(reg)}
+		s.server = &http.Server{Handler: DebugMux(s.Reg)}
 		s.errs = make(chan error, 1)
 		go func() { s.errs <- s.server.Serve(ln) }()
-		fmt.Fprintf(s.stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
+		fmt.Fprintf(stderr, "obs: serving /metrics and /debug/pprof on http://%s\n", ln.Addr())
 	}
-	SetGlobal(reg)
+	if f.Trace != "" {
+		s.Reg.EnableTraceOpts(TraceOptions{})
+	}
+	s.restoreLog = f.Log.Install(stderr)
+	SetGlobal(s.Reg)
 	return s, nil
 }
 
-// Close uninstalls the registry and writes everything the flags asked
-// for: the stderr text snapshot (-metrics), the JSON run report
-// (-metrics-out), the trace file (-trace), and a graceful shutdown of
-// the debug server. Safe on a nil Session.
+// Close uninstalls the registry and the logger and writes everything
+// the flags asked for: the stderr text snapshot (-metrics), the JSON
+// run report (-metrics-out), the trace file (-trace), and a graceful
+// shutdown of the debug server. Safe on a nil Session.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
 	}
 	SetGlobal(nil)
-	if s.restoreLog != nil {
-		s.restoreLog()
-	}
+	s.restoreLog()
 	var errs []error
 	snap := s.Reg.Snapshot()
 	if s.flags.Metrics {
@@ -193,7 +242,7 @@ func oneOf(fs *flag.FlagSet, p *string, name, usage string, values ...string) {
 	*p = values[0]
 	fs.Func(name, fmt.Sprintf("%s (default %q)", usage, values[0]), func(v string) error {
 		if !slices.Contains(values, v) {
-			return fmt.Errorf("want one of %s", strings.Join(values, ", "))
+			return tecerr.Newf(tecerr.CodeInvalidInput, "obs.flags", "want one of %s", strings.Join(values, ", "))
 		}
 		*p = v
 		return nil

@@ -3,10 +3,9 @@ package obs
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
-	"strings"
+	"os"
 	"sync/atomic"
 )
 
@@ -68,34 +67,25 @@ func (h spanHandler) WithGroup(name string) slog.Handler {
 }
 
 // NewLogHandler builds the shared structured-logging handler used by
-// every CLI: format is "text" or "json", level one of
-// debug/info/warn/error. The handler stamps span_id/parent_id from the
-// context when a trace is recorded.
-func NewLogHandler(w io.Writer, format, level string) (slog.Handler, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "", "info":
-		lv = slog.LevelInfo
+// every CLI: format "json" writes JSON records and any other value
+// text; level is debug, info, warn (or warning) or error, and any other
+// value means info. The -log and -log-level flags accept only those
+// values. The handler stamps span_id/parent_id from the context when a
+// trace is recorded.
+func NewLogHandler(w io.Writer, format, level string) slog.Handler {
+	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
+	switch level {
 	case "debug":
-		lv = slog.LevelDebug
+		opts.Level = slog.LevelDebug
 	case "warn", "warning":
-		lv = slog.LevelWarn
+		opts.Level = slog.LevelWarn
 	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("obs: unknown log level %q (want debug|info|warn|error)", level)
+		opts.Level = slog.LevelError
 	}
-	opts := &slog.HandlerOptions{Level: lv}
-	var h slog.Handler
-	switch strings.ToLower(format) {
-	case "text":
-		h = slog.NewTextHandler(w, opts)
-	case "json":
-		h = slog.NewJSONHandler(w, opts)
-	default:
-		return nil, fmt.Errorf("obs: unknown log format %q (want text|json)", format)
+	if format == "json" {
+		return spanHandler{slog.NewJSONHandler(w, opts)}
 	}
-	return spanHandler{h}, nil
+	return spanHandler{slog.NewTextHandler(w, opts)}
 }
 
 // LogFlags is the uniform -log/-log-level flag pair shared by every
@@ -109,8 +99,8 @@ type LogFlags struct {
 
 // BindLogFlags registers the flag pair on fs and returns the bound
 // struct. It is split from BindFlags so CLIs that do not want the
-// metrics/trace bundle (teclint, mkchip, benchjson) still take the
-// uniform logging flags.
+// metrics/trace bundle (teclint, mkchip, tectrace, benchjson) still
+// take the uniform logging flags.
 func BindLogFlags(fs *flag.FlagSet) *LogFlags {
 	f := &LogFlags{}
 	f.bind(fs)
@@ -132,14 +122,29 @@ func (f *LogFlags) enabled() bool {
 // the process logger, and returns a restore function (call it at CLI
 // exit). With logging off it installs nothing and the restore is a
 // no-op.
-func (f *LogFlags) Install(w io.Writer) (restore func(), err error) {
+func (f *LogFlags) Install(w io.Writer) (restore func()) {
 	if !f.enabled() {
-		return func() {}, nil
+		return func() {}
 	}
-	h, err := NewLogHandler(w, f.Format, f.Level)
-	if err != nil {
-		return nil, err
+	prev := SetLogger(slog.New(NewLogHandler(w, f.Format, f.Level)))
+	return func() { SetLogger(prev) }
+}
+
+// Run is the one way a command that binds only the logging flags runs
+// and ends: it installs the logger, runs body, and returns the process
+// exit status, reporting a failure as Flags.Run does (an ERROR record
+// with the tecerr code and op while -log is on, then one "tool: err"
+// line on stderr, status tecerr.ExitCode).
+func (f *LogFlags) Run(tool string, body func() error) int {
+	return f.run(os.Stderr, tool, body)
+}
+
+// run is Run writing to stderr.
+func (f *LogFlags) run(stderr io.Writer, tool string, body func() error) int {
+	restore := f.Install(stderr)
+	defer restore()
+	if err := body(); err != nil {
+		return fail(stderr, tool, err)
 	}
-	prev := SetLogger(slog.New(h))
-	return func() { SetLogger(prev) }, nil
+	return 0
 }

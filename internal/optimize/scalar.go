@@ -271,49 +271,6 @@ func GradientDescent(f Func, opt GradientDescentOptions) (Result, error) {
 	return Result{X: x, F: fx, Iterations: opt.MaxIter, Converged: false}, ErrMaxIterations
 }
 
-// Bisect finds a root of f in [a, b] (f(a) and f(b) must have opposite
-// signs) to the absolute x-tolerance tol.
-func Bisect(f Func, a, b, tol float64, maxIter int) (Result, error) {
-	if !(a < b) {
-		return Result{}, ErrInvalidBracket
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	fa, fb := f(a), f(b)
-	if num.IsZero(fa) {
-		return Result{X: a, F: 0, Converged: true}, nil
-	}
-	if num.IsZero(fb) {
-		return Result{X: b, F: 0, Converged: true}, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return Result{}, ErrInvalidBracket
-	}
-	var it int
-	for it = 1; it <= maxIter && b-a > tol; it++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if num.IsZero(fm) {
-			return Result{X: m, F: 0, Iterations: it, Converged: true}, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	x := 0.5 * (a + b)
-	res := Result{X: x, F: f(x), Iterations: it, Converged: b-a <= tol}
-	if !res.Converged {
-		return res, ErrMaxIterations
-	}
-	return res, nil
-}
-
 // BinarySearchBoundary finds, within [lo, hi], the supremum of the set
 // {x : pred(x)} assuming pred is true on a prefix [lo, x*) and false
 // beyond. pred(lo) must hold. This implements the paper's lambda_m

@@ -122,29 +122,6 @@ func TestGradientDescentBadBracket(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	res, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-math.Sqrt2) > 1e-10 {
-		t.Fatalf("X = %v, want sqrt(2)", res.X)
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	res, err := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12, 0)
-	if err != nil || !num.IsZero(res.X) {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-}
-
-func TestBisectNoSignChange(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-9, 0); !errors.Is(err, ErrInvalidBracket) {
-		t.Fatalf("err = %v, want ErrInvalidBracket", err)
-	}
-}
-
 func TestBinarySearchBoundary(t *testing.T) {
 	// pred true below 3.7.
 	got, err := BinarySearchBoundary(func(x float64) bool { return x < 3.7 }, 0, 100, 1e-12, 0)
@@ -184,24 +161,6 @@ func TestOptimizersAgreeOnQuadraticsProperty(t *testing.T) {
 			return false
 		}
 		return math.Abs(g.X-c) < 1e-6 && math.Abs(d.X-c) < 1e-5
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Bisect finds a root with |f(root)| small for random monotone
-// cubics with a sign change.
-func TestBisectRootProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := -5 + 10*rng.Float64()
-		fn := func(x float64) float64 { return (x - r) * (1 + x*x) }
-		res, err := Bisect(fn, -6, 6, 1e-12, 0)
-		if err != nil {
-			return false
-		}
-		return math.Abs(res.X-r) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -88,15 +88,6 @@ func (m *Model) Densities(w Workload) map[string]float64 {
 	return out
 }
 
-// TotalPower integrates a density map over the floorplan's units.
-func TotalPower(f *floorplan.Floorplan, density map[string]float64) float64 {
-	var p float64
-	for _, u := range f.Units {
-		p += density[u.Name] * u.Area()
-	}
-	return p
-}
-
 // alphaWorstDensity is the calibrated worst-case power density table for
 // the Alpha-21364-like floorplan, in W/cm^2, including the 20% margin.
 // IntReg and L2 match the values quoted in Section VI.A; the remaining

@@ -141,15 +141,6 @@ func TestDensitiesSingleWorkload(t *testing.T) {
 	}
 }
 
-func TestTotalPower(t *testing.T) {
-	f := floorplan.New("t", 1e-2, 1e-2) // 1 cm^2
-	_ = f.AddUnit(floorplan.Unit{Name: "u", Rect: floorplan.Rect{X: 0, Y: 0, W: 1e-2, H: 1e-2}})
-	got := TotalPower(f, map[string]float64{"u": 50 * WattsPerCm2})
-	if math.Abs(got-50) > 1e-9 {
-		t.Fatalf("TotalPower = %v, want 50", got)
-	}
-}
-
 func TestCheckBudget(t *testing.T) {
 	if err := CheckBudget([]float64{1, 2, 3}, 6, 0.01); err != nil {
 		t.Errorf("exact budget rejected: %v", err)

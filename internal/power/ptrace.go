@@ -111,20 +111,6 @@ func (tr *Trace) WorstCase(margin float64) map[string]float64 {
 	return out
 }
 
-// MeanPower returns the per-unit mean power over samples.
-func (tr *Trace) MeanPower() map[string]float64 {
-	out := make(map[string]float64, len(tr.Units))
-	for s := range tr.Samples {
-		for u, v := range tr.Samples[s] {
-			out[tr.Units[u]] += v
-		}
-	}
-	for u := range out {
-		out[u] /= float64(len(tr.Samples))
-	}
-	return out
-}
-
 // SynthesizeTrace evaluates the activity model over the workloads and
 // emits one .ptrace sample per workload for the floorplan's units —
 // exactly the data the paper's M5+Wattch stage produces. Unit powers are

@@ -235,31 +235,6 @@ func Simulate(sys *core.System, schedule []Phase, opt Options) (*Trace, error) {
 	return tr, nil
 }
 
-// SettleTime returns the first sample time at which the peak temperature
-// stays within tolK of the final sample's peak, a crude settling-time
-// estimate. Returns the last sample time if the trace never settles.
-func (tr *Trace) SettleTime(tolK float64) float64 {
-	if len(tr.Samples) == 0 {
-		return 0
-	}
-	final := tr.Samples[len(tr.Samples)-1].PeakK
-	for i, s := range tr.Samples {
-		if math.Abs(s.PeakK-final) <= tolK {
-			ok := true
-			for _, later := range tr.Samples[i:] {
-				if math.Abs(later.PeakK-final) > tolK {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return s.TimeS
-			}
-		}
-	}
-	return tr.Samples[len(tr.Samples)-1].TimeS
-}
-
 // PeakSeries extracts (time, peak Celsius) pairs for plotting.
 func (tr *Trace) PeakSeries() (times, peaksC []float64) {
 	times = make([]float64, len(tr.Samples))
