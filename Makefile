@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race chaos serve-chaos serve-smoke bench-serve vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
+.PHONY: all build test race chaos serve-chaos serve-smoke vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
 
 all: check
 
@@ -39,21 +39,11 @@ serve-chaos:
 
 # Service smoke: build the real tecserve binary, drive every endpoint
 # over HTTP, force a 429 through a one-worker/no-queue configuration,
-# verify the cross-request solver-cache hit on /metrics, and
-# SIGTERM-drain to a clean exit 0.
+# verify the cross-request solver-cache hit on /metrics,
+# SIGTERM-drain to a clean exit 0, and drain to exit 5 when -timeout
+# expires.
 serve-smoke:
 	$(GO) test -count=1 -run 'TestServeBinary' ./cmd/tecserve
-
-# Serving latency snapshot: open-loop load from cmd/tecload against an
-# in-process server; the p50/p99/throughput result lines are distilled
-# into BENCH_serve.json by the same benchjson -merge flow the solver
-# benchmarks use (EXPERIMENTS.md tracks history).
-bench-serve:
-	@[ -f BENCH_serve.json ] || echo '[]' > BENCH_serve.json
-	$(GO) run ./cmd/tecload -self -rate 100 -duration 5s \
-		| $(GO) run ./cmd/benchjson -merge BENCH_serve.json > BENCH_serve.json.tmp
-	mv BENCH_serve.json.tmp BENCH_serve.json
-	@cat BENCH_serve.json
 
 vet:
 	$(GO) vet ./...

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -130,19 +131,21 @@ func main() {
 }
 
 // jsonResult is the stable machine-readable summary emitted by -json.
+// lambda_m_a is null when lambda_m is +Inf (no TEC deployed, or a limit
+// beyond reach), which JSON cannot encode.
 type jsonResult struct {
-	Chip        string  `json:"chip"`
-	LimitC      float64 `json:"limit_c"`
-	Success     bool    `json:"success"`
-	NoTECPeakC  float64 `json:"no_tec_peak_c"`
-	NumTECs     int     `json:"num_tecs"`
-	Sites       []int   `json:"sites"`
-	IOptA       float64 `json:"iopt_a"`
-	LambdaMA    float64 `json:"lambda_m_a"`
-	PeakC       float64 `json:"peak_c"`
-	PTECW       float64 `json:"ptec_w"`
-	StringVoltV float64 `json:"string_volt_v"`
-	Iterations  int     `json:"iterations"`
+	Chip        string   `json:"chip"`
+	LimitC      float64  `json:"limit_c"`
+	Success     bool     `json:"success"`
+	NoTECPeakC  float64  `json:"no_tec_peak_c"`
+	NumTECs     int      `json:"num_tecs"`
+	Sites       []int    `json:"sites"`
+	IOptA       float64  `json:"iopt_a"`
+	LambdaMA    *float64 `json:"lambda_m_a"`
+	PeakC       float64  `json:"peak_c"`
+	PTECW       float64  `json:"ptec_w"`
+	StringVoltV float64  `json:"string_volt_v"`
+	Iterations  int      `json:"iterations"`
 }
 
 func emitJSON(chip string, limitC float64, res *core.DeployResult) error {
@@ -154,10 +157,12 @@ func emitJSON(chip string, limitC float64, res *core.DeployResult) error {
 		NumTECs:    len(res.Sites),
 		Sites:      res.Sites,
 		IOptA:      res.Current.IOpt,
-		LambdaMA:   res.Current.LambdaM,
 		PeakC:      material.KelvinToCelsius(res.Current.PeakK),
 		PTECW:      res.Current.TECPowerW,
 		Iterations: len(res.Iterations),
+	}
+	if l := res.Current.LambdaM; !math.IsInf(l, 0) && !math.IsNaN(l) {
+		out.LambdaMA = &l
 	}
 	if res.System.Array.Count() > 0 {
 		out.StringVoltV = res.System.Array.StringVoltage(res.Current.Theta, res.Current.IOpt)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -43,5 +44,29 @@ func TestBadFlagValuesExit2(t *testing.T) {
 				t.Errorf("tecopt %v: %v, want exit status 2", args, err)
 			}
 		})
+	}
+}
+
+// TestJSONCompliantChipLambdaNull: a chip already under its limit
+// (HC09 at 90 C) deploys no TEC, so lambda_m is +Inf, which -json
+// writes as null.
+func TestJSONCompliantChipLambdaNull(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "tecopt")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-chip", "hc09", "-limit", "90", "-json").Output()
+	if err != nil {
+		t.Fatalf("tecopt -json: %v", err)
+	}
+	var res map[string]any
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatalf("decoding %s: %v", out, err)
+	}
+	if res["success"] != true || res["num_tecs"] != 0.0 {
+		t.Fatalf("HC09 at 90 C should succeed without TECs:\n%s", out)
+	}
+	if v, ok := res["lambda_m_a"]; !ok || v != nil {
+		t.Errorf("lambda_m_a = %v (present %v), want null:\n%s", v, ok, out)
 	}
 }

@@ -26,7 +26,8 @@
 // SIGTERM or SIGINT starts a graceful drain: the server immediately
 // answers 503 to new requests, finishes in-flight ones up to
 // -drain-timeout, then exits — 0 after a clean drain, the cancelled
-// status code when the deadline forced it.
+// status code when the deadline forced it. An expired -timeout drains
+// the same way and exits with the cancelled status.
 //
 // -faults arms deterministic service-layer chaos (see faults.ParseSpec
 // for the grammar), e.g.:
@@ -62,7 +63,7 @@ func main() {
 	faultsSpec := flag.String("faults", "", "arm deterministic chaos faults (kind@site:params;... — see internal/faults)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
-	os.Exit(obsFlags.Run("tecserve", func(context.Context) error {
+	os.Exit(obsFlags.Run("tecserve", func(ctx context.Context) error {
 		if flag.NArg() > 0 {
 			return tecerr.Newf(tecerr.CodeInvalidInput, "tecserve", "unexpected arguments %q", flag.Args())
 		}
@@ -114,17 +115,20 @@ func main() {
 		select {
 		case sig := <-sigs:
 			fmt.Fprintf(os.Stderr, "tecserve: %v — draining (timeout %s)\n", sig, *drainTimeout)
+		case <-ctx.Done():
+			fmt.Fprintf(os.Stderr, "tecserve: -timeout expired — draining (timeout %s)\n", *drainTimeout)
 		case err := <-serveErr:
 			return tecerr.Wrapf(tecerr.CodeUnavailable, "tecserve", err, "serve")
 		}
 
 		// Drain state machine: refuse new work (503) while in-flight
 		// requests finish, bounded by -drain-timeout; only then close the
-		// listener.
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		drainErr := srv.Drain(ctx)
+		// listener. The drain outlives an expired -timeout, so its
+		// context drops ctx's deadline.
+		drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), *drainTimeout)
+		drainErr := srv.Drain(drainCtx)
 		cancel()
-		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
+		shutCtx, shutCancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 		if err := httpServer.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "tecserve: shutdown: %v\n", err)
 		}
@@ -136,6 +140,9 @@ func main() {
 			return fmt.Errorf("drain forced: %w", drainErr)
 		}
 		fmt.Fprintln(os.Stderr, "tecserve: drained cleanly")
+		if err := ctx.Err(); err != nil {
+			return tecerr.Wrap(tecerr.CodeCancelled, "tecserve", "-timeout expired", err)
+		}
 		return nil
 	}))
 }

@@ -3,7 +3,8 @@ package main
 // Binary smoke tests: build the real tecserve executable, drive every
 // endpoint over real HTTP, force a 429 through a tiny admission
 // configuration, and prove the SIGTERM drain finishes in-flight work
-// and exits 0. make serve-smoke (and CI) runs exactly this file.
+// and exits 0, and that an expired -timeout drains to exit 5. make
+// serve-smoke (and CI) runs exactly this file.
 
 import (
 	"bufio"
@@ -252,5 +253,33 @@ func TestServeBinaryBadFlags(t *testing.T) {
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 2 {
 		t.Fatalf("exit = %v, want invalid-input code 2\n%s", err, out)
+	}
+}
+
+// TestServeBinaryTimeout: an expired -timeout drains like SIGTERM and
+// exits with the cancelled status 5, after serving until then.
+func TestServeBinaryTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary smoke test builds and runs the executable")
+	}
+	url, sigterm, wait := startServe(t, "-timeout", "2s")
+	if status, m := postStatus(t, url+"/v1/solve", tinyBody(map[string]any{"current_a": 0.5})); status != http.StatusOK {
+		t.Fatalf("solve before the deadline: status %d body %v", status, m)
+	}
+	// A server that ignores -timeout would serve on: SIGTERM it after a
+	// bound, so the test fails instead of hanging.
+	watchdog := time.AfterFunc(30*time.Second, func() {
+		t.Error("tecserve still serving 30 s after a 2 s -timeout")
+		sigterm()
+	})
+	defer watchdog.Stop()
+	code, errOut := wait()
+	if code != 5 {
+		t.Fatalf("exit code %d, want 5 after -timeout\nstderr: %s", code, errOut)
+	}
+	for _, want := range []string{"-timeout expired — draining", "drained cleanly", "tecserve: -timeout expired: context deadline exceeded"} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("stderr missing %q:\n%s", want, errOut)
+		}
 	}
 }

@@ -90,9 +90,10 @@ func main() {
 			}
 			fmt.Println()
 			lambda, err := sys.RunawayLimit(core.RunawayOptions{Ctx: ctx})
-			if err == nil {
-				fmt.Printf("  runaway limit lambda_m = %.2f A\n", lambda)
+			if err != nil {
+				return err
 			}
+			fmt.Printf("  runaway limit lambda_m = %.2f A\n", lambda)
 		}
 		if *gridOut {
 			g := loaded.Grid

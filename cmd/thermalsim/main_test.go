@@ -49,3 +49,26 @@ func TestFailureLogRecord(t *testing.T) {
 		t.Errorf("record = %v, want a thermalsim failed ERROR with code invalid_input and op chipload", rec)
 	}
 }
+
+// TestTimeoutExit5: a -timeout that expires before the runaway-limit
+// search exits with the cancelled status after the lines already
+// printed, instead of leaving out lambda_m and exiting 0.
+func TestTimeoutExit5(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "thermalsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-tec", "66,67", "-current", "1", "-timeout", "1ms")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 5 {
+		t.Fatalf("thermalsim -timeout 1ms: %v, want exit status 5\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	}
+	if strings.Contains(stdout.String(), "lambda_m") {
+		t.Errorf("a cut run printed lambda_m:\n%s", &stdout)
+	}
+	if !strings.HasPrefix(stderr.String(), "thermalsim: ") || !strings.Contains(stderr.String(), "cancelled") {
+		t.Errorf("stderr = %q, want one thermalsim: ... cancelled line", &stderr)
+	}
+}

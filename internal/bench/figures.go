@@ -38,7 +38,8 @@ type Figure6Options struct {
 	// Points is the number of current samples (default 16, minimum 4).
 	Points int
 	// Ctx, when non-nil, cancels the sweep between sample points and
-	// flows into the deployment and runaway-limit stages.
+	// flows into the deployment, whose current optimization also
+	// searches lambda_m.
 	Ctx context.Context
 }
 
@@ -65,11 +66,9 @@ func RunFigure6Opts(opt Figure6Options) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := dep.System
-	lambda, err := sys.RunawayLimit(core.RunawayOptions{Ctx: opt.Ctx})
-	if err != nil {
-		return nil, err
-	}
+	// The deployment's current optimization has already searched
+	// lambda_m on this System.
+	sys, lambda := dep.System, dep.Current.LambdaM
 	res := &Figure6Result{
 		LambdaM:  lambda,
 		Currents: make([]float64, points),

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"tecopt/internal/obs"
 )
 
 func TestRunFigure6Shape(t *testing.T) {
@@ -42,6 +44,20 @@ func TestRunFigure6Shape(t *testing.T) {
 	if !strings.Contains(out, "lambda_m") || !strings.Contains(out, "*") {
 		t.Error("formatted figure incomplete")
 	}
+}
+
+// TestFigure6SearchesLambdaOnce: the runaway limit Figure 6 sweeps
+// toward is the one the greedy deployment's current optimization
+// searched, not a second search on the same System.
+func TestFigure6SearchesLambdaOnce(t *testing.T) {
+	withRegistry(t, func(r *obs.Registry) {
+		if _, err := RunFigure6Opts(Figure6Options{Points: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Counter("core.runaway.searches").Value(); n != 1 {
+			t.Errorf("core.runaway.searches = %d, want 1", n)
+		}
+	})
 }
 
 func TestRunFigure7Map(t *testing.T) {

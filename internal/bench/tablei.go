@@ -55,10 +55,6 @@ type TableIRow struct {
 type TableIOptions struct {
 	// BaseLimitC is the initial allowable temperature (default 85).
 	BaseLimitC float64
-	// MaxLimitC caps the relaxation retries (default 95).
-	MaxLimitC float64
-	// Current tunes the inner convex current optimization.
-	Current core.CurrentOptions
 	// Solve selects the per-current solve path for every chip (forwarded
 	// to core.Config.Solve): SolveAuto is the SMW fast path, SolveDirect
 	// refactors at every current.
@@ -71,8 +67,8 @@ type TableIOptions struct {
 	Parallel int
 	// Ctx, when non-nil, cancels the run between chips and between the
 	// inner solves of each chip (it flows into the per-chip current
-	// optimization unless Current.Ctx is set explicitly). On
-	// cancellation RunTableI still returns the rows completed so far.
+	// optimization). On cancellation RunTableI still returns the rows
+	// completed so far.
 	Ctx context.Context
 }
 
@@ -80,26 +76,25 @@ func (o TableIOptions) withDefaults() TableIOptions {
 	if num.IsZero(o.BaseLimitC) {
 		o.BaseLimitC = 85
 	}
-	if num.IsZero(o.MaxLimitC) {
-		o.MaxLimitC = 95
-	}
-	if o.Current.Ctx == nil {
-		o.Current.Ctx = o.Ctx
-	}
 	return o
 }
+
+// maxLimitC caps the relaxation retries of a chip's allowable
+// temperature (C).
+const maxLimitC = 95.0
 
 // RunTableIRow evaluates one chip: passive peak, greedy deployment with
 // relaxation retries, and the full-cover baseline.
 func RunTableIRow(name string, tilePower []float64, opt TableIOptions) (*TableIRow, error) {
 	opt = opt.withDefaults()
 	cfg := core.Config{TilePower: tilePower, Solve: opt.Solve}
+	current := core.CurrentOptions{Ctx: opt.Ctx}
 	start := time.Now()
 
 	row := &TableIRow{Name: name, LimitC: opt.BaseLimitC}
 	var res *core.DeployResult
-	for limit := opt.BaseLimitC; limit <= opt.MaxLimitC; limit++ {
-		r, err := core.GreedyDeploy(cfg, material.CelsiusToKelvin(limit), opt.Current)
+	for limit := opt.BaseLimitC; limit <= maxLimitC; limit++ {
+		r, err := core.GreedyDeploy(cfg, material.CelsiusToKelvin(limit), current)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s at %g C: %w", name, limit, err)
 		}
@@ -111,7 +106,7 @@ func RunTableIRow(name string, tilePower []float64, opt TableIOptions) (*TableIR
 		row.FailedAt85 = true
 	}
 	if res == nil || !res.Success {
-		return nil, tecerr.Newf(tecerr.CodeInternal, "bench.tablei", "bench: %s infeasible up to %g C", name, opt.MaxLimitC)
+		return nil, tecerr.Newf(tecerr.CodeInternal, "bench.tablei", "bench: %s infeasible up to %g C", name, maxLimitC)
 	}
 	row.NoTECPeakC = material.KelvinToCelsius(res.NoTECPeakK)
 	row.NumTECs = len(res.Sites)
@@ -121,7 +116,7 @@ func RunTableIRow(name string, tilePower []float64, opt TableIOptions) (*TableIR
 	row.GreedyPeakC = material.KelvinToCelsius(res.Current.PeakK)
 	row.Iterations = len(res.Iterations)
 
-	fc, _, err := core.FullCover(cfg, opt.Current)
+	fc, _, err := core.FullCover(cfg, current)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s full cover: %w", name, err)
 	}
@@ -163,13 +158,8 @@ func RunTableI(opt TableIOptions) ([]*TableIRow, error) {
 		// flows and — when a trace is recorded — the chip's whole
 		// solve tree (greedy deploy, current optimization, runaway
 		// search) nests under its pool task with the worker's track.
-		// Current is forwarded as the caller set it: with Current.Ctx
-		// unset, the row's withDefaults fills it from the task context;
-		// an explicitly set one is respected.
 		row, err := RunTableIRow(names[i], powers[i], TableIOptions{
 			BaseLimitC: opt.BaseLimitC,
-			MaxLimitC:  opt.MaxLimitC,
-			Current:    opt.Current,
 			Solve:      opt.Solve,
 			Ctx:        tctx,
 		})

@@ -51,15 +51,9 @@ type CurrentOptions struct {
 	Method CurrentMethod
 	// Tol is the absolute current tolerance in amperes (default 1e-4).
 	Tol float64
-	// SafetyMargin keeps the search away from lambda_m: the upper bound
-	// is lambda_m*(1-SafetyMargin). Default 1e-3.
-	SafetyMargin float64
-	// Runaway tunes the lambda_m computation.
-	Runaway RunawayOptions
 	// Ctx, when non-nil, cancels the optimization between objective
-	// evaluations; it also flows into the runaway-limit search unless
-	// Runaway.Ctx is set explicitly. A cancelled run returns a
-	// tecerr.CodeCancelled error.
+	// evaluations; it also flows into the runaway-limit search. A
+	// cancelled run returns a tecerr.CodeCancelled error.
 	Ctx context.Context
 }
 
@@ -67,11 +61,12 @@ func (o CurrentOptions) withDefaults() CurrentOptions {
 	if o.Tol <= 0 {
 		o.Tol = 1e-4
 	}
-	if o.SafetyMargin <= 0 {
-		o.SafetyMargin = 1e-3
-	}
 	return o
 }
+
+// safetyMargin keeps the current search away from lambda_m: the upper
+// bound of the search is lambda_m*(1-safetyMargin).
+const safetyMargin = 1e-3
 
 // CurrentResult reports the optimized operating point.
 type CurrentResult struct {
@@ -93,9 +88,10 @@ type CurrentResult struct {
 }
 
 // maxBracketCurrentA caps the ascending-objective bracket expansion of
-// OptimizeCurrent when lambda_m is unreachable. No physical device
-// survives a mega-ampere, so failing to bracket by then means the model
-// is broken, not that the search should silently truncate.
+// OptimizeCurrent when lambda_m is unreachable, and RunawayLimit's
+// geometric bracketing, beyond which lambda_m reads +Inf. No physical
+// device survives a mega-ampere, so failing to bracket by then means
+// the model is broken, not that the search should silently truncate.
 const maxBracketCurrentA = 1e6
 
 // ErrBracketExhausted reports that OptimizeCurrent's bracket expansion
@@ -150,11 +146,6 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 			r.Gauge("core.optimize_current.last_evaluations").Set(int64(evals))
 		}()
 	}
-	if opt.Runaway.Ctx == nil {
-		// The spanned ctx (not the raw opt.Ctx) flows into the runaway
-		// search so its span nests under this optimization's.
-		opt.Runaway.Ctx = ctx
-	}
 	if s.Array.Count() == 0 {
 		peak, tile, theta, err := s.PeakAtCtx(ctx, 0)
 		if err != nil {
@@ -167,7 +158,9 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 		}, nil
 	}
 
-	lambda, err := s.RunawayLimit(opt.Runaway)
+	// The spanned ctx (not the raw opt.Ctx) flows into the runaway
+	// search so its span nests under this optimization's.
+	lambda, err := s.RunawayLimit(RunawayOptions{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +198,7 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 			return nil, err
 		}
 	} else {
-		hi = lambda * (1 - opt.SafetyMargin)
+		hi = lambda * (1 - safetyMargin)
 	}
 	if hi <= 0 {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.optimize_current",

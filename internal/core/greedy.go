@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strconv"
 
@@ -67,17 +68,21 @@ func GreedyDeploy(cfg Config, limitK float64, opt CurrentOptions) (res *DeployRe
 	if err != nil {
 		return nil, err
 	}
-	peak0, _, theta0, err := passive.PeakAtCtx(opt.Ctx, 0)
+	peak0, tile0, theta0, err := passive.PeakAtCtx(opt.Ctx, 0)
 	if err != nil {
 		return nil, err
 	}
 	res = &DeployResult{NoTECPeakK: peak0}
 	overLimit := passive.OverLimitTiles(theta0, limitK)
 	if len(overLimit) == 0 {
-		// Already compliant: no TECs needed.
+		// Already compliant: no TECs needed. The passive solve is the
+		// operating point OptimizeCurrent reports for a TEC-less system.
 		res.Success = true
 		res.System = passive
-		res.Current = &CurrentResult{IOpt: 0, PeakK: peak0, Theta: theta0}
+		res.Current = &CurrentResult{
+			IOpt: 0, PeakK: peak0, PeakTile: tile0, Theta: theta0,
+			LambdaM: math.Inf(1), Evaluations: 1,
+		}
 		return res, nil
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"tecopt/internal/material"
 	"tecopt/internal/num"
+	"tecopt/internal/power"
 )
 
 func TestGreedyDeployTrivialWhenCool(t *testing.T) {
@@ -19,6 +20,38 @@ func TestGreedyDeployTrivialWhenCool(t *testing.T) {
 	}
 	if !num.IsZero(res.Current.IOpt) {
 		t.Fatalf("IOpt = %v, want 0", res.Current.IOpt)
+	}
+}
+
+// TestGreedyDeployCompliantReportsPassivePoint: on a chip already under
+// its limit (HC09 at 90 C) the deployment's operating point is the one
+// OptimizeCurrent reports for the same TEC-less system, with its
+// hottest tile, lambda_m = +Inf and its one solve.
+func TestGreedyDeployCompliantReportsPassivePoint(t *testing.T) {
+	suite, err := power.GenerateHCSuite(power.DefaultHCSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{TilePower: suite[8].TilePower}
+	res, err := GreedyDeploy(cfg, material.CelsiusToKelvin(90), CurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Success || len(res.Sites) != 0 || len(res.Iterations) != 0 {
+		t.Fatalf("%s at 90 C should be compliant without TECs: success=%v sites=%v",
+			suite[8].Name, res.Success, res.Sites)
+	}
+	want, err := mustSystem(t, cfg, nil).OptimizeCurrent(CurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Current
+	if got.PeakTile != want.PeakTile || !num.ExactEqual(got.PeakK, want.PeakK) ||
+		!math.IsInf(got.LambdaM, 1) || !math.IsInf(want.LambdaM, 1) ||
+		got.Evaluations != want.Evaluations || !num.IsZero(got.IOpt) {
+		t.Errorf("compliant point {tile %d, peak %v K, lambda_m %v, evals %d, i %v}, want {tile %d, peak %v K, lambda_m %v, evals %d, i 0}",
+			got.PeakTile, got.PeakK, got.LambdaM, got.Evaluations, got.IOpt,
+			want.PeakTile, want.PeakK, want.LambdaM, want.Evaluations)
 	}
 }
 

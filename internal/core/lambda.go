@@ -56,10 +56,6 @@ func (s *System) HasRunawayLimit() bool {
 type RunawayOptions struct {
 	// RelTol is the relative tolerance of the binary search (1e-10).
 	RelTol float64
-	// BracketMax caps the geometric bracketing phase; if G - i*D is
-	// still positive definite at BracketMax amperes the limit is
-	// reported as +Inf. Default 1e6 A.
-	BracketMax float64
 	// Ctx, when non-nil, cancels the search between positive-
 	// definiteness probes; a cancelled search returns a
 	// tecerr.CodeCancelled error.
@@ -70,18 +66,15 @@ func (o RunawayOptions) withDefaults() RunawayOptions {
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-10
 	}
-	if o.BracketMax <= 0 {
-		o.BracketMax = 1e6
-	}
 	return o
 }
 
 // RunawayLimit computes lambda_m for the system. A system that cannot
 // run away — no TEC deployed (see HasRunawayLimit), or a limit beyond
-// BracketMax — reports lambda_m = +Inf with a nil error; an error is
-// returned only for genuine failures (G not positive definite at i = 0,
-// or a broken binary search). The returned value is meaningful exactly
-// when the error is nil.
+// maxBracketCurrentA (1e6 A) — reports lambda_m = +Inf with a nil
+// error; an error is returned only for genuine failures (G not positive
+// definite at i = 0, or a broken binary search). The returned value is
+// meaningful exactly when the error is nil.
 func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 	opt = opt.withDefaults()
 	if !s.HasRunawayLimit() {
@@ -151,12 +144,13 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 		// G itself must be PD (Lemma 1); anything else is a modeling bug.
 		return 0, tecerr.New(tecerr.CodeNotPD, "core.runaway", "core: G is not positive definite at i=0")
 	}
-	// Geometric bracketing.
+	// Geometric bracketing; still positive definite beyond
+	// maxBracketCurrentA reads as no limit.
 	hi := 1.0
 	for pd(hi) {
 		hi *= 2
 		r.EventCtx(ctx, "core.runaway.bracket_hi", hi)
-		if hi > opt.BracketMax {
+		if hi > maxBracketCurrentA {
 			return math.Inf(1), nil
 		}
 	}

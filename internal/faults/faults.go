@@ -186,9 +186,6 @@ func Install(in *Injector) { current.Store(in) }
 // Uninstall deactivates fault injection.
 func Uninstall() { current.Store(nil) }
 
-// Enabled returns the installed injector, or nil when off.
-func Enabled() *Injector { return current.Load() }
-
 // Check evaluates the control-flow rules (KindError, KindPanic,
 // KindCall) armed at site. It returns the injected error, panics, or
 // invokes the armed callback when a rule fires; otherwise returns nil.

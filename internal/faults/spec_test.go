@@ -47,6 +47,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"error@site:prob=2",
 		"error@site:onhit=1,every=2",
 		"error@site:code=warp",
+		"error@site:code=degraded", // not a tecerr code
 		"error@site:frequency=1",
 		"error@site:onhit=abc",
 	}
@@ -75,7 +76,7 @@ func TestKindSleepBlocks(t *testing.T) {
 // TestCodeByNameCoversTaxonomy checks the name scan resolves every
 // named tecerr code (the serve chaos specs depend on it).
 func TestCodeByNameCoversTaxonomy(t *testing.T) {
-	for _, name := range []string{"internal", "invalid_input", "not_pd", "diverged", "cancelled", "degraded", "panic", "overload", "unavailable"} {
+	for _, name := range []string{"internal", "invalid_input", "not_pd", "diverged", "cancelled", "panic", "overload", "unavailable"} {
 		c, ok := codeByName(name)
 		if !ok {
 			t.Errorf("codeByName(%q) not found", name)

@@ -121,36 +121,3 @@ func CelsiusToKelvin(c float64) float64 { return c + 273.15 }
 
 // KelvinToCelsius converts a kelvin temperature to Celsius.
 func KelvinToCelsius(k float64) float64 { return k - 273.15 }
-
-// SlabConductance returns the through-thickness conductance k*A/t of a
-// material slab with face area a (m^2) and thickness t (m).
-func SlabConductance(m Material, a, t float64) float64 {
-	if a <= 0 || t <= 0 {
-		panic("material: slab area and thickness must be positive")
-	}
-	return m.Conductivity * a / t
-}
-
-// SeriesConductance combines conductances in series (zero if any is zero).
-func SeriesConductance(gs ...float64) float64 {
-	var r float64
-	for _, g := range gs {
-		if num.IsZero(g) {
-			return 0
-		}
-		r += 1 / g
-	}
-	if num.IsZero(r) {
-		return 0
-	}
-	return 1 / r
-}
-
-// ParallelConductance combines conductances in parallel.
-func ParallelConductance(gs ...float64) float64 {
-	var s float64
-	for _, g := range gs {
-		s += g
-	}
-	return s
-}

@@ -53,43 +53,6 @@ func TestTemperatureConversions(t *testing.T) {
 	}
 }
 
-func TestSlabConductance(t *testing.T) {
-	// 100 W/mK over 1 mm^2 through 0.1 mm: 100 * 1e-6 / 1e-4 = 1 W/K.
-	got := SlabConductance(Silicon, 1e-6, 1e-4)
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("SlabConductance = %v, want 1", got)
-	}
-}
-
-func TestSlabConductancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero area")
-		}
-	}()
-	SlabConductance(Silicon, 0, 1e-4)
-}
-
-func TestSeriesConductance(t *testing.T) {
-	// Two 2 W/K conductances in series = 1 W/K.
-	if got := SeriesConductance(2, 2); math.Abs(got-1) > 1e-12 {
-		t.Errorf("SeriesConductance(2,2) = %v, want 1", got)
-	}
-	// A zero conductance breaks the path entirely.
-	if got := SeriesConductance(2, 0); !num.IsZero(got) {
-		t.Errorf("SeriesConductance(2,0) = %v, want 0", got)
-	}
-	if got := SeriesConductance(); !num.IsZero(got) {
-		t.Errorf("SeriesConductance() = %v, want 0", got)
-	}
-}
-
-func TestParallelConductance(t *testing.T) {
-	if got := ParallelConductance(1, 2, 3); !num.ExactEqual(got, 6) {
-		t.Errorf("ParallelConductance = %v, want 6", got)
-	}
-}
-
 func TestMaterialConstantsSane(t *testing.T) {
 	for _, m := range []Material{Silicon, TIM, Copper, Superlattice} {
 		if m.Conductivity <= 0 || m.VolumetricHeatCapacity <= 0 {

@@ -32,7 +32,6 @@ func TestChaosStatusContract(t *testing.T) {
 		{"diverged", "error@serve.handle:code=diverged", http.StatusInternalServerError, "diverged"},
 		{"not_pd", "error@serve.handle:code=not_pd", http.StatusUnprocessableEntity, "not_pd"},
 		{"cancelled", "error@serve.handle:code=cancelled", http.StatusGatewayTimeout, "cancelled"},
-		{"degraded", "error@serve.handle:code=degraded", http.StatusInternalServerError, "degraded"},
 		{"internal", "error@serve.handle:code=internal", http.StatusInternalServerError, "internal"},
 		{"invalid_input", "error@serve.admit:code=invalid_input", http.StatusBadRequest, "invalid_input"},
 		{"overload", "error@serve.admit:code=overload", http.StatusTooManyRequests, "overload"},

@@ -12,9 +12,10 @@ import (
 // tinyPowers is the tile_power_w array of tinyChip as JSON.
 const tinyPowers = `[0.15,0.15,0.15,0.15,0.15,1.2,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15,0.15]`
 
-// serveSeeds are request bodies from the serve, tecserve and tecload
-// tests, plus an overflowing tiling, an oversized layer resolution and
-// a deadline whose nanosecond count overflows int64.
+// serveSeeds are request bodies from the serve and tecserve tests,
+// named-chip bodies (alpha, hc03, hc:7, an unknown name), plus an
+// overflowing tiling, an oversized layer resolution and a deadline
+// whose nanosecond count overflows int64.
 var serveSeeds = []string{
 	`{"chip":{"cols":4,"rows":4,"spreader_cells":5,"sink_cells":5,"tile_power_w":` + tinyPowers + `},"sites":[5],"current_a":0.4}`,
 	`{"chip":{"cols":4,"rows":4,"spreader_cells":5,"sink_cells":5,"tile_power_w":` + tinyPowers + `},"sites":[5],"current_a":0.4,"field":true}`,

@@ -12,7 +12,6 @@ import "net/http"
 //	                   limit lambda_m — well-formed but unsolvable
 //	diverged      500  an iterative solve failed to converge
 //	cancelled     504  the request's deadline expired (work cut short)
-//	degraded      500  a degraded result surfaced as an error
 //	panic         500  a recovered worker panic
 //	overload      429  shed by admission control (queue full); retry
 //	unavailable   503  the server is draining / not accepting work
@@ -32,8 +31,6 @@ func (c Code) httpStatus() (status int, ok bool) {
 		return http.StatusInternalServerError, true
 	case CodeCancelled:
 		return http.StatusGatewayTimeout, true
-	case CodeDegraded:
-		return http.StatusInternalServerError, true
 	case CodePanic:
 		return http.StatusInternalServerError, true
 	case CodeOverload:

@@ -64,7 +64,6 @@ func TestHTTPStatus(t *testing.T) {
 		{New(CodeDiverged, "t", "cg"), http.StatusInternalServerError},
 		{Cancelled("t", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{New(CodeDegraded, "t", "fallback"), http.StatusInternalServerError},
 		{FromPanic("t", "boom", nil), http.StatusInternalServerError},
 		{New(CodeOverload, "t", "queue full"), http.StatusTooManyRequests},
 		{New(CodeUnavailable, "t", "draining"), http.StatusServiceUnavailable},

@@ -2,8 +2,8 @@
 //
 // Every failure mode that matters to a caller — malformed input, loss of
 // positive definiteness at the runaway limit, iterative divergence,
-// cancellation, degraded-but-usable results, recovered panics — gets a
-// Code, and every error produced by the solver packages (sparse,
+// cancellation, recovered panics, shed or refused service work — gets
+// a Code, and every error produced by the solver packages (sparse,
 // thermal, core, engine) is either a *Error carrying one of those codes
 // or wraps one. Callers match on the exported code sentinels with
 // errors.Is:
@@ -42,9 +42,6 @@ const (
 	// CodeCancelled marks work cut short by context cancellation or a
 	// deadline.
 	CodeCancelled
-	// CodeDegraded marks a result obtained only after falling back to a
-	// slower or less accurate method — usable, but worth surfacing.
-	CodeDegraded
 	// CodePanic marks a panic recovered inside a worker and converted to
 	// an error instead of crashing the process.
 	CodePanic
@@ -77,8 +74,6 @@ func (c Code) String() string {
 		return "diverged"
 	case CodeCancelled:
 		return "cancelled"
-	case CodeDegraded:
-		return "degraded"
 	case CodePanic:
 		return "panic"
 	case CodeOverload:
@@ -106,7 +101,6 @@ var (
 	ErrNotPD        error = sentinel{CodeNotPD}
 	ErrDiverged     error = sentinel{CodeDiverged}
 	ErrCancelled    error = sentinel{CodeCancelled}
-	ErrDegraded     error = sentinel{CodeDegraded}
 	ErrPanic        error = sentinel{CodePanic}
 	ErrOverload     error = sentinel{CodeOverload}
 	ErrUnavailable  error = sentinel{CodeUnavailable}
@@ -214,7 +208,9 @@ func CodeOf(err error) Code {
 
 // exitStatus is the one-per-code process exit table. ok is false for a
 // code the table does not know, which the exhaustive-mapping test turns
-// into a failure the moment a new code is added unmapped.
+// into a failure the moment a new code is added unmapped. Status 6
+// belonged to a retired code; it stays unused so that every other status
+// keeps its meaning for scripts.
 func (c Code) exitStatus() (status int, ok bool) {
 	switch c {
 	case CodeInternal:
@@ -227,8 +223,6 @@ func (c Code) exitStatus() (status int, ok bool) {
 		return 4, true
 	case CodeCancelled:
 		return 5, true
-	case CodeDegraded:
-		return 6, true
 	case CodePanic:
 		return 7, true
 	case CodeOverload:

@@ -31,7 +31,6 @@ func TestCodeSentinelMatching(t *testing.T) {
 		{New(CodeNotPD, "op", "m"), ErrNotPD},
 		{New(CodeDiverged, "op", "m"), ErrDiverged},
 		{New(CodeCancelled, "op", "m"), ErrCancelled},
-		{New(CodeDegraded, "op", "m"), ErrDegraded},
 		{New(CodePanic, "op", "m"), ErrPanic},
 	}
 	for _, c := range cases {
@@ -80,8 +79,8 @@ func TestCodeOf(t *testing.T) {
 		t.Errorf("CodeOf(plain) = %v", got)
 	}
 	// The sentinel itself classifies.
-	if got := CodeOf(ErrDegraded); got != CodeDegraded {
-		t.Errorf("CodeOf(ErrDegraded) = %v", got)
+	if got := CodeOf(ErrPanic); got != CodePanic {
+		t.Errorf("CodeOf(ErrPanic) = %v", got)
 	}
 }
 
@@ -96,12 +95,20 @@ func TestExitCode(t *testing.T) {
 		{New(CodeNotPD, "op", "m"), 3},
 		{New(CodeDiverged, "op", "m"), 4},
 		{context.DeadlineExceeded, 5},
-		{New(CodeDegraded, "op", "m"), 6},
+		{New(CodeCancelled, "op", "m"), 5},
 		{New(CodePanic, "op", "m"), 7},
+		{New(CodeOverload, "op", "m"), 8},
+		{New(CodeUnavailable, "op", "m"), 9},
 	}
 	for _, c := range cases {
 		if got := ExitCode(c.err); got != c.want {
 			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+	// Status 6 belonged to a retired code and stays unused.
+	for c := Code(0); c < numCodes; c++ {
+		if status, _ := c.exitStatus(); status == 6 {
+			t.Errorf("Code %s maps to the retired exit status 6", c)
 		}
 	}
 }
@@ -141,8 +148,9 @@ func TestCodeString(t *testing.T) {
 		CodeNotPD:        "not_pd",
 		CodeDiverged:     "diverged",
 		CodeCancelled:    "cancelled",
-		CodeDegraded:     "degraded",
 		CodePanic:        "panic",
+		CodeOverload:     "overload",
+		CodeUnavailable:  "unavailable",
 	}
 	for c, s := range want {
 		if c.String() != s {
