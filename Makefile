@@ -69,7 +69,8 @@ benchmark-check:
 # explicit-SMW, and explicit-direct variants), the h_kl-sweep SMW vs
 # direct benchmark and the solver layer benchmarks (SMW setup,
 # eigendecomposition, band factorization, band solves, SMW correction
-# of a field and of one entry) through `go test -bench -json` and
+# of a field, pole-form silicon rows and one h_kl point) through
+# `go test -bench -json` and
 # distills name / ns/op / allocs into
 # BENCH_solver.json (committed; EXPERIMENTS.md tracks history).
 # -benchtime=1x for the engine benchmarks because Table I is a full
@@ -77,7 +78,7 @@ benchmark-check:
 # layer benchmarks take the default benchtime. -merge keeps snapshot
 # entries a partial run did not re-measure; the temp file exists
 # because the merge reads the same file the pipeline writes.
-LAYER_BENCH = ^Benchmark(SMWSetup|EigenSym|BandFactor|BandSolve|BandSolveUnits|SMWCorrect|SMWCorrectEntry)$$
+LAYER_BENCH = ^Benchmark(SMWSetup|EigenSym|BandFactor|BandSolve|BandSolveUnits|SMWCorrect|SMWReadRows|SMWEntry)$$
 
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine_(TableI|HklSweep)(_SMW|_Direct)?$$' \

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"context"
 	"math"
 
 	"tecopt/internal/num"
@@ -34,7 +36,7 @@ func (s *System) EtaZeta(i float64, tile int) (eta, etaPrime, zeta float64, err 
 	// x = H e_k (row k of H by symmetry).
 	e := make([]float64, n)
 	e[k] = 1
-	x, err := s.solveVec(i, e)
+	x, err := s.solveVec(context.Background(), i, e)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -58,7 +60,7 @@ func (s *System) EtaZeta(i float64, tile int) (eta, etaPrime, zeta float64, err 
 		}
 	}
 	// eta' = x' D y with y = H 1_{HC}.
-	y, err := s.solveVec(i, ind)
+	y, err := s.solveVec(context.Background(), i, ind)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -91,7 +93,9 @@ func (s *System) ThetaDecomposition(i float64, tile int) (viaEq10, direct float6
 // the current returned by OptimizeCurrent is globally optimal.
 //
 // More subranges tighten the eta'(i_t) lower bound at higher cost — the
-// runtime/accuracy trade-off the paper describes after Theorem 4.
+// runtime/accuracy trade-off the paper describes after Theorem 4. A
+// solve that fails inside the check fails the certificate with the
+// first such error.
 func (s *System) ConvexityCertificate(tile, ranges int) (bool, error) {
 	if s.Array.Count() == 0 {
 		return true, nil // theta is constant in i without TECs
@@ -107,20 +111,19 @@ func (s *System) ConvexityCertificate(tile, ranges int) (bool, error) {
 		// dominates; 10x the optimum search cap is ample).
 		hi = 1e3
 	}
-	eta := func(i float64) float64 {
-		e, _, _, err := s.EtaZeta(i, tile)
-		if err != nil {
+	// A failed solve is latched: as +Inf alone it would certify.
+	var solveErr error
+	at := func(i float64, prime bool) float64 {
+		eta, etaPrime, _, err := s.EtaZeta(i, tile)
+		if solveErr = cmp.Or(solveErr, err); err != nil {
 			return math.Inf(1)
 		}
-		return e
-	}
-	etaPrime := func(i float64) float64 {
-		_, ep, _, err := s.EtaZeta(i, tile)
-		if err != nil {
-			return math.Inf(1)
+		if prime {
+			return etaPrime
 		}
-		return ep
+		return eta
 	}
-	ok, _ := optimize.ConvexityCheck(eta, etaPrime, s.Array.Params.Resistance, hi, ranges)
-	return ok, nil
+	ok, _ := optimize.ConvexityCheck(func(i float64) float64 { return at(i, false) },
+		func(i float64) float64 { return at(i, true) }, s.Array.Params.Resistance, hi, ranges)
+	return ok && solveErr == nil, solveErr
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"tecopt/internal/faults"
+	"tecopt/internal/tecerr"
 )
 
 func TestThetaDecompositionEq10(t *testing.T) {
@@ -113,6 +117,29 @@ func TestConvexityCertificate(t *testing.T) {
 	ok, err = passive.ConvexityCertificate(27, 1)
 	if err != nil || !ok {
 		t.Fatalf("passive certificate: ok=%v err=%v", ok, err)
+	}
+}
+
+// A solve that fails inside the Theorem-4 check must fail the
+// certificate with its error, not read as an infeasible problem (12),
+// which would certify. The fast path is set up first; then a guard
+// trip sends every eta evaluation to a direct factorization that the
+// perturbed band matrix makes fail as not positive definite.
+func TestConvexityCertificateFailsWhenSolvesFail(t *testing.T) {
+	sys := mustSystem(t, smallConfig(), []int{27, 28, 35, 36})
+	if _, err := sys.RunawayLimit(RunawayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	faults.Install(faults.New(1).
+		Arm(faults.Rule{Site: faults.SiteSMWGuard, Kind: faults.KindNaN}).
+		Arm(faults.Rule{Site: faults.SiteBandMatrix, Kind: faults.KindPerturb, Scale: 50}))
+	defer faults.Uninstall()
+	if _, _, _, err := sys.EtaZeta(1, 27); !errors.Is(err, tecerr.ErrNotPD) {
+		t.Fatalf("EtaZeta err = %v, want ErrNotPD", err)
+	}
+	ok, err := sys.ConvexityCertificate(27, 4)
+	if ok || !errors.Is(err, tecerr.ErrNotPD) {
+		t.Fatalf("certificate = (%v, %v), want (false, ErrNotPD)", ok, err)
 	}
 }
 

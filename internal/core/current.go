@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"tecopt/internal/obs"
 	"tecopt/internal/optimize"
@@ -168,6 +169,7 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 	// Cancellation is latched: the scalar optimizers see +Inf and back
 	// off, and the latched error is returned after they unwind.
 	var ctxErr error
+	sil := make([]float64, s.PN.NumTiles())
 	objective := func(i float64) float64 {
 		if ctxErr != nil {
 			return math.Inf(1)
@@ -177,12 +179,11 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 			return math.Inf(1)
 		}
 		evals++
-		peak, _, _, err := s.PeakAtCtx(ctx, i)
-		if err != nil {
+		if err := s.readLoad(ctx, i, s.PN.SilNode, sil); err != nil {
 			// At/beyond runaway: treat as +Inf so the optimizer backs off.
 			return math.Inf(1)
 		}
-		return peak
+		return slices.Max(sil)
 	}
 
 	// Upper search bound: inside the runaway limit, or found by bracket
@@ -244,19 +245,18 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 		return nil, ctxErr
 	}
 
-	// i = 0 is always feasible; never settle for a current that is worse
-	// than doing nothing (can happen within tolerance at the boundary).
-	peak0, tile0, theta0, err := s.PeakAtCtx(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
 	peak, tile, theta, err := s.PeakAtCtx(ctx, iOpt)
 	if err != nil {
 		return nil, err
 	}
-	evals += 2
-	if peak0 <= peak {
-		iOpt, peak, tile, theta = 0, peak0, tile0, theta0
+	evals++
+	// i = 0 is always feasible; never settle for a current that is worse
+	// than doing nothing (can happen within tolerance at the boundary).
+	if objective(0) <= peak {
+		if peak, tile, theta, err = s.PeakAtCtx(ctx, 0); err != nil {
+			return nil, err
+		}
+		iOpt = 0
 	}
 	if r != nil {
 		r.FloatGauge("core.optimize_current.last_iopt").Set(iOpt)

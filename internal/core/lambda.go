@@ -216,12 +216,11 @@ func (s *System) RunawayMode(lambda float64) ([]float64, error) {
 
 // Hkl returns the transfer coefficient h_kl(i) = e_k' (G - i*D)^{-1} e_l,
 // the temperature of node k per watt injected at node l (the quantity of
-// Figure 6). On the fast path the base solve G^{-1} e_l is memoized per
-// System for the last l, and only entry k is corrected, so a sweep over
-// currents at one (k, l) costs one base solve and then O(m^2) per
-// current, bitwise the entry of the full solve; the direct path
-// factors G - i*D and solves with e_l. A non-finite or negative i is a
-// tecerr.CodeInvalidInput error, as in SolveAt.
+// Figure 6). The fast path reads it in pole form from (G^{-1})_kl and
+// pair weights memoized per System for the last (k, l), so a sweep over
+// currents at one (k, l) costs one base solve, then O(m) per current;
+// the direct path factors G - i*D and solves with e_l. A non-finite or
+// negative i is a tecerr.CodeInvalidInput error, as in SolveAt.
 func (s *System) Hkl(i float64, k, l int) (float64, error) {
 	return s.HklCtx(context.Background(), i, k, l)
 }
@@ -246,7 +245,7 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 	}
 	e := make([]float64, s.NumNodes())
 	e[l] = 1
-	x, err := s.solveVecCtx(ctx, i, e)
+	x, err := s.solveVec(ctx, i, e)
 	if err != nil {
 		return 0, err
 	}
@@ -254,9 +253,9 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 }
 
 // HklSweep evaluates h_kl over a set of currents, for regenerating
-// Figure 6, serially on the caller's goroutine: a point costs one
-// O(m^2) correction of the memoized base column, about what a worker
-// pool would add per point. Currents at or beyond lambda_m yield +Inf
+// Figure 6, serially on the caller's goroutine: a point costs O(m) from
+// the memoized pair weights, less than a worker pool would add per
+// point. Currents at or beyond lambda_m yield +Inf
 // entries — the divergence of Theorem 2, detected by the factorization
 // losing positive definiteness (thermal.ErrNotPD). Any other failure
 // is a genuine numerical or model error, not runaway, and is returned,
@@ -303,8 +302,8 @@ func (s *System) HklSweep(ctx context.Context, k, l int, currents []float64) ([]
 // (h_kl for all k at once). The base state is prepared once (the SMW
 // fast-path data, or one factorization of G - i*D on the direct path)
 // and the unit solves run on the given worker pool; results are ordered
-// as cols and identical to per-column Hkl calls at every worker count.
-// The current is validated as in Hkl.
+// as cols, identical at every worker count, and agree with per-column
+// Hkl calls to rounding. The current is validated as in Hkl.
 func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64, error) {
 	if err := checkCurrent("core.hkl", i); err != nil {
 		return nil, err

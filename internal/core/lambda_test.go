@@ -9,7 +9,6 @@ import (
 
 	"tecopt/internal/engine"
 	"tecopt/internal/faults"
-	"tecopt/internal/num"
 	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
@@ -320,6 +319,9 @@ func TestHklConcurrentSweepsMatchSerialBitwise(t *testing.T) {
 	wg.Wait()
 }
 
+// HColumns corrects full columns after a band solve and Hkl reads one
+// entry from pair weights: the two sum the same poles in different
+// orders, so they agree to 1e-12 relative to the column's largest entry.
 func TestHColumnsMatchHkl(t *testing.T) {
 	sys, err := NewSystem(smallConfig(), []int{27})
 	if err != nil {
@@ -331,12 +333,16 @@ func TestHColumnsMatchHkl(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx, l := range cols {
+		var scale float64
+		for _, v := range h[idx] {
+			scale = math.Max(scale, math.Abs(v))
+		}
 		for _, k := range []int{0, sys.PN.SilNode[5], sys.NumNodes() - 1} {
 			want, err := sys.Hkl(2.0, k, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !num.ExactEqual(h[idx][k], want) {
+			if math.Abs(h[idx][k]-want) > 1e-12*scale {
 				t.Fatalf("H[%d][%d] = %v, want h_kl = %v", idx, k, h[idx][k], want)
 			}
 		}

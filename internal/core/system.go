@@ -135,6 +135,7 @@ type System struct {
 
 	fastOnce sync.Once               // guards the one fast-path setup
 	fast     *thermal.ReusableSystem // nil under SolveDirect or after a failed setup
+	load     sparse.PoleForm         // base in pole form, built with fast
 }
 
 // fastPathSetups counts the SMW fast-path setups started by every
@@ -243,12 +244,12 @@ func (s *System) RHS(i float64) []float64 {
 	return rhs
 }
 
-// reusable returns the system's SMW fast-path state, built by the first
-// call, or nil when the configuration forces the direct path or the
-// setup failed (a degenerate update; the caller then factors per
-// current). A failed setup is not retried, so the direct fallback costs
-// one failed setup per System, not one per solve. Concurrent first
-// callers share one setup.
+// reusable returns the system's SMW fast-path state, built with s.load
+// by the first call, or nil when the configuration forces the direct
+// path or the setup failed (a degenerate update; the caller then factors
+// per current). A failed setup is not retried, so the direct fallback
+// costs one failed setup per System, not one per solve. Concurrent
+// first callers share one setup.
 func (s *System) reusable() *thermal.ReusableSystem {
 	if s.Cfg.Solve == SolveDirect {
 		return nil
@@ -260,6 +261,9 @@ func (s *System) reusable() *thermal.ReusableSystem {
 			r.Counter("core.system.reusable_setups").Inc()
 		}
 		rs, err := thermal.NewReusableSystem(s.g, s.d, s.perm)
+		if err == nil {
+			s.load, err = rs.Form(s.base)
+		}
 		if err != nil {
 			if r != nil {
 				r.Counter("core.system.reusable_setup_failures").Inc()
@@ -271,17 +275,11 @@ func (s *System) reusable() *thermal.ReusableSystem {
 	return s.fast
 }
 
-// solveVec solves (G - i*D) x = rhs on the fastest available path: the
-// SMW correction of the base factorization when the fast path is up, a
-// per-current factorization otherwise. Both paths report ErrNotPD at or
-// beyond the runaway limit.
-func (s *System) solveVec(i float64, rhs []float64) ([]float64, error) {
-	return s.solveVecCtx(context.Background(), i, rhs)
-}
-
-// solveVecCtx is solveVec under a trace context: the regime
-// span of the solve parents to the span carried by ctx.
-func (s *System) solveVecCtx(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
+// solveVec solves (G - i*D) x = rhs on the fastest available path: a
+// base solve and the SMW correction when the fast path is up, a
+// per-current factorization otherwise, both ErrNotPD at or beyond the
+// runaway limit. The solve's regime span parents to ctx's span.
+func (s *System) solveVec(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
 	if rs := s.reusable(); rs != nil {
 		return rs.SolveAtCurrent(ctx, i, rhs)
 	}
@@ -302,10 +300,36 @@ func (s *System) SolveAt(i float64) ([]float64, error) {
 // caller's hierarchy. The context does not cancel the solve itself (a
 // factorization is one atomic unit of work).
 func (s *System) SolveAtCtx(ctx context.Context, i float64) ([]float64, error) {
-	if err := checkCurrent("core.system", i); err != nil {
+	theta := make([]float64, s.NumNodes())
+	if err := s.readLoad(ctx, i, nil, theta); err != nil {
 		return nil, err
 	}
-	return s.solveVecCtx(ctx, i, s.RHS(i))
+	return theta, nil
+}
+
+// readLoad writes rows of the field at current i into out: row rows[r]
+// to out[r], or every row when rows is nil. The fast path reads the load
+// p(i) = base + (r*i^2/2)*1_HC in pole form with no band solve (1_HC is
+// D's support, as the Seebeck coefficient is positive).
+func (s *System) readLoad(ctx context.Context, i float64, rows []int, out []float64) error {
+	if err := checkCurrent("core.system", i); err != nil {
+		return err
+	}
+	if rs := s.reusable(); rs != nil {
+		c := 0.5 * s.Array.Params.Resistance * i * i // JoulePower's source
+		return rs.LoadAtCurrent(ctx, i, c, s.load, func() []float64 { return s.RHS(i) }, rows, out)
+	}
+	x, err := s.solveVec(ctx, i, s.RHS(i))
+	if err != nil {
+		return err
+	}
+	if rows == nil {
+		copy(out, x)
+	}
+	for r, k := range rows {
+		out[r] = x[k]
+	}
+	return nil
 }
 
 // checkCurrent rejects a supply current outside the model's domain:

@@ -17,11 +17,13 @@ import (
 // the tiles. Rank 14 and 36 are the SMW ranks of the Table I greedy
 // deployments of Alpha and HC07, rank 288 that of a full cover.
 
-// layerSystem is one deployment's G, D and RCM ordering.
+// layerSystem is one deployment's G, D, RCM ordering and silicon
+// rows.
 type layerSystem struct {
 	g    *sparse.CSR
 	d    []float64
 	perm []int
+	sil  []int
 }
 
 func newLayerSystem(tb testing.TB, rank int) layerSystem {
@@ -37,7 +39,7 @@ func newLayerSystem(tb testing.TB, rank int) layerSystem {
 		tb.Fatal(err)
 	}
 	g := sys.Matrix(0)
-	return layerSystem{g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g)}
+	return layerSystem{g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g), sil: sys.PN.SilNode}
 }
 
 // factor is the base factorization of G in RCM order.
@@ -73,7 +75,7 @@ func (ls layerSystem) support() []int {
 
 // BenchmarkSMWSetup times the whole SMW setup of thermal.NewReusableSystem
 // after the base factorization: the blocked W = G^{-1} U solve, M and its
-// Cholesky factor, T = L'SL and its eigendecomposition, P1 and P2.
+// Cholesky factor, T = L'SL and its eigendecomposition, and P2.
 func BenchmarkSMWSetup(b *testing.B) {
 	for _, rank := range []int{14, 36, 288} {
 		b.Run(fmt.Sprintf("rank=%d", rank), func(b *testing.B) {
@@ -177,10 +179,10 @@ func BenchmarkSMWCorrect(b *testing.B) {
 	}
 }
 
-// BenchmarkSMWCorrectEntry times the correction of one entry, the h_kl
-// sweep's per-current work: the same shift and base solution as
-// BenchmarkSMWCorrect, entry 0 of it.
-func BenchmarkSMWCorrectEntry(b *testing.B) {
+// BenchmarkSMWReadRows times the optimizer objective's read: the 144
+// silicon rows of (G - i*D)^{-1} (b + c*1_U) from b's prepared pole
+// form, at half the runaway limit, with no base solve.
+func BenchmarkSMWReadRows(b *testing.B) {
 	for _, rank := range []int{14, 288} {
 		b.Run(fmt.Sprintf("rank=%d", rank), func(b *testing.B) {
 			ls := newLayerSystem(b, rank)
@@ -194,11 +196,45 @@ func BenchmarkSMWCorrectEntry(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			load := s.Form(y)
+			out := make([]float64, len(ls.sil))
 			i := 0.5 * s.Lambda()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				if _, err := s.CorrectEntry(i, y, 0); err != nil {
+				if err := s.Read(i, 0.5, load, ls.sil, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSMWEntry times one h_kl point from memoized pair weights,
+// the h_kl sweep's per-current work: entry (sil[0], sil[1]) at half the
+// runaway limit.
+func BenchmarkSMWEntry(b *testing.B) {
+	for _, rank := range []int{14, 288} {
+		b.Run(fmt.Sprintf("rank=%d", rank), func(b *testing.B) {
+			ls := newLayerSystem(b, rank)
+			f := ls.factor(b)
+			s := ls.smw(b, f)
+			e := make([]float64, len(ls.d))
+			e[ls.sil[1]] = 1
+			y, err := f.Solve(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			k := ls.sil[0]
+			z, err := s.Pair(k, y)
+			if err != nil {
+				b.Fatal(err)
+			}
+			i := 0.5 * s.Lambda()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := s.Entry(i, y[k], z); err != nil {
 					b.Fatal(err)
 				}
 			}

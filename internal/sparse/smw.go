@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 
 	"tecopt/internal/eigen"
 	"tecopt/internal/faults"
@@ -11,19 +12,13 @@ import (
 	"tecopt/internal/tecerr"
 )
 
-// SMW applies Sherman-Morrison-Woodbury corrections for shifted systems
+// SMW reads the shifted systems
 //
 //	(G - i * diag(d)) x = b
 //
-// where d is supported on few entries (for the TEC model: two rows per
-// device), so diag(d) = U S U' is a rank-m update of a fixed G. Given a
-// solver for G (one factorization, reused for every current), the
-// correction of a solution (Correct) costs two m x m matrix-vector
-// products and one n x m product on top of its base solve, and that of
-// one entry (CorrectEntry) the two m x m products and m terms of the
-// n x m one — versus a full O(n*bw^2) refactorization per current on
-// the direct path.
-//
+// in pole form, where d is supported on few entries (for the TEC model:
+// two rows per device), so diag(d) = U S U' is a rank-m update of a
+// fixed G that a solver for G (one factorization) serves at every shift.
 // Construction precomputes, once per system:
 //
 //	W  = G^{-1} U                (m base solves)
@@ -31,15 +26,15 @@ import (
 //	M  = L L'                    (dense Cholesky)
 //	T  = L' S L = Q Mu Q'        (symmetric eigendecomposition)
 //
-// T is similar to S*M (L' (S M) L^{-T} = T), so the capacitance matrix
-// of the Woodbury identity diagonalizes for every shift at once:
+// T is similar to S*M, so the Woodbury capacitance matrix diagonalizes
+// for every shift at once, and with P2 = L^{-T} Q (Q' L' S = Mu P2'):
 //
-//	(I - i*S*M)^{-1} = L^{-T} Q diag(1/(1 - i*mu_j)) Q' L'
+//	H(i) = (G - i*diag(d))^{-1} = G^{-1} + W P2 diag(phi(i)) P2' W',
+//	phi_j(i) = i*mu_j / (1 - i*mu_j),
 //
-// and the per-current correction is
-//
-//	x = y + i * W * P2 * diag(1/(1 - i*mu_j)) * P1 * t,
-//	y = G^{-1} b,  t = y[idx],  P1 = Q' L' S,  P2 = L^{-T} Q.
+// G^{-1} plus a simple pole at i = 1/mu_j per eigenvalue (DESIGN.md
+// section 12). A read of H(i) b from y = G^{-1} b costs O(m^2) plus O(m)
+// per row it writes; an entry from its pair weights costs O(m).
 //
 // The eigenvalues mu_j are exactly those of G^{-1} diag(d), so the
 // largest one also yields the thermal-runaway limit lambda_m = 1/mu_max
@@ -51,14 +46,19 @@ type SMW struct {
 	w [][]float64
 	// mu holds the eigenvalues of the reduced pencil, ascending.
 	mu []float64
-	// p1, p2 are the m x m projection factors (row-major): the
-	// correction is x = y + i * W * p2 * diag(1/(1-i*mu)) * p1 * y[idx].
-	p1, p2 []float64
+	// p2 is the m x m factor P2 = L^{-T} Q, row-major.
+	p2 []float64
+	// ones is the pole form of U 1, the indicator of d's support.
+	ones PoleForm
 	// gapTol is the relative conditioning floor for the diagonal factors
 	// 1 - i*mu_j; a gap below it means the capacitance matrix is too
 	// close to singular for the correction to hold full accuracy.
 	gapTol float64
 }
+
+// PoleForm is a right-hand side b prepared for reads: its base solve
+// y = G^{-1} b and weights p = P2' y[idx] (Form). It is never modified.
+type PoleForm struct{ y, p []float64 }
 
 // ErrSMWIllConditioned reports that a requested shift puts the
 // capacitance matrix too close to singular (the operating point is
@@ -117,6 +117,7 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 		}
 	}
 	s := &SMW{n: n, idx: idx, gapTol: defaultSMWGapTol}
+	s.ones.y = make([]float64, n) // G^{-1} U 1, the sum of W's columns
 	m := len(idx)
 	if r := obs.Enabled(); r != nil {
 		start := r.Now()
@@ -143,19 +144,23 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 			return nil, tecerr.Newf(tecerr.CodeInternal, "sparse.smw",
 				"sparse: SMW base solve returned length %d, want %d", len(col), n)
 		}
+		for k, v := range col {
+			s.ones.y[k] += v
+		}
 	}
 	s.w = w
 	if err := s.project(d); err != nil {
 		return nil, err
 	}
+	s.ones = s.Form(s.ones.y)
 	return s, nil
 }
 
 // project computes the dense stage of the setup from W: M, its Cholesky
-// factor L, the eigendecomposition of T = L'SL, and P1, P2. Each sum is
+// factor L, the eigendecomposition of T = L'SL, and P2. Each sum is
 // accumulated in the order of its textbook element-wise formula, so the
 // results are bitwise that formula's (DESIGN.md section 12), but the
-// loops run as row updates over flat rows of L, L', Q and Q': every
+// loops run as row updates over flat rows of L, L' and Q: every
 // inner loop is contiguous, and its iterations are independent.
 func (s *SMW) project(d []float64) error {
 	m := len(s.idx)
@@ -205,23 +210,7 @@ func (s *SMW) project(d []float64) error {
 			"sparse: SMW eigendecomposition of the reduced pencil failed")
 	}
 	s.mu = mu
-	qt := q.T()
 
-	// P1 = Q' L' S: p1[j][a] = (sum_{k <= a} Q[k][j] L[a][k]) s_a, summed
-	// over ascending k as row k of L' (column k of L) updates row j.
-	s.p1 = make([]float64, m*m)
-	for j := 0; j < m; j++ {
-		p1 := s.p1[j*m : (j+1)*m]
-		for k, qkj := range qt.RawRow(j) {
-			lk := lt.RawRow(k)[k:]
-			for a, v := range lk {
-				p1[k+a] += qkj * v
-			}
-		}
-		for a := range p1 {
-			p1[a] *= sv[a]
-		}
-	}
 	// P2 = L^{-T} Q by back substitution on all m columns at once: row a
 	// is (Q[a] - sum_{k > a} L[k][a] P2[k]) / L[a][a], over ascending k.
 	s.p2 = make([]float64, m*m)
@@ -267,120 +256,171 @@ func (s *SMW) Lambda() float64 {
 	return 1 / muMax
 }
 
-// Correct turns y = G^{-1} b into (G - i*diag(d))^{-1} b in place.
-// It returns ErrSMWIllConditioned when the shift lands within the
-// conditioning guard of a capacitance-matrix singularity (callers fall
-// back to a direct factorization of the shifted matrix) and a
-// tecerr.CodeInvalidInput error for a non-finite shift or wrong-length
-// vector. Correct is safe for concurrent use: the precomputed data is
-// read-only and all scratch is local.
+// Form returns the pole form of b from its base solve y (retained).
+func (s *SMW) Form(y []float64) PoleForm {
+	p := make([]float64, len(s.idx))
+	s.mulP2T(y, s.idx, p)
+	return PoleForm{y, p}
+}
+
+// Correct turns y = G^{-1} b into (G - i*diag(d))^{-1} b in place. It
+// returns ErrSMWIllConditioned, leaving y as it was, when the shift lands
+// within the conditioning guard of a capacitance-matrix singularity
+// (callers fall back to a direct factorization of the shifted matrix),
+// and a tecerr.CodeInvalidInput error for a non-finite shift or a
+// wrong-length vector. Every read is safe for concurrent use: the
+// precomputed data is read-only and all scratch is local.
 func (s *SMW) Correct(i float64, y []float64) error {
-	return s.correction(i, y, func(c float64, col []float64) {
-		col = col[:len(y)]
-		for k := range y {
-			y[k] += c * col[k]
+	return s.Read(i, 0, PoleForm{y: y}, nil, y)
+}
+
+// Read writes rows of (G - i*diag(d))^{-1} (b + c*U 1) =
+// y + c*y1 + W P2 (phi(i) o (p + c*p1)), (y1, p1) the pole form of U 1,
+// into out with no base solve: row rows[r] to out[r], or every row when
+// rows is nil, each summed the same way, so a rows read is bitwise those
+// rows of the field. A b without weights (Correct's) is weighed here.
+// Its errors are Correct's.
+func (s *SMW) Read(i, c float64, b PoleForm, rows []int, out []float64) error {
+	if !num.IsFinite(i) || len(b.y) != s.n {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
+			"sparse: SMW shift %g and vector length %d, want finite and %d", i, len(b.y), s.n)
+	}
+	m := len(s.idx)
+	pole := m > 0 && !num.IsZero(i)
+	var phiBuf, vBuf [288]float64 // the full cover's rank reads on the stack
+	phi := slices.Grow(phiBuf[:0], m)[:m]
+	if pole {
+		if err := s.poles(i, phi); err != nil {
+			return err
 		}
-	})
-}
-
-// CorrectEntry returns entry k of (G - i*diag(d))^{-1} b for y = G^{-1} b:
-// bitwise what Correct leaves in y[k], without modifying y. It pays the
-// two m x m products and m terms of the n x m one. Its errors are
-// Correct's, and an index k outside [0, n) is a tecerr.CodeInvalidInput
-// error. CorrectEntry is safe for concurrent use.
-func (s *SMW) CorrectEntry(i float64, y []float64, k int) (float64, error) {
-	if k < 0 || k >= len(y) {
-		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
-			"sparse: SMW entry %d out of range %d", k, len(y))
 	}
-	x := y[k]
-	if err := s.correction(i, y, func(c float64, col []float64) { x += c * col[k] }); err != nil {
-		return 0, err
+	if rows == nil { // the field: contiguous rows
+		for k, x := range s.ones.y {
+			out[k] = b.y[k] + c*x
+		}
 	}
-	return x, nil
-}
-
-// correction runs what Correct and CorrectEntry share: the checks, the
-// conditioning guard, u = diag(i/(1 - i*mu)) P1 y[idx] and c = P2 u. It
-// hands each nonzero c_a to add with column a of W, in ascending a; the
-// correction is the sum of the c_a W[a]. Both products run four rows at
-// a time, each row summed over ascending index as it would be alone.
-func (s *SMW) correction(i float64, y []float64, add func(c float64, col []float64)) error {
-	if !num.IsFinite(i) {
-		return tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
-			"sparse: non-finite SMW shift %g", i)
+	for r, k := range rows {
+		out[r] = b.y[k] + c*s.ones.y[k]
 	}
-	if len(y) != s.n {
-		return tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
-			"sparse: SMW vector length %d, want %d", len(y), s.n)
-	}
-	idx := s.idx
-	m := len(idx)
-	if m == 0 || num.IsZero(i) {
+	if !pole {
 		return nil
 	}
-	// Conditioning guard: every diagonal factor 1 - i*mu_j must sit a
-	// relative gapTol away from zero, or the correction loses the
-	// accuracy contract. The margin passes through the chaos filter so
-	// fault-injection tests can force the fallback path.
-	minGap := math.Inf(1)
-	for _, mu := range s.mu {
-		gap := math.Abs(1-i*mu) / (1 + math.Abs(i*mu))
-		if gap < minGap {
-			minGap = gap
+	reg := obs.Enabled()
+	start := reg.Now()
+	v := slices.Grow(vBuf[:0], m)[:m]
+	p := b.p
+	if p == nil {
+		s.mulP2T(b.y, s.idx, v)
+		p = v
+	}
+	for j, pj := range p[:m] { // u = phi o (p + c*p1), in place
+		phi[j] *= pj + c*s.ones.p[j]
+	}
+	s.mulP2(phi, v)
+	for a, va := range v { // += W v, in ascending a on every row
+		col := s.w[a]
+		if rows == nil {
+			for k, wk := range col[:len(out)] {
+				out[k] += va * wk
+			}
 		}
+		for r, k := range rows {
+			out[r] += va * col[k]
+		}
+	}
+	reg.Counter("sparse.smw.corrections").Inc()
+	reg.ObserveSince("sparse.smw.correct_ns", start)
+	return nil
+}
+
+// Pair returns the weights z = (P2' W[k,:]') o (P2' y[idx]) with which
+// Entry reads entry k of (G - i*diag(d))^{-1} b from y = G^{-1} b: two
+// m x m products. A k outside [0, n) or a y of the wrong length is a
+// tecerr.CodeInvalidInput error.
+func (s *SMW) Pair(k int, y []float64) ([]float64, error) {
+	if k < 0 || k >= s.n || len(y) != s.n {
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
+			"sparse: SMW entry %d of a length-%d vector, n = %d", k, len(y), s.n)
+	}
+	wk, z := make([]float64, len(s.idx)), make([]float64, len(s.idx))
+	for a, col := range s.w {
+		wk[a] = col[k]
+	}
+	s.mulP2T(wk, nil, z)
+	s.mulP2T(y, s.idx, wk)
+	for j, v := range wk {
+		z[j] *= v
+	}
+	return z, nil
+}
+
+// Entry returns h0 + sum_j z_j phi_j(i): entry k of
+// (G - i*diag(d))^{-1} b for h0 = (G^{-1} b)_k and z its Pair weights,
+// in O(m). Its errors are Correct's.
+func (s *SMW) Entry(i, h0 float64, z []float64) (float64, error) {
+	m := len(s.idx)
+	if !num.IsFinite(i) || len(z) != m {
+		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "sparse.smw",
+			"sparse: SMW shift %g and %d weights, want finite and %d", i, len(z), m)
+	}
+	if m == 0 || num.IsZero(i) {
+		return h0, nil
+	}
+	var phiBuf [288]float64
+	phi := slices.Grow(phiBuf[:0], m)[:m]
+	if err := s.poles(i, phi); err != nil {
+		return 0, err
+	}
+	reg := obs.Enabled()
+	start := reg.Now()
+	var corr float64
+	for j, f := range phi {
+		corr += z[j] * f
+	}
+	reg.Counter("sparse.smw.corrections").Inc()
+	reg.ObserveSince("sparse.smw.correct_ns", start)
+	return h0 + corr, nil
+}
+
+// poles fills phi with phi_j(i) behind the conditioning guard: every
+// 1 - i*mu_j must sit a relative gapTol away from zero, or the read loses
+// the accuracy contract. The margin passes through the chaos filter so
+// fault-injection tests can force the fallback path.
+func (s *SMW) poles(i float64, phi []float64) error {
+	minGap := math.Inf(1)
+	for j, mu := range s.mu {
+		x := i * mu
+		minGap = math.Min(minGap, math.Abs(1-x)/(1+math.Abs(x)))
+		phi[j] = x / (1 - x)
 	}
 	minGap = faults.Float64(faults.SiteSMWGuard, minGap)
 	if math.IsNaN(minGap) || minGap < s.gapTol {
-		if r := obs.Enabled(); r != nil {
-			r.Counter("sparse.smw.guard_trips").Inc()
-		}
+		obs.Enabled().Counter("sparse.smw.guard_trips").Inc()
 		return ErrSMWIllConditioned
 	}
-	if r := obs.Enabled(); r != nil {
-		start := r.Now()
-		defer func() {
-			r.Counter("sparse.smw.corrections").Inc()
-			r.ObserveSince("sparse.smw.correct_ns", start)
-		}()
-	}
-	// u = P1 * y[idx], scaled by the diagonalized resolvent. It lives on
-	// the stack up to rank 288 (the 12x12 full cover), so an h_kl point
-	// makes no heap allocation.
-	var ubuf [288]float64
-	u := ubuf[:]
-	if m > len(ubuf) {
-		u = make([]float64, m)
-	}
-	u = u[:m]
-	j := 0
-	for ; j+3 < m; j += 4 {
-		r0 := s.p1[j*m : (j+1)*m][:m]
-		r1 := s.p1[(j+1)*m : (j+2)*m][:m]
-		r2 := s.p1[(j+2)*m : (j+3)*m][:m]
-		r3 := s.p1[(j+3)*m : (j+4)*m][:m]
-		var v0, v1, v2, v3 float64
-		for a, k := range idx {
-			yk := y[k]
-			v0 += r0[a] * yk
-			v1 += r1[a] * yk
-			v2 += r2[a] * yk
-			v3 += r3[a] * yk
+	return nil
+}
+
+// mulP2T sets p = P2' t, summed over ascending a as row a of P2 updates
+// p; t is read at t[idx[a]] (t a base solve) or, with idx nil, at t[a].
+func (s *SMW) mulP2T(t []float64, idx []int, p []float64) {
+	m := len(s.idx)
+	clear(p[:m])
+	for a := 0; a < m; a++ {
+		ta := t[a]
+		if idx != nil {
+			ta = t[idx[a]]
 		}
-		u[j] = v0 * i / (1 - i*s.mu[j])
-		u[j+1] = v1 * i / (1 - i*s.mu[j+1])
-		u[j+2] = v2 * i / (1 - i*s.mu[j+2])
-		u[j+3] = v3 * i / (1 - i*s.mu[j+3])
-	}
-	for ; j < m; j++ {
-		var v float64
-		row := s.p1[j*m : (j+1)*m][:m]
-		for a, k := range idx {
-			v += row[a] * y[k]
+		for j, v := range s.p2[a*m : (a+1)*m] {
+			p[j] += ta * v
 		}
-		u[j] = v * i / (1 - i*s.mu[j])
 	}
-	// c = P2 * u.
+}
+
+// mulP2 sets v = P2 u, four rows at a time, each row summed over
+// ascending j as it would be alone.
+func (s *SMW) mulP2(u, v []float64) {
+	m := len(u)
 	a := 0
 	for ; a+3 < m; a += 4 {
 		r0 := s.p2[a*m : (a+1)*m][:m]
@@ -394,21 +434,13 @@ func (s *SMW) correction(i float64, y []float64, add func(c float64, col []float
 			v2 += r2[j] * uj
 			v3 += r3[j] * uj
 		}
-		for q, v := range [4]float64{v0, v1, v2, v3} {
-			if !num.IsZero(v) {
-				add(v, s.w[a+q])
-			}
-		}
+		v[a], v[a+1], v[a+2], v[a+3] = v0, v1, v2, v3
 	}
 	for ; a < m; a++ {
-		var v float64
-		row := s.p2[a*m : (a+1)*m]
-		for j := 0; j < m; j++ {
-			v += row[j] * u[j]
+		var x float64
+		for j, uj := range u {
+			x += s.p2[a*m+j] * uj
 		}
-		if !num.IsZero(v) {
-			add(v, s.w[a])
-		}
+		v[a] = x
 	}
-	return nil
 }

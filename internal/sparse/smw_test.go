@@ -76,16 +76,21 @@ func TestSMWMatchesDirectAcrossShifts(t *testing.T) {
 		}
 		entries := make([]float64, len(y))
 		for k := range y {
-			if entries[k], err = s.CorrectEntry(i, y, k); err != nil {
-				t.Fatalf("CorrectEntry at i=%g, k = %d: %v", i, k, err)
+			z, err := s.Pair(k, y)
+			if err != nil {
+				t.Fatalf("Pair(%d): %v", k, err)
+			}
+			if entries[k], err = s.Entry(i, y[k], z); err != nil {
+				t.Fatalf("Entry at i=%g, k = %d: %v", i, k, err)
 			}
 		}
 		if err := s.Correct(i, y); err != nil {
 			t.Fatalf("Correct at i=%g (%.3g*lambda): %v", i, frac, err)
 		}
+		scale := normInf(y)
 		for k := range y {
-			if math.Float64bits(entries[k]) != math.Float64bits(y[k]) {
-				t.Fatalf("shift %.3g*lambda node %d: CorrectEntry %v, Correct %v", frac, k, entries[k], y[k])
+			if math.Abs(entries[k]-y[k]) > 1e-12*scale {
+				t.Fatalf("shift %.3g*lambda node %d: pair read %v, Correct %v", frac, k, entries[k], y[k])
 			}
 		}
 		want := smwDirect(t, a, d, i, b)
@@ -123,10 +128,14 @@ func TestSMWGuardTripsNearSingularity(t *testing.T) {
 		y[k] = float64(k)
 	}
 	before := append([]float64(nil), y...)
-	if _, err := s.CorrectEntry(i, y, 3); !errors.Is(err, ErrSMWIllConditioned) {
-		t.Fatalf("CorrectEntry err = %v, want ErrSMWIllConditioned", err)
+	z, err := s.Pair(3, y)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := s.Correct(i, y)
+	if _, err := s.Entry(i, y[3], z); !errors.Is(err, ErrSMWIllConditioned) {
+		t.Fatalf("Entry err = %v, want ErrSMWIllConditioned", err)
+	}
+	err = s.Correct(i, y)
 	if !errors.Is(err, ErrSMWIllConditioned) {
 		t.Fatalf("err = %v, want ErrSMWIllConditioned", err)
 	}
@@ -155,8 +164,12 @@ func TestSMWGuardFaultInjection(t *testing.T) {
 	if err := s.Correct(0.1*s.Lambda(), y); !errors.Is(err, ErrSMWIllConditioned) {
 		t.Fatalf("err = %v, want ErrSMWIllConditioned under injected NaN margin", err)
 	}
-	if _, err := s.CorrectEntry(0.1*s.Lambda(), y, 0); !errors.Is(err, ErrSMWIllConditioned) {
-		t.Fatalf("CorrectEntry err = %v, want ErrSMWIllConditioned under injected NaN margin", err)
+	z, err := s.Pair(0, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Entry(0.1*s.Lambda(), y[0], z); !errors.Is(err, ErrSMWIllConditioned) {
+		t.Fatalf("Entry err = %v, want ErrSMWIllConditioned under injected NaN margin", err)
 	}
 }
 
@@ -179,8 +192,12 @@ func TestSMWZeroSupport(t *testing.T) {
 	y := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	before := append([]float64(nil), y...)
 	for k := range y {
-		if x, err := s.CorrectEntry(3.5, y, k); err != nil || !num.ExactEqual(x, y[k]) {
-			t.Fatalf("zero-support CorrectEntry(%d) = %v, %v, want %v", k, x, err, y[k])
+		z, err := s.Pair(k, y)
+		if err != nil || len(z) != 0 {
+			t.Fatalf("zero-support Pair(%d) = %v, %v, want no weights", k, z, err)
+		}
+		if x, err := s.Entry(3.5, y[k], z); err != nil || !num.ExactEqual(x, y[k]) {
+			t.Fatalf("zero-support Entry(%d) = %v, %v, want %v", k, x, err, y[k])
 		}
 	}
 	if err := s.Correct(3.5, y); err != nil {
@@ -204,15 +221,22 @@ func TestSMWInvalidInput(t *testing.T) {
 	if err := s.Correct(0.5, make([]float64, 3)); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("short vector err = %v, want CodeInvalidInput", err)
 	}
-	if _, err := s.CorrectEntry(math.NaN(), y, 0); !errors.Is(err, tecerr.ErrInvalidInput) {
-		t.Errorf("CorrectEntry(NaN) err = %v, want CodeInvalidInput", err)
+	z, err := s.Pair(0, y)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.CorrectEntry(0.5, make([]float64, 3), 0); !errors.Is(err, tecerr.ErrInvalidInput) {
-		t.Errorf("CorrectEntry short vector err = %v, want CodeInvalidInput", err)
+	if _, err := s.Entry(math.NaN(), y[0], z); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("Entry(NaN) err = %v, want CodeInvalidInput", err)
+	}
+	if _, err := s.Entry(0.5, y[0], z[1:]); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("Entry short weights err = %v, want CodeInvalidInput", err)
+	}
+	if _, err := s.Pair(0, make([]float64, 3)); !errors.Is(err, tecerr.ErrInvalidInput) {
+		t.Errorf("Pair short vector err = %v, want CodeInvalidInput", err)
 	}
 	for _, k := range []int{-1, s.n} {
-		if _, err := s.CorrectEntry(0.5, y, k); !errors.Is(err, tecerr.ErrInvalidInput) {
-			t.Errorf("CorrectEntry entry %d err = %v, want CodeInvalidInput", k, err)
+		if _, err := s.Pair(k, y); !errors.Is(err, tecerr.ErrInvalidInput) {
+			t.Errorf("Pair entry %d err = %v, want CodeInvalidInput", k, err)
 		}
 	}
 }
@@ -342,6 +366,15 @@ func FuzzSMWGuard(f *testing.F) {
 	})
 }
 
+// normInf returns max_k |x_k|.
+func normInf(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
+}
+
 // isFinite mirrors num.IsFinite without importing it into the fuzz path.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -380,8 +413,9 @@ func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
 		}
 	}
 	same("mu", adapted.mu, blocked.mu)
-	same("p1", adapted.p1, blocked.p1)
 	same("p2", adapted.p2, blocked.p2)
+	same("ones.y", adapted.ones.y, blocked.ones.y)
+	same("ones.p", adapted.ones.p, blocked.ones.p)
 	for j := range adapted.w {
 		same("w", adapted.w[j], blocked.w[j])
 	}

@@ -13,25 +13,23 @@ import (
 )
 
 // ReusableSystem owns one banded Cholesky factorization of the base
-// matrix G and solves the whole current family (G - i*D) theta = rhs
-// from it: per current it applies a Sherman-Morrison-Woodbury
-// correction against the rank-m capacitance matrix (sparse.SMW, m = 2
-// per TEC) instead of refactoring. A full field (SolveAtCurrent) costs
-// one base solve and the correction, O(n*bw + n*m): the path of the
-// current optimizer and the service's solves. One entry h_kl
-// (EntryAtCurrent) reads the memoized base column G^{-1} e_l of the
-// last l and corrects only entry k, O(m^2) per current after the
-// column's first base solve: the path of the h_kl sweeps.
+// matrix G and reads the whole current family (G - i*D) theta = rhs in
+// pole form (sparse.SMW, rank m = 2 per TEC) instead of refactoring. A
+// load b + c*1_U prepared once by Form (1_U is 1 on D's support) reads
+// in O(m^2) plus O(m) per row (LoadAtCurrent), an entry h_kl in O(m)
+// from weights memoized for the last (k, l) (EntryAtCurrent), and any
+// other right-hand side pays a base solve and an O(m^2 + n*m)
+// correction (SolveAtCurrent).
 //
 // The SMW eigendata also yields the spectral runaway limit
 // lambda = 1/mu_max for free, so positive definiteness of G - i*D is a
 // scalar comparison (PD) rather than a factorization attempt.
 //
 // Near the limit the capacitance matrix approaches singularity, so
-// within a relative window around lambda SolveAtCurrent defers to an
+// within a relative window around lambda every read defers to an
 // authoritative direct factorization of the shifted matrix (memoized
 // for repeated solves at one current). Should the conditioning guard
-// trip outside that window — or under fault injection — the solve
+// trip outside that window — or under fault injection — the read
 // falls back to the same memoized direct factorization.
 //
 // All methods are safe for concurrent use.
@@ -49,16 +47,17 @@ type ReusableSystem struct {
 	// near memoizes the last direct factorization of G - i*D, shared by
 	// the near-limit window and the guard-trip fallback.
 	near atomic.Pointer[nearFactor]
-	// unit memoizes the base solve G^{-1} e_l of the last column l
-	// EntryAtCurrent read: an h_kl sweep repeats it at every current.
-	unit atomic.Pointer[unitColumn]
+	// pair memoizes the last (k, l) EntryAtCurrent read: an h_kl sweep
+	// repeats it at every current.
+	pair atomic.Pointer[pairWeights]
 }
 
-// unitColumn is one memoized base solve x = G^{-1} e_l, never modified
-// once stored.
-type unitColumn struct {
-	l int
-	x []float64
+// pairWeights is one memoized entry: h0 = (G^{-1})_kl and the weights z
+// of sparse.SMW.Pair, never modified once stored.
+type pairWeights struct {
+	k, l int
+	h0   float64
+	z    []float64
 }
 
 // nearFactor is one memoized direct factorization of G - i*D (err keeps
@@ -124,34 +123,62 @@ func (rs *ReusableSystem) Rank() int { return rs.smw.Rank() }
 // predicate behind the runaway bisection.
 func (rs *ReusableSystem) PD(i float64) bool { return i < rs.lambda }
 
-// SolveAtCurrent solves (G - i*D) theta = rhs: by the SMW correction
-// of the base factorization, or by a memoized direct factorization of
-// the shifted matrix inside the near-limit window and when the
-// conditioning guard trips. Currents at or beyond the runaway limit
-// return ErrNotPD, matching the direct path.
+// Form prepares the load b for LoadAtCurrent with one band solve.
+func (rs *ReusableSystem) Form(b []float64) (sparse.PoleForm, error) {
+	y, err := rs.base.Solve(b)
+	if err != nil {
+		return sparse.PoleForm{}, err
+	}
+	return rs.smw.Form(y), nil
+}
+
+// LoadAtCurrent writes rows of the solution of (G - i*D) theta =
+// b + c*1_U into out, for b from Form, as sparse.SMW.Read does; its SMW
+// regime makes no band solve. The direct regimes solve rhs(), which must
+// build b + c*1_U.
+func (rs *ReusableSystem) LoadAtCurrent(ctx context.Context, i, c float64, b sparse.PoleForm,
+	rhs func() []float64, rows []int, out []float64) error {
+	_, err := solveAt(ctx, rs, i, rhs,
+		func(obs.Span) ([]float64, error) { return out, rs.smw.Read(i, c, b, rows, out) },
+		func(x []float64) []float64 {
+			if rows == nil {
+				return append(out[:0], x...)
+			}
+			for r, k := range rows {
+				out[r] = x[k]
+			}
+			return out
+		})
+	return err
+}
+
+// SolveAtCurrent solves (G - i*D) theta = rhs for any right-hand side:
+// one base solve and the SMW correction, or a memoized direct
+// factorization of the shifted matrix inside the near-limit window and
+// when the conditioning guard trips. Currents at or beyond the runaway
+// limit return ErrNotPD, matching the direct path.
 func (rs *ReusableSystem) SolveAtCurrent(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
 	if len(rhs) != len(rs.d) {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
 			"thermal: rhs length %d, want %d", len(rhs), len(rs.d))
 	}
 	return solveAt(ctx, rs, i, func() []float64 { return rhs },
-		func(_ obs.Span, smw bool) ([]float64, error) {
+		func(obs.Span) ([]float64, error) {
 			y, err := rs.base.Solve(rhs)
-			if err != nil || !smw {
-				return y, err
+			if err != nil {
+				return nil, err
 			}
 			return y, rs.smw.Correct(i, y)
 		},
 		func(x []float64) []float64 { return x })
 }
 
-// EntryAtCurrent returns entry k of the solution of
-// (G - i*D) theta = e_l, the unit vector at node l: bitwise
-// SolveAtCurrent(ctx, i, e_l)[k], with the same regimes, counters and
-// errors. Its SMW regime reads the memoized base column G^{-1} e_l and
-// corrects only entry k, so a sweep over currents at one (k, l) costs
-// one base solve and then O(m^2) per current. A node outside [0, n) is
-// a tecerr.CodeInvalidInput error.
+// EntryAtCurrent returns entry k of the solution of (G - i*D) theta =
+// e_l with SolveAtCurrent's regimes, counters and errors, and its bits
+// except in the SMW regime. That reads (G^{-1})_kl and the pair weights
+// memoized for the last (k, l): a sweep at one (k, l) costs one base
+// solve and O(m^2), then O(m) per current. A node outside [0, n) is a
+// tecerr.CodeInvalidInput error.
 func (rs *ReusableSystem) EntryAtCurrent(ctx context.Context, i float64, k, l int) (float64, error) {
 	if n := len(rs.d); k < 0 || k >= n || l < 0 || l >= n {
 		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
@@ -163,30 +190,26 @@ func (rs *ReusableSystem) EntryAtCurrent(ctx context.Context, i float64, k, l in
 			e[l] = 1
 			return e
 		},
-		func(sp obs.Span, smw bool) (float64, error) {
-			y, memo, err := rs.baseColumn(l)
-			sp.Annotate("unit_memo", strconv.FormatBool(memo))
+		func(sp obs.Span) (float64, error) {
+			p, memo, err := rs.pairAt(k, l)
+			sp.Annotate("pair_memo", strconv.FormatBool(memo))
 			if err != nil {
 				return 0, err
 			}
-			if !smw {
-				return y[k], nil
-			}
-			return rs.smw.CorrectEntry(i, y, k)
+			return rs.smw.Entry(i, p.h0, p.z)
 		},
 		func(x []float64) float64 { return x[k] })
 }
 
-// solveAt is the regime decision behind SolveAtCurrent and
-// EntryAtCurrent, with their counters and span; T is what the caller
-// reads of the solution. fast answers from the base factorization: the
-// base solve alone when smw is false (i = 0, or rank 0), with the SMW
-// correction otherwise, returning the correction's error. read picks
-// the answer from the solution of the direct factorization of G - i*D,
-// used in the near-limit window and when the conditioning guard trips;
-// rhs builds that solve's right-hand side.
+// solveAt is the regime decision behind every read, with its counters
+// and span; T is what the caller reads of the solution. fast answers
+// from the base factorization in pole form (with no pole at i = 0 or
+// rank 0), returning the guard's error. read picks the answer from the
+// solution of the direct factorization of G - i*D, used in the
+// near-limit window and when the conditioning guard trips; rhs builds
+// that solve's right-hand side.
 func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func() []float64,
-	fast func(sp obs.Span, smw bool) (T, error), read func(x []float64) T) (T, error) {
+	fast func(sp obs.Span) (T, error), read func(x []float64) T) (T, error) {
 	var zero T
 	if !num.IsFinite(i) {
 		return zero, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
@@ -211,7 +234,6 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 		}
 		return read(x), nil
 	}
-	smw := rs.smw.Rank() != 0 && !num.IsZero(i)
 	// With rank 0 or i = 0, lambda is +Inf or above i: neither case
 	// below holds.
 	switch {
@@ -230,7 +252,7 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 		sp.Annotate("regime", "direct")
 		return direct()
 	}
-	v, err := fast(sp, smw)
+	v, err := fast(sp)
 	if err == nil {
 		if r != nil {
 			r.Counter("thermal.reusable.smw_hits").Inc()
@@ -238,7 +260,7 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 		sp.Annotate("regime", "smw")
 		return v, nil
 	}
-	if !smw || errors.Is(err, tecerr.ErrInvalidInput) {
+	if rs.smw.Rank() == 0 || num.IsZero(i) || errors.Is(err, tecerr.ErrInvalidInput) {
 		return zero, err
 	}
 	// Conditioning guard tripped (organically outside the near-limit
@@ -252,20 +274,25 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 	return direct()
 }
 
-// baseColumn returns the base solve G^{-1} e_l from the memo, solving
-// and storing it when the memo holds another column (memo false). The
-// slice is shared: callers must not modify it.
-func (rs *ReusableSystem) baseColumn(l int) (x []float64, memo bool, err error) {
-	if u := rs.unit.Load(); u != nil && u.l == l {
-		return u.x, true, nil
+// pairAt returns the entry data of (k, l) from the memo, or computes it
+// with one base solve G^{-1} e_l and stores it (memo false).
+func (rs *ReusableSystem) pairAt(k, l int) (p *pairWeights, memo bool, err error) {
+	if p = rs.pair.Load(); p != nil && p.k == k && p.l == l {
+		return p, true, nil
 	}
 	e := make([]float64, len(rs.d))
 	e[l] = 1
-	if x, err = rs.base.Solve(e); err != nil {
+	y, err := rs.base.Solve(e)
+	if err != nil {
 		return nil, false, err
 	}
-	rs.unit.Store(&unitColumn{l: l, x: x})
-	return x, false, nil
+	z, err := rs.smw.Pair(k, y)
+	if err != nil {
+		return nil, false, err
+	}
+	p = &pairWeights{k: k, l: l, h0: y[k], z: z}
+	rs.pair.Store(p)
+	return p, false, nil
 }
 
 // solveDirect solves with a direct factorization of G - i*D in the

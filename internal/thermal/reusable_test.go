@@ -178,11 +178,14 @@ func TestReusableGuardFallbackDegraded(t *testing.T) {
 	}
 }
 
-// EntryAtCurrent must give, in every regime, bitwise the entry of
+// EntryAtCurrent must give, in every regime, the entry of
 // SolveAtCurrent's solution for the unit vector, or the same error, and
-// count its solves in the same regime. The column alternates between a
-// plain node and a hot TEC row, so the base-column memo is replaced at
-// every change of column.
+// count its solves in the same regime: bitwise at i = 0 and in the
+// direct regimes, and to 1e-12 relative to the column's largest entry
+// in the SMW regime, where the pair read and the corrected field sum
+// the same poles in different orders. The column alternates between a
+// plain node and a hot TEC row, so the pair memo is replaced at every
+// change of column.
 func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 	rs, _, d, _ := testReusable(t)
 	lam := rs.Lambda()
@@ -200,13 +203,16 @@ func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 		guard bool // arm the conditioning-guard fault
 		// counter is the regime counter every solve lands in.
 		counter string
+		// tol is the allowed difference relative to the column's
+		// largest entry; 0 is bitwise.
+		tol float64
 	}{
-		{"zero", 0, false, "thermal.reusable.smw_hits"},
-		{"smw", 0.3 * lam, false, "thermal.reusable.smw_hits"},
-		{"smw-edge", 0.999 * lam, false, "thermal.reusable.smw_hits"},
-		{"near-limit", lam * (1 - 1e-7), false, "thermal.reusable.near_limit"},
-		{"guard-trip", 0.4 * lam, true, "thermal.reusable.fallbacks"},
-		{"beyond-limit", lam * (1 + 1e-3), false, "thermal.reusable.beyond_limit"},
+		{"zero", 0, false, "thermal.reusable.smw_hits", 0},
+		{"smw", 0.3 * lam, false, "thermal.reusable.smw_hits", 1e-12},
+		{"smw-edge", 0.999 * lam, false, "thermal.reusable.smw_hits", 1e-12},
+		{"near-limit", lam * (1 - 1e-7), false, "thermal.reusable.near_limit", 0},
+		{"guard-trip", 0.4 * lam, true, "thermal.reusable.fallbacks", 0},
+		{"beyond-limit", lam * (1 + 1e-3), false, "thermal.reusable.beyond_limit", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := regimeCounters(t)
@@ -222,6 +228,10 @@ func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 					e := make([]float64, n)
 					e[l] = 1
 					want, werr := rs.SolveAtCurrent(ctx, tc.i, e)
+					var scale float64
+					for _, w := range want {
+						scale = math.Max(scale, math.Abs(w))
+					}
 					for _, k := range ks {
 						got, err := rs.EntryAtCurrent(ctx, tc.i, k, l)
 						if werr != nil {
@@ -233,7 +243,8 @@ func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 						if err != nil {
 							t.Fatalf("h(%d, %d): %v", k, l, err)
 						}
-						if math.Float64bits(got) != math.Float64bits(want[k]) {
+						if num.IsZero(tc.tol) && math.Float64bits(got) != math.Float64bits(want[k]) ||
+							math.Abs(got-want[k]) > tc.tol*scale {
 							t.Fatalf("pass %d h(%d, %d): entry %v, solve %v", pass, k, l, got, want[k])
 						}
 					}
@@ -246,21 +257,25 @@ func TestReusableEntryMatchesSolveBitwise(t *testing.T) {
 	}
 }
 
-// The base column is memoized for the last column read: a repeat of l
-// hits, a change of l replaces it, and the solve span says which.
-func TestReusableEntryUnitMemo(t *testing.T) {
+// The entry data is memoized for the last (k, l) read: a repeat of the
+// pair hits, a change of k or l replaces it, and the solve span says
+// which.
+func TestReusableEntryPairMemo(t *testing.T) {
 	rs, _, _, _ := testReusable(t)
 	r := regimeCounters(t)
 	r.EnableTraceOpts(obs.TraceOptions{})
 	ctx := context.Background()
 	i := 0.5 * rs.Lambda()
-	for _, l := range []int{3, 3, 25, 3} {
-		if _, err := rs.EntryAtCurrent(ctx, i, 0, l); err != nil {
+	for _, kl := range [][2]int{{0, 3}, {0, 3}, {0, 25}, {7, 25}, {7, 25}, {0, 3}} {
+		if _, err := rs.EntryAtCurrent(ctx, i, kl[0], kl[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if u := rs.unit.Load(); u == nil || u.l != 3 {
-		t.Fatalf("memo holds %+v, want column 3", u)
+	if p := rs.pair.Load(); p == nil || p.k != 0 || p.l != 3 {
+		t.Fatalf("memo holds %+v, want pair (0, 3)", p)
+	}
+	if got := r.Counter("sparse.band.solves").Value(); got != 4 {
+		t.Fatalf("%d band solves, want 4 (one per memo miss)", got)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -268,13 +283,67 @@ func TestReusableEntryUnitMemo(t *testing.T) {
 	}
 	var memo []string
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if j := strings.Index(line, `{"k":"unit_memo","v":"`); j >= 0 {
-			v := line[j+len(`{"k":"unit_memo","v":"`):]
+		if j := strings.Index(line, `{"k":"pair_memo","v":"`); j >= 0 {
+			v := line[j+len(`{"k":"pair_memo","v":"`):]
 			memo = append(memo, v[:strings.IndexByte(v, '"')])
 		}
 	}
-	if want := []string{"false", "true", "false", "false"}; strings.Join(memo, ",") != strings.Join(want, ",") {
-		t.Fatalf("unit_memo annotations %v, want %v", memo, want)
+	if want := []string{"false", "true", "false", "false", "true", "false"}; strings.Join(memo, ",") != strings.Join(want, ",") {
+		t.Fatalf("pair_memo annotations %v, want %v", memo, want)
+	}
+}
+
+// LoadAtCurrent reads the load b + c*1_U in every regime: to 1e-9 of
+// the direct solve in the SMW regime (a rows read bitwise those rows of
+// the field), bitwise the direct factorization's answer in the
+// near-limit window and on a guard trip, ErrNotPD beyond the limit.
+func TestReusableLoadMatchesDirect(t *testing.T) {
+	rs, g, d, b := testReusable(t)
+	load, err := rs.Form(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lam, c := rs.Lambda(), 0.7
+	rhs := append([]float64(nil), b...)
+	for k, v := range d {
+		if !num.IsZero(v) {
+			rhs[k] += c
+		}
+	}
+	rows := []int{40, 3, 41, 0}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name           string
+		i              float64
+		guard, bitwise bool // arm the guard fault; want the direct bits
+	}{
+		{"zero", 0, false, false}, {"smw", 0.5 * lam, false, false}, {"smw-edge", 0.999 * lam, false, false},
+		{"near-limit", lam * (1 - 1e-7), false, true}, {"guard-trip", 0.4 * lam, true, true},
+	} {
+		if tc.guard {
+			faults.Install(faults.New(1).Arm(faults.Rule{Site: faults.SiteSMWGuard, Kind: faults.KindNaN}))
+		}
+		field, part := make([]float64, len(b)), make([]float64, len(rows))
+		ferr := rs.LoadAtCurrent(ctx, tc.i, c, load, func() []float64 { return rhs }, nil, field)
+		perr := rs.LoadAtCurrent(ctx, tc.i, c, load, func() []float64 { return rhs }, rows, part)
+		faults.Uninstall()
+		if ferr != nil || perr != nil {
+			t.Fatalf("%s: field %v, rows %v", tc.name, ferr, perr)
+		}
+		want := directAt(t, g, d, tc.i, rhs)
+		for k, w := range want {
+			if math.Abs(field[k]-w) > 1e-9*(1+math.Abs(w)) || tc.bitwise && math.Float64bits(field[k]) != math.Float64bits(w) {
+				t.Fatalf("%s node %d: load read %v, direct %v", tc.name, k, field[k], w)
+			}
+		}
+		for r, k := range rows {
+			if math.Float64bits(part[r]) != math.Float64bits(field[k]) {
+				t.Fatalf("%s row %d: rows read %v, field %v", tc.name, k, part[r], field[k])
+			}
+		}
+	}
+	if err := rs.LoadAtCurrent(ctx, lam*(1+1e-3), c, load, func() []float64 { return rhs }, nil, make([]float64, len(b))); !errors.Is(err, ErrNotPD) {
+		t.Fatalf("beyond the limit: err = %v, want ErrNotPD", err)
 	}
 }
 
