@@ -147,3 +147,27 @@ func TestObsOverheadOnTableI(t *testing.T) {
 		t.Errorf("observability overhead %.2f%% exceeds the 5%% budget (off %v, on %v)", 100*overhead, off, on)
 	}
 }
+
+// TestObsAllocationOverheadOnTableI is the deterministic companion of
+// TestObsOverheadOnTableI: allocations, unlike wall time, do not depend
+// on the host's load, so it runs under plain go test. One warm Alpha
+// row may allocate at most 5% more with a registry installed than
+// without.
+func TestObsAllocationOverheadOnTableI(t *testing.T) {
+	skipIfRace(t)
+	f, g := floorplan.Alpha21364Grid()
+	tp := power.AlphaTilePowers(f, g)
+	row := func() {
+		if _, err := RunTableIRow("Alpha", tp, TableIOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun warms up with one run of its own before counting.
+	off := testing.AllocsPerRun(1, row)
+	var on float64
+	withRegistry(t, func(*obs.Registry) { on = testing.AllocsPerRun(1, row) })
+	t.Logf("allocations per Alpha row: obs off %.0f, on %.0f (%+.2f%%)", off, on, 100*(on-off)/off)
+	if on > 1.05*off {
+		t.Errorf("a registry adds %.2f%% allocations to an Alpha row, over the 5%% budget (off %.0f, on %.0f)", 100*(on-off)/off, off, on)
+	}
+}

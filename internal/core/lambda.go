@@ -24,8 +24,8 @@ import (
 // H(i) = (G - i*D)^{-1} diverges to +infinity as i -> lambda_m^-, i.e.
 // the whole chip overheats without bound: thermal runaway. The paper
 // computes lambda_m by binary search with Cholesky positive-definiteness
-// tests, which is exactly what RunawayLimit does (using the banded
-// factorization for O(n*bw^2) probes).
+// tests, which is exactly what RunawayLimit does (each probe one
+// RCM-ordered envelope factorization).
 
 // ErrNoRunawayLimit indicates an operation that needs a finite lambda_m
 // (such as RunawayMode) was asked about a system that has none because D

@@ -59,10 +59,6 @@ func (b *Builder) AddSym(i, j int, v float64) {
 	}
 }
 
-// NNZEstimate returns the number of accumulated triplets (before
-// duplicate merging).
-func (b *Builder) NNZEstimate() int { return len(b.entries) }
-
 // Build compiles the triplets into CSR form, summing duplicates and
 // dropping entries that cancel to exactly zero.
 func (b *Builder) Build() *CSR {
@@ -182,22 +178,6 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Permute returns P A P' for the symmetric permutation perm, where
-// perm[old] = new. Used with RCM ordering to shrink factorization fill.
-func (m *CSR) Permute(perm []int) *CSR {
-	if len(perm) != m.rows || m.rows != m.cols {
-		panic("sparse: Permute needs a square matrix and a full permutation")
-	}
-	b := NewBuilder(m.rows, m.cols)
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowNNZ(i)
-		for k, j := range cols {
-			b.Add(perm[i], perm[j], vals[k])
-		}
-	}
-	return b.Build()
 }
 
 // AddScaledDiag returns A + s*DIAG(d) as a new CSR matrix. The cooling

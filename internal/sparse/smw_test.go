@@ -16,7 +16,7 @@ import (
 // matrix — the reference the SMW fast path must reproduce.
 func smwDirect(t *testing.T, a *CSR, d []float64, i float64, b []float64) []float64 {
 	t.Helper()
-	c, err := NewBandCholesky(a.AddScaledDiag(-i, d))
+	c, err := NewBandCholesky(a.AddScaledDiag(-i, d), nil)
 	if err != nil {
 		t.Fatalf("direct factorization at shift %g: %v", i, err)
 	}
@@ -39,7 +39,7 @@ func newGridSMW(t *testing.T) (*CSR, []float64, *SMW) {
 	d[17+9] = -0.03
 	d[40] = 0.05
 	d[40+9] = -0.02
-	base, err := NewBandCholesky(a)
+	base, err := NewBandCholesky(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSMWMatchesDirectAcrossShifts(t *testing.T) {
 	if math.IsInf(lam, 1) || lam <= 0 {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
-	base, err := NewBandCholesky(a)
+	base, err := NewBandCholesky(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestSMWLambdaMatchesBreakdown(t *testing.T) {
 	if !num.IsFinite(lam) || lam <= 0 {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
-	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1-1e-3), d)); err != nil {
+	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1-1e-3), d), nil); err != nil {
 		t.Fatalf("shifted matrix below lambda not PD: %v", err)
 	}
-	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1+1e-3), d)); err == nil {
+	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1+1e-3), d), nil); err == nil {
 		t.Fatal("shifted matrix beyond lambda still factored")
 	}
 }
@@ -175,7 +175,7 @@ func TestSMWGuardFaultInjection(t *testing.T) {
 
 func TestSMWZeroSupport(t *testing.T) {
 	a := gridLaplacian(4, 4)
-	base, err := NewBandCholesky(a)
+	base, err := NewBandCholesky(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestSMWMatchesDirectProperty(t *testing.T) {
 		for j := 0; j < 1+rng.Intn(6); j++ {
 			d[rng.Intn(n)] = 0.5 * rng.NormFloat64()
 		}
-		base, err := NewBandCholesky(a)
+		base, err := NewBandCholesky(a, nil)
 		if err != nil {
 			return false
 		}
@@ -277,7 +277,7 @@ func TestSMWMatchesDirectProperty(t *testing.T) {
 			if err := s.Correct(shift, y); err != nil {
 				return false
 			}
-			c, err := NewBandCholesky(a.AddScaledDiag(-shift, d))
+			c, err := NewBandCholesky(a.AddScaledDiag(-shift, d), nil)
 			if err != nil {
 				return false
 			}
@@ -314,7 +314,7 @@ func FuzzSMWGuard(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shift, da, db float64) {
 		d := make([]float64, n)
 		d[3], d[11] = da, db
-		base, err := NewBandCholesky(a)
+		base, err := NewBandCholesky(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func FuzzSMWGuard(f *testing.F) {
 				t.Fatalf("shift %v: NaN at node %d after successful Correct", shift, k)
 			}
 		}
-		c, err := NewBandCholesky(a.AddScaledDiag(-shift, d))
+		c, err := NewBandCholesky(a.AddScaledDiag(-shift, d), nil)
 		if err != nil {
 			return // guard accepted a shift outside the PD interval? only
 			// possible beyond lambda, where Correct still computed the
@@ -389,7 +389,7 @@ func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
 	for _, k := range rng.Perm(n)[:unitBlock+7] {
 		d[k] = 0.05 * rng.NormFloat64()
 	}
-	base, err := NewBandCholesky(a)
+	base, err := NewBandCholesky(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

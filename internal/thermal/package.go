@@ -1,6 +1,8 @@
 package thermal
 
 import (
+	"math"
+
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/num"
@@ -79,6 +81,16 @@ func (lg *layerGrid) rect(c, r int) floorplan.Rect {
 }
 
 func (lg *layerGrid) idx(c, r int) int { return r*lg.cells + c }
+
+// span returns the cells [lo, hi) along one axis that the interval
+// [x, x+w) can overlap, padded by one cell on each side so that
+// rounding never drops a cell Overlap would count: every cell outside
+// lies a whole pitch away.
+func (lg *layerGrid) span(x, w float64) (lo, hi int) {
+	lo = int(math.Floor((x-lg.origin)/lg.pitch)) - 1
+	hi = int(math.Floor((x+w-lg.origin)/lg.pitch)) + 2
+	return max(lo, 0), min(hi, lg.cells)
+}
 
 // BuildPackage constructs the compact thermal model of the package
 // described by geom, dissected per opts. TEC sites are left open (no TIM
@@ -197,12 +209,15 @@ func BuildPackage(geom material.PackageGeometry, opts BuildOptions) (*PackageNet
 	lateral(func(c, r int) int { return spr.node[spr.idx(c, r)] }, spr.cells, spr.cells, kCu, tSpr, spr.pitch, spr.pitch)
 	pn.halfSprPerArea = kCu / (tSpr / 2)
 
-	// TIM/TEC-site <-> spreader coupling by area overlap.
+	// TIM/TEC-site <-> spreader coupling by area overlap, over the
+	// cells the tile can touch.
 	for t := 0; t < nt; t++ {
 		tr := tileRect(t)
 		var shares []SprShare
-		for r := 0; r < spr.cells; r++ {
-			for c := 0; c < spr.cells; c++ {
+		c0, c1 := spr.span(tr.X, tr.W)
+		r0, r1 := spr.span(tr.Y, tr.H)
+		for r := r0; r < r1; r++ {
+			for c := c0; c < c1; c++ {
 				ov := tr.Overlap(spr.rect(c, r))
 				if ov <= 0 {
 					continue
@@ -229,12 +244,15 @@ func BuildPackage(geom material.PackageGeometry, opts BuildOptions) (*PackageNet
 	}
 	lateral(func(c, r int) int { return snk.node[snk.idx(c, r)] }, snk.cells, snk.cells, kCu, tSnk, snk.pitch, snk.pitch)
 
-	// Spreader <-> sink coupling by overlap.
+	// Spreader <-> sink coupling by overlap, over the sink cells each
+	// spreader cell can touch.
 	for r := 0; r < spr.cells; r++ {
 		for c := 0; c < spr.cells; c++ {
 			sr := spr.rect(c, r)
-			for rr := 0; rr < snk.cells; rr++ {
-				for cc := 0; cc < snk.cells; cc++ {
+			cc0, cc1 := snk.span(sr.X, sr.W)
+			rr0, rr1 := snk.span(sr.Y, sr.H)
+			for rr := rr0; rr < rr1; rr++ {
+				for cc := cc0; cc < cc1; cc++ {
 					ov := sr.Overlap(snk.rect(cc, rr))
 					if ov <= 0 {
 						continue

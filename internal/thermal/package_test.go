@@ -8,6 +8,7 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/mat"
 	"tecopt/internal/material"
+	"tecopt/internal/num"
 	"tecopt/internal/power"
 	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
@@ -334,5 +335,51 @@ func TestPowerVectorRejectsNonFinite(t *testing.T) {
 	tile[3] = math.Inf(1)
 	if _, err := pn.PowerVector(tile); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Fatalf("Inf power: %v", err)
+	}
+}
+
+// Assembly visits only the cells a rectangle can touch. The couplings it
+// finds must be those of a scan over every cell: the same spreader
+// shares in the same order, bit for bit, and the same spreader-sink
+// pattern in G, also where the grids do not line up with the tiles.
+func TestBuildPackageOverlapsMatchFullScan(t *testing.T) {
+	geom := material.DefaultPackage()
+	for _, opts := range []BuildOptions{DefaultBuildOptions(), {Cols: 7, Rows: 5, SpreaderCells: 13, SinkCells: 9}} {
+		pn, err := BuildPackage(geom, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spr := &layerGrid{cells: opts.SpreaderCells, pitch: geom.SpreaderSide / float64(opts.SpreaderCells), origin: -geom.SpreaderSide / 2}
+		snk := &layerGrid{cells: opts.SinkCells, pitch: geom.SinkSide / float64(opts.SinkCells), origin: -geom.SinkSide / 2}
+		sprNode, snkNode := pn.Net.NodesOfKind(KindSpreader), pn.Net.NodesOfKind(KindSink)
+		tileW, tileH := geom.DieWidth/float64(opts.Cols), geom.DieHeight/float64(opts.Rows)
+		for tile, got := range pn.SprShares {
+			c, r := tile%opts.Cols, tile/opts.Cols
+			tr := floorplan.Rect{X: -geom.DieWidth/2 + float64(c)*tileW, Y: -geom.DieHeight/2 + float64(r)*tileH, W: tileW, H: tileH}
+			var want []SprShare
+			for k := range sprNode {
+				if ov := tr.Overlap(spr.rect(k%spr.cells, k/spr.cells)); ov > 0 {
+					want = append(want, SprShare{Node: sprNode[k], Area: ov})
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%dx%d tile %d: %d spreader shares, full scan %d", opts.Cols, opts.Rows, tile, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Node != want[i].Node || math.Float64bits(got[i].Area) != math.Float64bits(want[i].Area) {
+					t.Fatalf("%dx%d tile %d share %d: %+v, full scan %+v", opts.Cols, opts.Rows, tile, i, got[i], want[i])
+				}
+			}
+		}
+		g := pn.Net.G()
+		for i, sn := range sprNode {
+			sr := spr.rect(i%spr.cells, i/spr.cells)
+			for k, kn := range snkNode {
+				ov := sr.Overlap(snk.rect(k%snk.cells, k/snk.cells))
+				if (ov > 0) == num.IsZero(g.At(sn, kn)) {
+					t.Fatalf("%dx%d spreader cell %d, sink cell %d: overlap %g, G entry %g", opts.Cols, opts.Rows, i, k, ov, g.At(sn, kn))
+				}
+			}
+		}
 	}
 }

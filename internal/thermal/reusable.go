@@ -12,7 +12,7 @@ import (
 	"tecopt/internal/tecerr"
 )
 
-// ReusableSystem owns one banded Cholesky factorization of the base
+// ReusableSystem owns one envelope Cholesky factorization of the base
 // matrix G and reads the whole current family (G - i*D) theta = rhs in
 // pole form (sparse.SMW, rank m = 2 per TEC) instead of refactoring. A
 // load b + c*1_U prepared once by Form (1_U is 1 on D's support) reads

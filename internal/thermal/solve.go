@@ -14,9 +14,9 @@ import (
 type Method int
 
 const (
-	// MethodBandCholesky, the zero value, is the RCM + banded direct
-	// solver (exact) — the right choice for the repeated
-	// factor-and-solve pattern of the optimizer.
+	// MethodBandCholesky, the zero value, is the RCM + envelope
+	// (variable-band) direct solver (exact) — the right choice for the
+	// repeated factor-and-solve pattern of the optimizer.
 	MethodBandCholesky Method = iota
 	// MethodCG forces the preconditioned conjugate-gradient solver.
 	MethodCG
@@ -40,17 +40,17 @@ type Factorization struct {
 	inv  []int // new -> old
 }
 
-// Factor computes an RCM-ordered banded Cholesky factorization of the
-// symmetric positive definite matrix a. perm may be a precomputed RCM
-// permutation for a's pattern (pass nil to compute one here); reusing a
-// permutation across the many G - i*D factorizations of the optimizer
-// saves the ordering cost, since the pattern never changes with i.
+// Factor computes an RCM-ordered envelope Cholesky factorization of the
+// symmetric positive definite matrix a, loaded from a through the
+// permutation. perm may be a precomputed RCM permutation for a's
+// pattern (pass nil to compute one here); reusing a permutation across
+// the many G - i*D factorizations of the optimizer saves the ordering
+// cost, since the pattern never changes with i.
 func Factor(a *sparse.CSR, perm []int) (*Factorization, error) {
 	if perm == nil {
 		perm = sparse.RCM(a)
 	}
-	ap := a.Permute(perm)
-	chol, err := sparse.NewBandCholesky(ap)
+	chol, err := sparse.NewBandCholesky(a, perm)
 	if err != nil {
 		return nil, ErrNotPD
 	}
