@@ -55,8 +55,11 @@ fmt-check:
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name testdata -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
+# teclint lists packages with `go list`, whose ./... stops at the nested
+# benchmark module, so the benchmark is linted from its own directory.
 lint:
 	$(GO) run ./cmd/teclint ./...
+	$(GO) -C benchmark run tecopt/cmd/teclint ./...
 
 # The repository benchmark (benchmark/, run by benchmark/run.sh) is a Go
 # module of its own, so the ./... patterns above do not reach it: vet it

@@ -18,6 +18,7 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
+	"tecopt/internal/sparse"
 	"tecopt/internal/thermal"
 )
 
@@ -334,7 +335,7 @@ func BenchmarkSteadySolve_BandCholesky(b *testing.B) {
 	rhs := sys.RHS(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := thermal.SolveSteady(m, rhs, thermal.MethodBandCholesky); err != nil {
+		if _, err := thermal.SolveSteady(m, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -348,7 +349,7 @@ func BenchmarkSteadySolve_CG(b *testing.B) {
 	rhs := sys.RHS(6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := thermal.SolveSteady(m, rhs, thermal.MethodCG); err != nil {
+		if _, err := sparse.SolveCG(m, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(m)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,9 +8,10 @@
 //
 //	go run ./cmd/teclint ./...
 //
-// Arguments are package patterns: "./..." walks every package under
-// the current module (skipping testdata), a plain directory path lints
-// just that package. With no arguments, "./..." is assumed.
+// Arguments are package directories, listed with `go list`: "./..."
+// names every package of the current module (testdata and nested
+// modules left out), a plain directory path just that package. With no
+// arguments, "./..." is assumed. The go command must be on PATH.
 //
 // Flags:
 //
@@ -28,8 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"tecopt/internal/lint"
 	"tecopt/internal/obs"
@@ -73,23 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("getwd", err))
 	}
-	root, err := lint.FindModuleRoot(cwd)
+	loader, err := lint.NewLoader(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("module root", err))
+		return tecerr.ExitCode(loadFailure("listing packages", err))
 	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("loader", err))
-	}
-
-	dirs, err := resolvePatterns(patterns, cwd)
-	if err != nil {
-		fmt.Fprintln(stderr, "teclint:", err)
-		return tecerr.ExitCode(loadFailure("resolving patterns", err))
-	}
-	diags, err := lint.LintDirs(loader, dirs, analyzers, cwd)
+	diags, err := lint.LintPackages(loader, analyzers, cwd)
 	if err != nil {
 		fmt.Fprintln(stderr, "teclint:", err)
 		return tecerr.ExitCode(loadFailure("loading packages", err))
@@ -102,42 +90,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// resolvePatterns expands package patterns into package directories.
-// "dir/..." (including "./...") walks recursively; other arguments name
-// a single package directory.
-func resolvePatterns(patterns []string, cwd string) ([]string, error) {
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, p := range patterns {
-		if base, ok := strings.CutSuffix(p, "/..."); ok {
-			if base == "" || base == "." {
-				base = cwd
-			}
-			walked, err := lint.PackageDirs(absJoin(cwd, base))
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-			continue
-		}
-		add(absJoin(cwd, p))
-	}
-	return dirs, nil
-}
-
-func absJoin(cwd, p string) string {
-	if filepath.IsAbs(p) {
-		return filepath.Clean(p)
-	}
-	return filepath.Join(cwd, p)
 }

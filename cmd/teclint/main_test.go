@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"tecopt/internal/lint"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -61,17 +60,15 @@ func chdir(t *testing.T, dir string) {
 	})
 }
 
+// moduleRoot asks the go command for the directory of the enclosing
+// module's go.mod, from wherever the test stands.
 func moduleRoot(t *testing.T) string {
 	t.Helper()
-	wd, err := os.Getwd()
+	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go env GOMOD: %v", err)
 	}
-	root, err := lint.FindModuleRoot(wd)
-	if err != nil {
-		t.Fatalf("module root not found from %s: %v", wd, err)
-	}
-	return root
+	return filepath.Dir(strings.TrimSpace(string(out)))
 }
 
 // TestGoldenOutput pins the exact diagnostic stream produced for the

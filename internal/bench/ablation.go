@@ -10,6 +10,7 @@ import (
 	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/power"
+	"tecopt/internal/sparse"
 	"tecopt/internal/thermal"
 )
 
@@ -92,14 +93,14 @@ func RunSolverAblation() ([]SolverAblationRow, error) {
 	rhs := sys.RHS(res.IOpt)
 
 	start := time.Now()
-	direct, err := thermal.SolveSteady(m, rhs, thermal.MethodBandCholesky)
+	direct, err := thermal.SolveSteady(m, rhs)
 	if err != nil {
 		return nil, err
 	}
 	tDirect := time.Since(start)
 
 	start = time.Now()
-	cg, err := thermal.SolveSteady(m, rhs, thermal.MethodCG)
+	cg, err := sparse.SolveCG(m, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(m)})
 	if err != nil {
 		return nil, err
 	}
@@ -107,12 +108,12 @@ func RunSolverAblation() ([]SolverAblationRow, error) {
 
 	var maxDiff float64
 	for i := range direct {
-		if d := math.Abs(direct[i] - cg[i]); d > maxDiff {
+		if d := math.Abs(direct[i] - cg.X[i]); d > maxDiff {
 			maxDiff = d
 		}
 	}
 	peakD, _ := sys.PN.PeakSilicon(direct)
-	peakC, _ := sys.PN.PeakSilicon(cg)
+	peakC, _ := sys.PN.PeakSilicon(cg.X)
 	return []SolverAblationRow{
 		{Method: "band-cholesky (direct)", Runtime: tDirect, PeakC: material.KelvinToCelsius(peakD)},
 		{Method: "pcg (ic0)", Runtime: tCG, PeakC: material.KelvinToCelsius(peakC), MaxDiffC: maxDiff},

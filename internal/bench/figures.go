@@ -204,7 +204,7 @@ func RunValidation() (*ValidationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
+	theta, err := pn.SolvePassive(p)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func RunWorkloadValidation() ([]WorkloadValidationRow, error) {
 	var rows []WorkloadValidationRow
 	for _, w := range power.SyntheticSPECWorkloads() {
 		p := g.DensityPerTile(f, model.Densities(w))
-		theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
+		theta, err := pn.SolvePassive(p)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func RunResolutionAblation(cells []int) ([]ResolutionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
+		theta, err := pn.SolvePassive(p)
 		if err != nil {
 			return nil, err
 		}

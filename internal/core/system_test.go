@@ -92,7 +92,7 @@ func TestSolveAtZeroMatchesPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sys.PN.SolvePassive(cfg.TilePower, 0)
+	direct, err := sys.PN.SolvePassive(cfg.TilePower)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"tecopt/internal/material"
 	"tecopt/internal/num"
 	"tecopt/internal/obs"
+	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
@@ -230,6 +231,23 @@ func TestChaosCancelMidSweep(t *testing.T) {
 	})
 }
 
+// solvePassiveCG solves the passive network with IC(0)-preconditioned
+// CG, the reference solver, and returns its error.
+func solvePassiveCG(t *testing.T, pn *thermal.PackageNetwork, tp []float64) error {
+	t.Helper()
+	p, err := pn.PowerVector(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := pn.Net.BaseRHS()
+	for i, v := range p {
+		rhs[i] += v
+	}
+	g := pn.Net.G()
+	_, err = sparse.SolveCG(g, rhs, sparse.CGOptions{Tol: 1e-12, Precond: sparse.NewBestPreconditioner(g)})
+	return err
+}
+
 // TestChaosCGDivergenceTyped poisons every CG residual with NaN: the
 // divergence guard must stop the solve with a typed CodeDiverged error,
 // not a NaN field.
@@ -239,7 +257,7 @@ func TestChaosCGDivergenceTyped(t *testing.T) {
 		Site: faults.SiteCGResidual, Kind: faults.KindNaN,
 	}))
 	defer faults.Uninstall()
-	if _, err := pn.SolvePassive(tp, thermal.MethodCG); !errors.Is(err, tecerr.ErrDiverged) {
+	if err := solvePassiveCG(t, pn, tp); !errors.Is(err, tecerr.ErrDiverged) {
 		t.Fatalf("NaN residual surfaced as %v, want CodeDiverged", err)
 	}
 }
@@ -253,7 +271,7 @@ func TestChaosCGIterationError(t *testing.T) {
 		Site: faults.SiteCGIteration, Kind: faults.KindError,
 	}))
 	defer faults.Uninstall()
-	if _, err := pn.SolvePassive(tp, thermal.MethodCG); !errors.Is(err, faults.ErrInjected) {
+	if err := solvePassiveCG(t, pn, tp); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("injected CG error surfaced as %v, want ErrInjected in the chain", err)
 	}
 }
@@ -266,7 +284,7 @@ func TestChaosPowerNaN(t *testing.T) {
 		Site: faults.SitePower, Kind: faults.KindNaN, OnHit: 3,
 	}))
 	defer faults.Uninstall()
-	if _, err := pn.SolvePassive(tp, thermal.MethodBandCholesky); !errors.Is(err, tecerr.ErrInvalidInput) {
+	if _, err := pn.SolvePassive(tp); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Fatalf("NaN power surfaced as %v, want CodeInvalidInput", err)
 	}
 }
@@ -280,7 +298,7 @@ func TestChaosBandPerturbNotPD(t *testing.T) {
 		Site: faults.SiteBandMatrix, Kind: faults.KindPerturb, Scale: 50,
 	}))
 	defer faults.Uninstall()
-	if _, err := pn.SolvePassive(tp, thermal.MethodBandCholesky); !errors.Is(err, tecerr.ErrNotPD) {
+	if _, err := pn.SolvePassive(tp); !errors.Is(err, tecerr.ErrNotPD) {
 		t.Fatalf("band corruption surfaced as %v, want CodeNotPD", err)
 	}
 }

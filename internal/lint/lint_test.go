@@ -3,27 +3,38 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// fixtureLoader builds a loader rooted at the enclosing module so
-// fixtures under testdata/ type-check with the same machinery teclint
-// uses.
-func fixtureLoader(t *testing.T) *Loader {
+// fixtureUnits loads the fixture package testdata/<name> with the same
+// machinery teclint uses and returns its directory and units.
+func fixtureUnits(t *testing.T, name string) (string, []*Unit) {
 	t.Helper()
-	root, err := FindModuleRoot(".")
+	dir, err := filepath.Abs(filepath.Join("testdata", name))
 	if err != nil {
-		t.Fatalf("finding module root: %v", err)
+		t.Fatalf("resolving fixture dir: %v", err)
 	}
-	loader, err := NewLoader(root)
+	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatalf("creating loader: %v", err)
 	}
-	return loader
+	if len(loader.matched) != 1 {
+		t.Fatalf("%d packages listed for %s, want 1", len(loader.matched), dir)
+	}
+	units, err := loader.load(loader.matched[0])
+	if err != nil {
+		t.Fatalf("loading fixture package: %v", err)
+	}
+	if len(units) == 0 {
+		t.Fatalf("no packages loaded from %s", dir)
+	}
+	return dir, units
 }
 
 // wantedFindings scans fixture sources for "// want <rule>" markers and
@@ -62,18 +73,7 @@ func wantedFindings(t *testing.T, dir, rule string) map[string]bool {
 // findings match the // want markers exactly.
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
-	loader := fixtureLoader(t)
-	dir, err := filepath.Abs(filepath.Join("testdata", a.Name))
-	if err != nil {
-		t.Fatalf("resolving fixture dir: %v", err)
-	}
-	units, err := loader.Load(dir)
-	if err != nil {
-		t.Fatalf("loading fixture package: %v", err)
-	}
-	if len(units) == 0 {
-		t.Fatalf("no packages loaded from %s", dir)
-	}
+	dir, units := fixtureUnits(t, a.Name)
 	got := make(map[string]bool)
 	for _, unit := range units {
 		for _, d := range Run(unit, []*Analyzer{a}) {
@@ -117,15 +117,7 @@ func TestNaNFlowFixture(t *testing.T)       { runFixture(t, NaNFlow) }
 // pseudo-rule: reasonless teclint:ignore directives are reported by Run
 // itself, with no analyzer registered at all.
 func TestBadIgnoreFixture(t *testing.T) {
-	loader := fixtureLoader(t)
-	dir, err := filepath.Abs(filepath.Join("testdata", "badignore"))
-	if err != nil {
-		t.Fatalf("resolving fixture dir: %v", err)
-	}
-	units, err := loader.Load(dir)
-	if err != nil {
-		t.Fatalf("loading fixture package: %v", err)
-	}
+	dir, units := fixtureUnits(t, "badignore")
 	got := make(map[string]bool)
 	for _, unit := range units {
 		for _, d := range Run(unit, nil) {
@@ -148,6 +140,73 @@ func TestBadIgnoreFixture(t *testing.T) {
 	for key := range got {
 		if !want[key] {
 			t.Errorf("unexpected badignore finding at %s", key)
+		}
+	}
+}
+
+// TestStdLibReadFromExportData loads every fixture, which import the
+// standard library directly and through module packages, and requires
+// that no file under GOROOT/src was parsed into the loader's file set:
+// the standard library comes from compiler export data.
+func TestStdLibReadFromExportData(t *testing.T) {
+	out, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		t.Fatalf("go env GOROOT: %v", err)
+	}
+	src := filepath.Join(strings.TrimSpace(string(out)), "src") + string(filepath.Separator)
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		dirs = append(dirs, filepath.Join("testdata", e.Name()))
+	}
+	loader, err := NewLoader(dirs...)
+	if err != nil {
+		t.Fatalf("creating loader: %v", err)
+	}
+	stdImports := 0
+	for _, p := range loader.matched {
+		units, err := loader.load(p)
+		if err != nil {
+			t.Fatalf("loading %s: %v", p.ImportPath, err)
+		}
+		for _, u := range units {
+			for _, imp := range u.Pkg.Imports() {
+				if loader.listed[imp.Path()].Standard {
+					stdImports++
+				}
+			}
+		}
+	}
+	if stdImports == 0 {
+		t.Fatal("no fixture imports the standard library; the check below would prove nothing")
+	}
+	loader.Fset.Iterate(func(f *token.File) bool {
+		if strings.HasPrefix(f.Name(), src) {
+			t.Errorf("standard-library source %s was parsed", f.Name())
+			return false
+		}
+		return true
+	})
+}
+
+// TestTestOnlyImportLoads lints a package whose external tests import
+// a package that imports it back: sparse_test imports core, which
+// imports sparse, so the listing names core only as the test variant
+// "core [sparse.test]", and that record must stand in for core.
+func TestTestOnlyImportLoads(t *testing.T) {
+	loader, err := NewLoader(filepath.Join("..", "sparse"))
+	if err != nil {
+		t.Fatalf("creating loader: %v", err)
+	}
+	if core := loader.listed["tecopt/internal/core"]; core == nil || !strings.HasSuffix(core.ImportPath, " [tecopt/internal/sparse.test]") {
+		t.Fatalf("core is not listed as a test variant of sparse: %+v", core)
+	}
+	for _, p := range loader.matched {
+		if _, err := loader.load(p); err != nil {
+			t.Fatalf("loading %s: %v", p.ImportPath, err)
 		}
 	}
 }

@@ -1,14 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,8 +23,6 @@ import (
 // with its in-package _test.go files, or an external "_test" package.
 type Unit struct {
 	Fset  *token.FileSet
-	Dir   string
-	Path  string // import path ("tecopt/internal/mat", or ".../mat_test")
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
@@ -238,104 +240,149 @@ func (f *FactStore) callNeverReturns(info *types.Info, call *ast.CallExpr) bool 
 	return false
 }
 
-// Loader parses and type-checks packages of a single module using only
-// the standard library. Imports within the module are resolved by
-// mapping the import path onto the module directory tree; standard
-// library imports are type-checked from GOROOT source via go/importer.
+// Loader type-checks the packages that the go command lists. One
+// `go list -e -deps -test -json` run names the packages, their
+// directories, their files after build constraints and every import
+// they reach. Each package outside the standard library is checked
+// from source, imports before importers, so the fact store sees every
+// one of them; the standard library is read from the compiler export
+// data that the go command keeps in its build cache.
 type Loader struct {
-	Fset       *token.FileSet
-	ModulePath string
-	ModuleRoot string
+	Fset *token.FileSet
 
+	listed  map[string]*listedPackage // by import path
+	matched []*listedPackage          // what the patterns name, in listing order
 	std     types.Importer
 	cache   map[string]*types.Package
-	loading map[string]bool
 	facts   *FactStore
 }
 
-// Facts exposes the loader's cross-package fact store.
-func (l *Loader) Facts() *FactStore { return l.facts }
-
-// NewLoader creates a loader rooted at moduleRoot, reading the module
-// path from go.mod.
-func NewLoader(moduleRoot string) (*Loader, error) {
-	data, err := os.ReadFile(filepath.Join(moduleRoot, "go.mod"))
-	if err != nil {
-		return nil, fmt.Errorf("lint: reading go.mod: %w", err)
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			modPath = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if modPath == "" {
-		return nil, fmt.Errorf("lint: no module line in %s/go.mod", moduleRoot)
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:       fset,
-		ModulePath: modPath,
-		ModuleRoot: moduleRoot,
-		std:        importer.ForCompiler(fset, "source", nil),
-		cache:      make(map[string]*types.Package),
-		loading:    make(map[string]bool),
-		facts:      NewFactStore(),
-	}, nil
+// listedPackage is the part of a `go list -json` record the loader
+// reads.
+type listedPackage struct {
+	ImportPath   string
+	Dir          string
+	Standard     bool
+	DepOnly      bool
+	Export       string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Error        *struct{ Err string }
 }
 
-// FindModuleRoot walks up from dir looking for a go.mod file.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+// NewLoader lists patterns with the go command, run in the current
+// directory. A pattern is a package directory: dir/... names every
+// package below dir, leaving out testdata and nested modules as the go
+// command does, and a plain path names the package in that directory.
+func NewLoader(patterns ...string) (*Loader, error) {
+	args := []string{"list", "-e", "-deps", "-test", "-json=ImportPath,Dir,Standard,DepOnly,GoFiles,TestGoFiles,XTestGoFiles,Error", "--"}
+	for _, p := range patterns {
+		if !filepath.IsAbs(p) {
+			p = "./" + p // a directory, never an import path
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		dir = parent
+		args = append(args, p)
 	}
-}
-
-// Import resolves an import path for the type checker: module-internal
-// paths load from the module tree (non-test files only), everything
-// else defers to the GOROOT source importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		return l.importModulePackage(path)
-	}
-	return l.std.Import(path)
-}
-
-func (l *Loader) importModulePackage(path string) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %q", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	dir := l.ModuleRoot
-	if path != l.ModulePath {
-		dir = filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/")))
-	}
-	files, err := l.parseDir(dir, func(name string) bool {
-		return !strings.HasSuffix(name, "_test.go")
-	})
+	pkgs, err := goList(args)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s for import %q", dir, path)
+	l := &Loader{
+		Fset:   token.NewFileSet(),
+		listed: make(map[string]*listedPackage),
+		cache:  make(map[string]*types.Package),
+		facts:  NewFactStore(),
+	}
+	var std []string
+	for _, p := range pkgs {
+		path, _, variant := strings.Cut(p.ImportPath, " ")
+		switch {
+		case strings.HasSuffix(path, ".test"):
+			// A test main: generated, nothing to check.
+		case variant:
+			// "x [p.test]" repeats x for p's test binary; the loader
+			// builds test units from the plain record. When only a
+			// test of p imports x, the listing has no plain record of
+			// x, and the variant, whose files are x's own, stands in.
+			if l.listed[path] == nil {
+				l.listed[path] = p
+			}
+		case p.Standard:
+			l.listed[path] = p
+			std = append(std, path)
+		default:
+			l.listed[path] = p
+			if !p.DepOnly {
+				l.matched = append(l.matched, p)
+			}
+		}
+	}
+	if len(l.matched) == 0 {
+		return nil, fmt.Errorf("lint: no packages match %s", strings.Join(patterns, " "))
+	}
+	// Export data for the standard library only: asking for all of it
+	// would also compile the module's packages, which are checked from
+	// source anyway.
+	if len(std) > 0 {
+		exports, err := goList(append([]string{"list", "-e", "-export", "-json=ImportPath,Export", "--"}, std...))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range exports {
+			if q := l.listed[p.ImportPath]; q != nil {
+				q.Export = p.Export
+			}
+		}
+	}
+	l.std = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if p := l.listed[path]; p != nil && p.Export != "" {
+			return os.Open(p.Export)
+		}
+		return nil, fmt.Errorf("lint: no export data for %q", path)
+	})
+	return l, nil
+}
+
+// goList runs the go command with args and decodes the JSON package
+// records it prints.
+func goList(args []string) ([]*listedPackage, error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %w: %s", err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	var pkgs []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, fmt.Errorf("lint: reading go list output: %w", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+}
+
+// Import resolves an import for the type checker: the standard library
+// from export data, any other listed package from its non-test source
+// files, checked once.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	p := l.listed[path]
+	switch {
+	case p == nil:
+		return nil, fmt.Errorf("lint: %q is not in the package listing", path)
+	case p.Standard:
+		return l.std.Import(path)
+	case p.Error != nil:
+		return nil, errors.New(p.Error.Err)
+	}
+	if pkg, ok := l.cache[path]; ok {
+		return pkg, nil
+	}
+	files, err := l.parse(p.Dir, p.GoFiles)
+	if err != nil {
+		return nil, err
 	}
 	pkg, _, err := l.check(path, files)
 	if err != nil {
@@ -345,86 +392,39 @@ func (l *Loader) importModulePackage(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// Load parses and type-checks the package in dir for analysis. It
-// returns one unit for the package including its in-package test files
-// and, if present, a second unit for the external _test package.
-func (l *Loader) Load(dir string) ([]*Unit, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
+// load type-checks one matched package for analysis: a unit of the
+// package with its in-package _test.go files and, if the package has
+// one, a unit of its external _test package, which is checked against
+// the non-test package.
+func (l *Loader) load(p *listedPackage) ([]*Unit, error) {
+	if p.Error != nil {
+		return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
 	}
-	all, err := l.parseDir(dir, func(string) bool { return true })
-	if err != nil {
-		return nil, err
-	}
-	if len(all) == 0 {
-		return nil, nil
-	}
-	path := l.importPathFor(dir)
-
-	// Split into the base package (plus in-package tests) and the
-	// external test package, by package clause.
-	var base, xtest []*ast.File
-	for _, f := range all {
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			xtest = append(xtest, f)
-		} else {
-			base = append(base, f)
-		}
-	}
-
+	base := append(append([]string(nil), p.GoFiles...), p.TestGoFiles...)
+	sort.Strings(base)
 	var units []*Unit
-	if len(base) > 0 {
-		pkg, info, err := l.check(path, base)
-		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+	for _, u := range []struct {
+		path  string
+		names []string
+	}{{p.ImportPath, base}, {p.ImportPath + "_test", p.XTestGoFiles}} {
+		if len(u.names) == 0 {
+			continue
 		}
-		units = append(units, &Unit{Fset: l.Fset, Dir: dir, Path: path, Files: base, Pkg: pkg, Info: info, Facts: l.facts})
-	}
-	if len(xtest) > 0 {
-		xpath := path + "_test"
-		pkg, info, err := l.check(xpath, xtest)
+		files, err := l.parse(p.Dir, u.names)
 		if err != nil {
-			return nil, fmt.Errorf("lint: type-checking %s: %w", xpath, err)
+			return nil, err
 		}
-		units = append(units, &Unit{Fset: l.Fset, Dir: dir, Path: xpath, Files: xtest, Pkg: pkg, Info: info, Facts: l.facts})
+		pkg, info, err := l.check(u.path, files)
+		if err != nil {
+			return nil, fmt.Errorf("lint: type-checking %s: %w", u.path, err)
+		}
+		units = append(units, &Unit{Fset: l.Fset, Files: files, Pkg: pkg, Info: info, Facts: l.facts})
 	}
 	return units, nil
 }
 
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.ModuleRoot, dir)
-	if err != nil || rel == "." {
-		return l.ModulePath
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-func (l *Loader) parseDir(dir string, keep func(name string) bool) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if !keep(name) {
-			continue
-		}
-		// Respect build constraints (//go:build tags, GOOS/GOARCH file
-		// suffixes) for the default build configuration, so that e.g.
-		// race-only and non-race variants of a file are never loaded
-		// into the same package.
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -459,38 +459,4 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 	// provides the same guarantee (see summary.go).
 	l.facts.recordSummaries(info, files)
 	return pkg, info, nil
-}
-
-// PackageDirs returns every directory under root containing Go source,
-// skipping testdata, hidden, and VCS directories. Paths are returned in
-// sorted order for deterministic runs.
-func PackageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || name == ".git" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(d.Name(), ".go") {
-			dirs = append(dirs, filepath.Dir(path))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	out := dirs[:0]
-	for i, d := range dirs {
-		if i == 0 || dirs[i-1] != d {
-			out = append(out, d)
-		}
-	}
-	return out, nil
 }

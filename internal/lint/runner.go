@@ -5,16 +5,16 @@ import (
 	"sort"
 )
 
-// LintDirs type-checks every package directory in dirs and runs the
-// analyzers over each unit (package + in-package tests, plus any
-// external _test package). Findings come back globally sorted by
-// file:line:column:rule, with filenames rewritten relative to base
-// (when non-empty) so output is stable regardless of where the tool
-// runs from.
-func LintDirs(loader *Loader, dirs []string, analyzers []*Analyzer, base string) ([]Diagnostic, error) {
+// LintPackages type-checks every package the loader's patterns name
+// and runs the analyzers over each unit (package + in-package tests,
+// plus any external _test package). Findings come back globally
+// sorted by file:line:column:rule, with filenames rewritten relative
+// to base (when non-empty) so output is stable regardless of where the
+// tool runs from.
+func LintPackages(loader *Loader, analyzers []*Analyzer, base string) ([]Diagnostic, error) {
 	var all []Diagnostic
-	for _, dir := range dirs {
-		units, err := loader.Load(dir)
+	for _, p := range loader.matched {
+		units, err := loader.load(p)
 		if err != nil {
 			return nil, err
 		}

@@ -59,9 +59,6 @@ func IsPositiveDefinite(a *Dense) bool {
 	return err == nil
 }
 
-// Size returns the order of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Dense { return c.l.Clone() }
 
@@ -72,12 +69,6 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	}
 	y := c.forward(b)
 	return c.backward(y)
-}
-
-// SolveInPlace solves A x = b and stores the result in dst (which may be b).
-func (c *Cholesky) SolveInPlace(dst, b []float64) {
-	x := c.Solve(b)
-	copy(dst, x)
 }
 
 // forward solves L y = b.
@@ -125,20 +116,4 @@ func (c *Cholesky) Inverse() *Dense {
 		e[j] = 0
 	}
 	return inv
-}
-
-// LogDet returns the natural logarithm of det(A) = prod diag(L)^2.
-// Working in log space avoids overflow for large networks.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.data[i*c.n+i])
-	}
-	return 2 * s
-}
-
-// Det returns det(A). It may overflow to +Inf for large systems; prefer
-// LogDet when only the magnitude's sign/scale matters.
-func (c *Cholesky) Det() float64 {
-	return math.Exp(c.LogDet())
 }

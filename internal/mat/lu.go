@@ -74,9 +74,6 @@ func NewLU(a *Dense) (*LU, error) {
 	return &LU{n: n, lu: lu, piv: piv, signP: sign}, nil
 }
 
-// Size returns the order of the factored matrix.
-func (f *LU) Size() int { return f.n }
-
 // Solve solves A x = b.
 func (f *LU) Solve(b []float64) []float64 {
 	if len(b) != f.n {

@@ -113,20 +113,6 @@ func ScaleVec(a float64, x []float64) {
 	}
 }
 
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
-// Fill sets every entry of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Unit returns the standard basis vector e_i of length n.
 func Unit(n, i int) []float64 {
 	if i < 0 || i >= n {
@@ -144,16 +130,6 @@ func EqualVec(x, y []float64, tol float64) bool {
 	}
 	for i, v := range x {
 		if math.Abs(v-y[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFinite reports whether every entry of x is finite.
-func AllFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 	}

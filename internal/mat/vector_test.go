@@ -76,19 +76,6 @@ func TestSumAxpyScaleFill(t *testing.T) {
 	if !EqualVec(y, []float64{3.5, 4.5}, 0) {
 		t.Errorf("ScaleVec = %v", y)
 	}
-	Fill(y, -1)
-	if !EqualVec(y, []float64{-1, -1}, 0) {
-		t.Errorf("Fill = %v", y)
-	}
-}
-
-func TestCloneVecIndependent(t *testing.T) {
-	x := []float64{1, 2}
-	y := CloneVec(x)
-	y[0] = 9
-	if !num.ExactEqual(x[0], 1) {
-		t.Fatal("CloneVec aliased input")
-	}
 }
 
 func TestUnit(t *testing.T) {
@@ -105,18 +92,6 @@ func TestUnitOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	Unit(3, 3)
-}
-
-func TestAllFinite(t *testing.T) {
-	if !AllFinite([]float64{1, 2}) {
-		t.Error("finite slice reported non-finite")
-	}
-	if AllFinite([]float64{1, math.NaN()}) {
-		t.Error("NaN not detected")
-	}
-	if AllFinite([]float64{math.Inf(1)}) {
-		t.Error("Inf not detected")
-	}
 }
 
 func TestEqualVec(t *testing.T) {

@@ -109,7 +109,7 @@ func TestCompactModelWithin1p5C(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
+	theta, err := pn.SolvePassive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestGranularityStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	theta, err := pn.SolvePassive(p, thermal.MethodBandCholesky)
+	theta, err := pn.SolvePassive(p)
 	if err != nil {
 		t.Fatal(err)
 	}

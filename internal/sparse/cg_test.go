@@ -134,8 +134,8 @@ func TestIC0Breakdown(t *testing.T) {
 // needs on a reference 2D grid Laplacian under each preconditioner.
 // The solve is serial and float arithmetic is deterministic, so the
 // counts are stable; a change here means the CG kernel or a
-// preconditioner changed numerically and Table/Figure runs that use
-// MethodCG may have shifted too.
+// preconditioner changed numerically and the solver ablation's CG
+// numbers may have shifted too.
 func TestCGIterationCountRegression(t *testing.T) {
 	a := gridLaplacian(24, 24)
 	b := make([]float64, a.Rows())

@@ -15,25 +15,29 @@ func RCM(a *CSR) []int {
 	n := a.Rows()
 	adj := adjacency(a)
 	deg := make([]int, n)
+	level := make([]int, n)
 	for i := range adj {
 		deg[i] = len(adj[i])
+		level[i] = -1
 	}
 
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
+	var next []int
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, deg, visited, start)
-		// Cuthill-McKee BFS from root, neighbors by increasing degree.
-		queue := []int{root}
+		root := pseudoPeripheral(adj, deg, visited, level, start)
+		// Cuthill-McKee BFS from root, neighbors by increasing degree;
+		// order doubles as the queue, since vertices leave a FIFO queue
+		// in the order they entered it.
+		head := len(order)
+		order = append(order, root)
 		visited[root] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			order = append(order, u)
-			next := make([]int, 0, len(adj[u]))
+		for ; head < len(order); head++ {
+			u := order[head]
+			next = next[:0]
 			for _, v := range adj[u] {
 				if !visited[v] {
 					visited[v] = true
@@ -41,7 +45,7 @@ func RCM(a *CSR) []int {
 				}
 			}
 			sort.Slice(next, func(x, y int) bool { return deg[next[x]] < deg[next[y]] })
-			queue = append(queue, next...)
+			order = append(order, next...)
 		}
 	}
 
@@ -70,52 +74,47 @@ func adjacency(a *CSR) [][]int {
 
 // pseudoPeripheral finds a vertex of (locally) maximal eccentricity in the
 // component containing start, using the standard alternating-BFS heuristic.
-func pseudoPeripheral(adj [][]int, deg []int, visited []bool, start int) int {
-	root := start
-	lastEcc := -1
+// level holds -1 for every vertex on entry and again on return.
+func pseudoPeripheral(adj [][]int, deg []int, visited []bool, level []int, start int) int {
+	var reached []int
+	root, lastEcc := start, -1
 	for {
-		levels, ecc := bfsLevels(adj, visited, root)
-		if ecc <= lastEcc {
+		var ecc int
+		reached, ecc = bfsLevels(adj, visited, level, root, reached[:0])
+		// Pick the minimum-degree vertex in the last level, the first
+		// one reached on a tie, and reset the levels for the next BFS.
+		best, bestDeg := root, int(^uint(0)>>1)
+		for _, v := range reached {
+			if level[v] == ecc && deg[v] < bestDeg {
+				best, bestDeg = v, deg[v]
+			}
+			level[v] = -1
+		}
+		if ecc <= lastEcc || best == root {
 			return root
 		}
 		lastEcc = ecc
-		// Pick the minimum-degree vertex in the last level.
-		best, bestDeg := root, int(^uint(0)>>1)
-		for v, lv := range levels {
-			if lv == ecc && deg[v] < bestDeg {
-				best, bestDeg = v, deg[v]
-			}
-		}
-		if best == root {
-			return root
-		}
 		root = best
 	}
 }
 
-// bfsLevels returns the BFS level of each reachable unvisited vertex
-// (-1 for unreachable) and the eccentricity of root within the component.
-func bfsLevels(adj [][]int, visited []bool, root int) (map[int]int, int) {
-	levels := map[int]int{root: 0}
-	queue := []int{root}
-	ecc := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+// bfsLevels runs a BFS from root over the unvisited vertices, setting
+// level[v] for each vertex it reaches. It returns those vertices in the
+// order reached, appended to buf, and the eccentricity of root within
+// the component.
+func bfsLevels(adj [][]int, visited []bool, level []int, root int, buf []int) ([]int, int) {
+	level[root] = 0
+	reached := append(buf, root)
+	for head := 0; head < len(reached); head++ {
+		u := reached[head]
 		for _, v := range adj[u] {
-			if visited[v] {
-				continue
-			}
-			if _, ok := levels[v]; !ok {
-				levels[v] = levels[u] + 1
-				if levels[v] > ecc {
-					ecc = levels[v]
-				}
-				queue = append(queue, v)
+			if !visited[v] && level[v] < 0 {
+				level[v] = level[u] + 1
+				reached = append(reached, v)
 			}
 		}
 	}
-	return levels, ecc
+	return reached, level[reached[len(reached)-1]]
 }
 
 // Bandwidth returns the maximum |i-j| over stored entries, a quick metric

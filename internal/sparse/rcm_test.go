@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,26 @@ func TestRCMDisconnectedComponents(t *testing.T) {
 	for i, s := range seen {
 		if !s {
 			t.Fatalf("index %d missing from permutation %v", i, perm)
+		}
+	}
+}
+
+// TestRCMDeterministicOnDegreeTies orders odd cycles, where the last
+// BFS level holds two vertices of equal degree, many times over: the
+// tie must be broken the same way every time.
+func TestRCMDeterministicOnDegreeTies(t *testing.T) {
+	for _, n := range []int{5, 7, 9, 11, 101} {
+		b := NewBuilder(n, n)
+		for i := 0; i < n; i++ {
+			b.Add(i, i, 2.5)
+			b.AddSym(i, (i+1)%n, -1)
+		}
+		a := b.Build()
+		first := RCM(a)
+		for k := 0; k < 200; k++ {
+			if got := RCM(a); !slices.Equal(got, first) {
+				t.Fatalf("cycle of %d: call %d ordered %v, first call %v", n, k, got, first)
+			}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestNetworkNoPowerEqualsAmbient(t *testing.T) {
 	// With zero input power every node must sit at the ambient
 	// temperature (equilibrium, no heat flow).
 	n := tinyNetwork()
-	theta, err := SolveSteady(n.G(), n.BaseRHS(), MethodBandCholesky)
+	theta, err := SolveSteady(n.G(), n.BaseRHS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestNetworkPowerRaisesTemperature(t *testing.T) {
 	n := tinyNetwork()
 	rhs := n.BaseRHS()
 	rhs[0] += 1 // 1 W at the silicon node
-	theta, err := SolveSteady(n.G(), rhs, MethodBandCholesky)
+	theta, err := SolveSteady(n.G(), rhs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestPassiveSolveUniformPower(t *testing.T) {
 	for i := range tile {
 		tile[i] = 20.0 / float64(len(tile))
 	}
-	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
+	theta, err := pn.SolvePassive(tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPassiveSolveEnergyConservation(t *testing.T) {
 	pn := defaultPN(t, nil)
 	tile := make([]float64, pn.NumTiles())
 	tile[57] = 5 // a single 5 W hotspot
-	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
+	theta, err := pn.SolvePassive(tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPassiveSolveHotspotLocality(t *testing.T) {
 	tile := make([]float64, pn.NumTiles())
 	center := pn.Opts.Cols*6 + 6
 	tile[center] = 2
-	theta, err := pn.SolvePassive(tile, MethodBandCholesky)
+	theta, err := pn.SolvePassive(tile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestAlphaPassivePeakCalibration(t *testing.T) {
 	pn := defaultPN(t, nil)
 	f, g := floorplan.Alpha21364Grid()
 	p := power.AlphaTilePowers(f, g)
-	theta, err := pn.SolvePassive(p, MethodBandCholesky)
+	theta, err := pn.SolvePassive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestAttachTECPassiveComparable(t *testing.T) {
 	p := power.AlphaTilePowers(f, g)
 
 	base := defaultPN(t, nil)
-	thetaBase, err := base.SolvePassive(p, MethodBandCholesky)
+	thetaBase, err := base.SolvePassive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestAttachTECPassiveComparable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	thetaTEC, err := withTEC.SolvePassive(p, MethodBandCholesky)
+	thetaTEC, err := withTEC.SolvePassive(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,29 +1,10 @@
 package thermal
 
 import (
-	"errors"
-
 	"tecopt/internal/faults"
-	"tecopt/internal/mat"
 	"tecopt/internal/num"
 	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
-)
-
-// Solver method selection for steady-state solves.
-type Method int
-
-const (
-	// MethodBandCholesky, the zero value, is the RCM + envelope
-	// (variable-band) direct solver (exact) — the right choice for the
-	// repeated factor-and-solve pattern of the optimizer.
-	MethodBandCholesky Method = iota
-	// MethodCG forces the preconditioned conjugate-gradient solver.
-	MethodCG
-	// MethodDenseCholesky forces a dense O(n^3) factorization — the
-	// paper's stated method, practical for small models and useful as a
-	// reference in solver-equivalence tests.
-	MethodDenseCholesky
 )
 
 // ErrNotPD reports that the system matrix is not positive definite, i.e.
@@ -101,45 +82,14 @@ func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) {
 	return cols, nil
 }
 
-// SolveSteady solves G*theta = rhs with the selected method.
-func SolveSteady(g *sparse.CSR, rhs []float64, m Method) ([]float64, error) {
-	switch m {
-	case MethodBandCholesky:
-		f, err := Factor(g, nil)
-		if err != nil {
-			return nil, err
-		}
-		return f.Solve(rhs)
-	case MethodCG:
-		res, err := sparse.SolveCG(g, rhs, sparse.CGOptions{
-			Tol:     1e-12,
-			Precond: sparse.NewBestPreconditioner(g),
-		})
-		if err != nil {
-			if errors.Is(err, sparse.ErrBreakdown) {
-				return nil, ErrNotPD
-			}
-			return nil, err
-		}
-		return res.X, nil
-	case MethodDenseCholesky:
-		n := g.Rows()
-		d := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			cols, vals := g.RowNNZ(i)
-			for k, j := range cols {
-				d.Set(i, j, vals[k])
-			}
-		}
-		chol, err := mat.NewCholesky(d)
-		if err != nil {
-			return nil, ErrNotPD
-		}
-		return chol.Solve(rhs), nil
-	default:
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.solve",
-			"thermal: unknown method %d", m)
+// SolveSteady solves G*theta = rhs by an RCM-ordered envelope
+// Cholesky factorization of G.
+func SolveSteady(g *sparse.CSR, rhs []float64) ([]float64, error) {
+	f, err := Factor(g, nil)
+	if err != nil {
+		return nil, err
 	}
+	return f.Solve(rhs)
 }
 
 // PowerVector assembles the full nodal power vector p from per-tile
@@ -190,7 +140,7 @@ func (pn *PackageNetwork) PeakSilicon(theta []float64) (maxK float64, tile int) 
 
 // SolvePassive is a convenience: solve the package with the given
 // per-tile powers and no TEC current (pure conduction + convection).
-func (pn *PackageNetwork) SolvePassive(tilePower []float64, m Method) ([]float64, error) {
+func (pn *PackageNetwork) SolvePassive(tilePower []float64) ([]float64, error) {
 	p, err := pn.PowerVector(tilePower)
 	if err != nil {
 		return nil, err
@@ -199,5 +149,5 @@ func (pn *PackageNetwork) SolvePassive(tilePower []float64, m Method) ([]float64
 	for i, v := range p {
 		rhs[i] += v
 	}
-	return SolveSteady(pn.Net.G(), rhs, m)
+	return SolveSteady(pn.Net.G(), rhs)
 }
