@@ -24,24 +24,33 @@
 //	              updates the snapshot without losing the trajectory of
 //	              the others.
 //	-gate FILE    compare the incoming results against the snapshot in
-//	              FILE instead of emitting JSON: any benchmark slower
-//	              than its snapshot ns/op by more than -tol (default
-//	              0.20, i.e. 20%), or above its snapshot allocs/op or
-//	              B/op by more than 1%, fails the gate with exit status
-//	              1, and prints the host fingerprints of the snapshot
-//	              entry and the run next to it: ns/op compares only
-//	              between like hosts. Benchmarks missing from the
-//	              snapshot are reported but do not fail.
+//	              FILE instead of emitting JSON: any benchmark above its
+//	              snapshot allocs/op or B/op by more than 1% fails the
+//	              gate with exit status 1, and so does one slower than
+//	              its snapshot ns/op by more than -tol (default 0.20,
+//	              i.e. 20%) when both were measured on the same host
+//	              fingerprint; against a snapshot from another host (or
+//	              one without a fingerprint) ns/op is reported as not
+//	              compared. A failing line prints the host fingerprints
+//	              of the snapshot entry and the run. Benchmarks missing
+//	              from the snapshot are reported but do not fail.
+//
+// A run with -count N repeats every benchmark: both modes collapse the
+// repeats of a benchmark into one entry holding the median of each
+// figure (the lower middle value for an even N), so `make bench-gate`
+// and `make bench-json` run -count 3.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,6 +160,7 @@ func run(in io.Reader, out io.Writer, base []Result) error {
 	if err != nil {
 		return err
 	}
+	results = medians(results)
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results in input (did the bench run fail?)")
 	}
@@ -187,10 +197,44 @@ func run(in io.Reader, out io.Writer, base []Result) error {
 // collector's own allocations, which vary with the number of cycles).
 const memTol = 0.01
 
+// medians collapses the repeats of each benchmark in results, which
+// parseStream sorted by key, into one entry: the repeat with the median
+// ns/op, holding the median allocs/op and B/op of all repeats. An even
+// count takes the lower middle value.
+func medians(results []Result) []Result {
+	var out []Result
+	for lo := 0; lo < len(results); {
+		hi := lo + 1
+		for hi < len(results) && key(results[hi]) == key(results[lo]) {
+			hi++
+		}
+		group := slices.Clone(results[lo:hi])
+		mid := (len(group) - 1) / 2
+		middle := func(fig func(Result) float64) Result {
+			slices.SortStableFunc(group, func(a, b Result) int { return cmp.Compare(fig(a), fig(b)) })
+			return group[mid]
+		}
+		r := middle(func(r Result) float64 { return r.NsPerOp })
+		r.AllocsPerOp = middle(func(r Result) float64 { return float64(r.AllocsPerOp) }).AllocsPerOp
+		r.BytesPerOp = middle(func(r Result) float64 { return float64(r.BytesPerOp) }).BytesPerOp
+		out = append(out, r)
+		lo = hi
+	}
+	return out
+}
+
+// sameHost reports whether a snapshot entry and a run were measured on
+// one known fingerprint: the same CPU model, GOMAXPROCS and Go version,
+// none of them unknown.
+func sameHost(snap, run *Host) bool {
+	return snap != nil && run != nil && snap.CPU != "" && snap.GOMAXPROCS > 0 && snap.Go != "" && *snap == *run
+}
+
 // gate compares incoming results against the snapshot and fails on any
-// ns/op regression beyond tol relative, or any allocs/op or B/op
-// regression beyond memTol. A memory figure missing on either side
-// (a run without -benchmem) is not compared.
+// allocs/op or B/op regression beyond memTol, or an ns/op regression
+// beyond tol relative to a snapshot entry from the same host. A memory
+// figure missing on either side (a run without -benchmem) is not
+// compared, and neither is ns/op against another host.
 func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 	results, err := parseStream(in)
 	if err != nil {
@@ -199,6 +243,7 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark results in input (did the bench run fail?)")
 	}
+	results = medians(results)
 	snap := make(map[string]Result, len(base))
 	for _, b := range base {
 		snap[key(b)] = b
@@ -210,8 +255,9 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 			fmt.Fprintf(out, "NEW   %-45s %14.0f ns/op (not in snapshot)\n", r.Name, r.NsPerOp)
 			continue
 		}
+		compared := sameHost(b.Host, r.Host)
 		var over []string
-		if r.NsPerOp > b.NsPerOp*(1+tol) {
+		if compared && r.NsPerOp > b.NsPerOp*(1+tol) {
 			over = append(over, "ns/op")
 		}
 		if memRegressed(r.AllocsPerOp, b.AllocsPerOp) {
@@ -225,8 +271,13 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 			status = "FAIL "
 			failures++
 		}
-		fmt.Fprintf(out, "%s %-45s %14.0f ns/op vs %14.0f snapshot (%+.1f%%)",
-			status, r.Name, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1))
+		if compared {
+			fmt.Fprintf(out, "%s %-45s %14.0f ns/op vs %14.0f snapshot (%+.1f%%)",
+				status, r.Name, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1))
+		} else {
+			fmt.Fprintf(out, "%s %-45s %14.0f ns/op not compared (snapshot host %s)",
+				status, r.Name, r.NsPerOp, b.Host)
+		}
 		if r.AllocsPerOp > 0 && b.AllocsPerOp > 0 {
 			fmt.Fprintf(out, ", %d allocs/op (%+.3f%%)", r.AllocsPerOp, relChange(r.AllocsPerOp, b.AllocsPerOp))
 		}
@@ -242,7 +293,7 @@ func gate(in io.Reader, out io.Writer, base []Result, tol float64) error {
 		}
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed against the snapshot (ns/op beyond %.0f%%, allocs/op or B/op beyond %.0f%%)",
+		return fmt.Errorf("%d benchmark(s) regressed against the snapshot (ns/op beyond %.0f%% on the same host, allocs/op or B/op beyond %.0f%%)",
 			failures, 100*tol, 100*memTol)
 	}
 	return nil

@@ -18,6 +18,14 @@ const sampleStream = `{"Action":"start","Package":"tecopt/internal/bench"}
 {"Action":"pass","Package":"tecopt/internal/bench"}
 `
 
+// hostStream is sampleStream with the "cpu:" line go test prints per
+// package, so that its results carry the complete fingerprint testHost.
+const hostStream = `{"Action":"output","Package":"tecopt/internal/bench","Output":"cpu: Test CPU\n"}
+{"Action":"output","Package":"tecopt/internal/core","Output":"cpu: Test CPU\n"}
+` + sampleStream
+
+var testHost = Host{CPU: "Test CPU", GOMAXPROCS: 8, Go: runtime.Version()}
+
 func TestParseStream(t *testing.T) {
 	results, err := parseStream(strings.NewReader(sampleStream))
 	if err != nil {
@@ -148,22 +156,23 @@ func TestRunMergeKeepsUntouchedEntries(t *testing.T) {
 	}
 }
 
-// Gate semantics: within tolerance passes, beyond it fails, and new
-// benchmarks missing from the snapshot never fail the gate.
+// Gate semantics on the snapshot's own host: within tolerance passes,
+// beyond it fails, and new benchmarks missing from the snapshot never
+// fail the gate.
 func TestGateTolerance(t *testing.T) {
 	base := []Result{
-		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1234567890},
-		{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432},
+		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1234567890, Host: &testHost},
+		{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432, Host: &testHost},
 	}
 	var out bytes.Buffer
-	if err := gate(strings.NewReader(sampleStream), &out, base, 0.20); err != nil {
+	if err := gate(strings.NewReader(hostStream), &out, base, 0.20); err != nil {
 		t.Fatalf("identical timings failed the gate: %v\n%s", err, out.String())
 	}
 
 	// Shrink the snapshot so the measured TableI is a >20% regression.
 	base[0].NsPerOp = 1234567890 / 1.5
 	out.Reset()
-	err := gate(strings.NewReader(sampleStream), &out, base, 0.20)
+	err := gate(strings.NewReader(hostStream), &out, base, 0.20)
 	if err == nil {
 		t.Fatalf("50%% regression passed the gate:\n%s", out.String())
 	}
@@ -172,13 +181,13 @@ func TestGateTolerance(t *testing.T) {
 	}
 	// A generous tolerance admits the same measurement.
 	out.Reset()
-	if err := gate(strings.NewReader(sampleStream), &out, base, 0.60); err != nil {
+	if err := gate(strings.NewReader(hostStream), &out, base, 0.60); err != nil {
 		t.Fatalf("regression within widened tolerance failed: %v", err)
 	}
 
 	// Unknown benchmarks are reported as NEW, not failed.
 	out.Reset()
-	if err := gate(strings.NewReader(sampleStream), &out, base[:1], 0.60); err != nil {
+	if err := gate(strings.NewReader(hostStream), &out, base[:1], 0.60); err != nil {
 		t.Fatalf("benchmark absent from snapshot failed the gate: %v", err)
 	}
 	if !strings.Contains(out.String(), "NEW") {
@@ -261,12 +270,12 @@ BenchmarkServe_solve_p50 5 100 ns/op
 }
 
 // A failing gate line is followed by the snapshot entry's host and the
-// run's; a passing one is not.
+// run's; a passing one is not. On another host only memory can fail.
 func TestGateFailurePrintsHosts(t *testing.T) {
 	stream := `{"Action":"output","Package":"tecopt/internal/bench","Output":"cpu: Run CPU\n"}
 ` + sampleStream
 	base := []Result{
-		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1,
+		{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1, AllocsPerOp: 1,
 			Host: &Host{CPU: "Snapshot CPU", GOMAXPROCS: 1, Go: "go1.22.0"}},
 		{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432},
 	}
@@ -287,10 +296,100 @@ func TestGateFailurePrintsHosts(t *testing.T) {
 		t.Errorf("%d host reports, want 1 (only the failing entry):\n%s", n, text)
 	}
 	// A snapshot entry from before fingerprints says so.
-	base[1].NsPerOp = 1
+	base[1].AllocsPerOp = 1
 	out.Reset()
 	_ = gate(strings.NewReader(stream), &out, base, 0.20)
 	if !strings.Contains(out.String(), "snapshot host: not recorded") {
 		t.Errorf("gate report missing the unrecorded snapshot host:\n%s", out.String())
+	}
+}
+
+// ns/op is gated only against a snapshot entry measured on the run's
+// own fingerprint. Against any other host, or an entry without a
+// fingerprint, a slow ns/op is reported as not compared and passes,
+// while allocs/op still fails.
+func TestGateComparesNsOnlyOnSameHost(t *testing.T) {
+	other := func(edit func(h *Host)) *Host {
+		h := testHost
+		edit(&h)
+		return &h
+	}
+	for _, tc := range []struct {
+		name     string
+		host     *Host
+		compared bool
+	}{
+		{"same host", &testHost, true},
+		{"other cpu", other(func(h *Host) { h.CPU = "Other CPU" }), false},
+		{"other gomaxprocs", other(func(h *Host) { h.GOMAXPROCS = 2 }), false},
+		{"other go", other(func(h *Host) { h.Go = "go1.22.0" }), false},
+		{"unknown cpu", other(func(h *Host) { h.CPU = "" }), false},
+		{"not recorded", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Both benchmarks measured 50% slower than the snapshot.
+			base := []Result{
+				{Name: "BenchmarkEngine_TableI", Package: "tecopt/internal/bench", NsPerOp: 1234567890 / 1.5, Host: tc.host},
+				{Name: "BenchmarkEngine_HklSweep", Package: "tecopt/internal/core", NsPerOp: 98765432 / 1.5, Host: tc.host},
+			}
+			var out bytes.Buffer
+			err := gate(strings.NewReader(hostStream), &out, base, 0.20)
+			text := out.String()
+			if tc.compared {
+				if err == nil || strings.Count(text, "[ns/op]") != 2 {
+					t.Fatalf("50%% slower on the same host passed the gate:\n%s", text)
+				}
+				return
+			}
+			if err != nil || strings.Count(text, "not compared") != 2 {
+				t.Fatalf("ns/op against another host was compared: %v\n%s", err, text)
+			}
+			// Memory is gated whatever the host.
+			base[0].AllocsPerOp = 1000
+			out.Reset()
+			if err := gate(strings.NewReader(hostStream), &out, base, 0.20); err == nil || !strings.Contains(out.String(), "[allocs/op]") {
+				t.Fatalf("allocs/op regression on another host passed the gate:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// A -count 3 run repeats each benchmark: conversion and gate both keep
+// one entry per benchmark with the median of each figure, so one slow
+// repeat neither enters the snapshot nor fails the gate.
+func TestRepeatsCollapseToMedians(t *testing.T) {
+	stream := `{"Action":"output","Package":"p","Output":"cpu: Test CPU\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA-8 \t 1\t 300 ns/op\t 10 B/op\t 9 allocs/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA-8 \t 1\t 100 ns/op\t 30 B/op\t 5 allocs/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkA-8 \t 1\t 200 ns/op\t 20 B/op\t 7 allocs/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkB-8 \t 4\t 50 ns/op\n"}
+`
+	var out bytes.Buffer
+	if err := run(strings.NewReader(stream), &out, nil); err != nil {
+		t.Fatal(err)
+	}
+	var results []Result
+	if err := json.Unmarshal(out.Bytes(), &results); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d entries, want one per benchmark: %+v", len(results), results)
+	}
+	a := results[0]
+	if a.Name != "BenchmarkA" || !num.ExactEqual(a.NsPerOp, 200) || a.BytesPerOp != 20 || a.AllocsPerOp != 7 {
+		t.Errorf("BenchmarkA = %+v, want the medians 200 ns/op, 20 B/op, 7 allocs/op", a)
+	}
+	if b := results[1]; b.Name != "BenchmarkB" || b.Iterations != 4 || !num.ExactEqual(b.NsPerOp, 50) {
+		t.Errorf("BenchmarkB = %+v, want its one run", b)
+	}
+	base := []Result{{Name: "BenchmarkA", Package: "p", NsPerOp: 180, BytesPerOp: 20, AllocsPerOp: 7, Host: &testHost}}
+	out.Reset()
+	if err := gate(strings.NewReader(stream), &out, base, 0.20); err != nil {
+		t.Fatalf("median 200 ns/op within 20%% of 180 failed the gate: %v\n%s", err, out.String())
+	}
+	base[0].NsPerOp = 160
+	out.Reset()
+	if err := gate(strings.NewReader(stream), &out, base, 0.20); err == nil {
+		t.Fatalf("median 200 ns/op against 160 passed the gate:\n%s", out.String())
 	}
 }

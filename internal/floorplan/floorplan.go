@@ -165,7 +165,8 @@ func (g *Grid) TileRect(t int) Rect {
 func (g *Grid) TileArea() float64 { return g.PitchX * g.PitchY }
 
 // Tile dissects the floorplan into cols x rows tiles and assigns each
-// tile to the unit with the greatest area overlap.
+// tile to the unit with the greatest area overlap, the first such unit
+// on a tie. Each unit visits only the tiles it can overlap.
 func (f *Floorplan) Tile(cols, rows int) (*Grid, error) {
 	if cols <= 0 || rows <= 0 {
 		return nil, fmt.Errorf("floorplan: nonpositive grid %dx%d", cols, rows)
@@ -178,16 +179,46 @@ func (f *Floorplan) Tile(cols, rows int) (*Grid, error) {
 	}
 	g.OwnerUnit = make([]int, g.NumTiles())
 	for t := range g.OwnerUnit {
-		tr := g.TileRect(t)
-		best, bestOv := -1, 0.0
-		for ui, u := range f.Units {
-			if ov := tr.Overlap(u.Rect); ov > bestOv {
-				best, bestOv = ui, ov
+		g.OwnerUnit[t] = -1
+	}
+	// Units in order, so a later unit takes a tile only with a strictly
+	// greater overlap than its current owner's, recomputed rather than
+	// stored.
+	for ui, u := range f.Units {
+		c0, c1 := tileSpan(u.X, u.W, g.PitchX, cols)
+		r0, r1 := tileSpan(u.Y, u.H, g.PitchY, rows)
+		for r := r0; r < r1; r++ {
+			for c := c0; c < c1; c++ {
+				t := r*cols + c
+				tr := g.TileRect(t)
+				best := 0.0
+				if owner := g.OwnerUnit[t]; owner >= 0 {
+					best = tr.Overlap(f.Units[owner].Rect)
+				}
+				if tr.Overlap(u.Rect) > best {
+					g.OwnerUnit[t] = ui
+				}
 			}
 		}
-		g.OwnerUnit[t] = best
 	}
 	return g, nil
+}
+
+// tileSpan returns the tiles [lo, hi) along one axis of n tiles of the
+// given pitch that the interval [x, x+w) can overlap, padded by one
+// tile on each side so that rounding never drops a tile Overlap would
+// count: every tile outside lies a whole pitch away. The bounds are
+// clamped to [0, n] before they become integers, so a NaN or huge
+// interval converts no out-of-range float; a NaN one spans no tile,
+// which it could not own anyway.
+func tileSpan(x, w, pitch float64, n int) (lo, hi int) {
+	clamp := func(v float64) int {
+		if !(v > 0) {
+			return 0
+		}
+		return int(math.Min(v, float64(n)))
+	}
+	return clamp(math.Floor(x/pitch) - 1), clamp(math.Floor((x+w)/pitch) + 2)
 }
 
 // TilesOfUnit returns (sorted) tile indices owned by the named unit.

@@ -1,8 +1,11 @@
 // Package sparse provides the sparse linear-algebra substrate for the
-// thermal network solvers: a COO assembly builder, CSR storage with
-// matrix-vector products, a preconditioned conjugate-gradient solver
-// (Jacobi and incomplete-Cholesky preconditioners), and reverse
-// Cuthill-McKee ordering.
+// thermal network solvers: CSR storage with matrix-vector products,
+// filled by its owner through NewCSR or from COO triplets by a Builder,
+// a preconditioned conjugate-gradient solver (Jacobi and
+// incomplete-Cholesky preconditioners), and reverse Cuthill-McKee
+// ordering. The compact model's G is stamped straight into CSR
+// (thermal.Network.G); the Builder serves the fine-grid reference
+// solver.
 //
 // The compact thermal model of a 12x12-tile package has a few hundred
 // nodes, which the dense path in package mat handles easily; the
@@ -92,12 +95,48 @@ func (b *Builder) Build() *CSR {
 	return &CSR{rows: b.rows, cols: b.cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
-// CSR is a compressed-sparse-row matrix.
+// CSR is a compressed-sparse-row matrix. Within each row the columns
+// ascend strictly, and no stored value is zero.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
 	colIdx     []int
 	vals       []float64
+}
+
+// NewCSR returns the rows x cols matrix whose row i holds the columns
+// colIdx[rowPtr[i]:rowPtr[i+1]] and the values at the same positions.
+// The matrix keeps the three slices, so the caller must not modify them
+// afterwards. It panics unless they keep the CSR's invariants: rowPtr
+// has rows+1 entries that run from 0 to len(colIdx) == len(vals)
+// without decreasing, each row's columns lie in [0, cols) and ascend
+// strictly, and no value is zero.
+func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) *CSR {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
+	}
+	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) || len(vals) != len(colIdx) {
+		panic(fmt.Sprintf("sparse: CSR arrays of %d row pointers, %d columns and %d values for %d rows",
+			len(rowPtr), len(colIdx), len(vals), rows))
+	}
+	for i := 0; i < rows; i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		if lo > hi {
+			panic(fmt.Sprintf("sparse: row pointer decreases at row %d", i))
+		}
+		prev := -1
+		for k := lo; k < hi; k++ {
+			j := colIdx[k]
+			if j <= prev || j >= cols {
+				panic(fmt.Sprintf("sparse: row %d stores column %d after %d in a %dx%d matrix", i, j, prev, rows, cols))
+			}
+			if num.IsZero(vals[k]) {
+				panic(fmt.Sprintf("sparse: stored zero at (%d,%d)", i, j))
+			}
+			prev = j
+		}
+	}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // Rows returns the number of rows.
@@ -182,21 +221,50 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 
 // AddScaledDiag returns A + s*DIAG(d) as a new CSR matrix. The cooling
 // optimizer uses it to form G - i*D without re-stamping the network.
+// It copies A's pattern and values and adds s*d_i into row i's
+// diagonal, inserting the diagonal where the row has none and dropping
+// one that cancels to exactly zero, as assembling the triplets of A and
+// s*d would: a sum of two addends does not depend on their order, so
+// every entry is bitwise the assembled one.
 func (m *CSR) AddScaledDiag(s float64, d []float64) *CSR {
 	if m.rows != m.cols || len(d) != m.rows {
 		panic("sparse: AddScaledDiag dimension mismatch")
 	}
-	b := NewBuilder(m.rows, m.cols)
+	out := &CSR{
+		rows: m.rows, cols: m.cols,
+		rowPtr: make([]int, m.rows+1),
+		colIdx: make([]int, 0, len(m.colIdx)),
+		vals:   make([]float64, 0, len(m.vals)),
+	}
+	put := func(j int, v float64) {
+		if !num.IsZero(v) {
+			out.colIdx = append(out.colIdx, j)
+			out.vals = append(out.vals, v)
+		}
+	}
 	for i := 0; i < m.rows; i++ {
+		var add float64
+		if !num.IsZero(d[i]) {
+			add = s * d[i]
+		}
+		pending := !num.IsZero(add)
 		cols, vals := m.RowNNZ(i)
 		for k, j := range cols {
-			b.Add(i, j, vals[k])
+			v := vals[k]
+			if pending && j >= i {
+				pending = false
+				if j == i {
+					v += add
+				} else {
+					put(i, add)
+				}
+			}
+			put(j, v)
 		}
-	}
-	for i, v := range d {
-		if !num.IsZero(v) {
-			b.Add(i, i, s*v)
+		if pending {
+			put(i, add)
 		}
+		out.rowPtr[i+1] = len(out.colIdx)
 	}
-	return b.Build()
+	return out
 }

@@ -17,9 +17,10 @@ import (
 // the tiles. Rank 14 and 36 are the SMW ranks of the Table I greedy
 // deployments of Alpha and HC07, rank 288 that of a full cover.
 
-// layerSystem is one deployment's G, D, RCM ordering and silicon
-// rows.
+// layerSystem is one deployment's network, G, D, RCM ordering and
+// silicon rows.
 type layerSystem struct {
+	net  *thermal.Network
 	g    *sparse.CSR
 	d    []float64
 	perm []int
@@ -39,7 +40,7 @@ func newLayerSystem(tb testing.TB, rank int) layerSystem {
 		tb.Fatal(err)
 	}
 	g := sys.Matrix(0)
-	return layerSystem{g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g), sil: sys.PN.SilNode}
+	return layerSystem{net: sys.PN.Net, g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g), sil: sys.PN.SilNode}
 }
 
 // factor is the base factorization of G in RCM order.
@@ -71,6 +72,27 @@ func (ls layerSystem) support() []int {
 		}
 	}
 	return idx
+}
+
+// BenchmarkAssembly times the two steps core.NewSystem takes after
+// building the package network, on the passive and full-cover networks:
+// the assembly of G from the network's stamps, and G's RCM ordering.
+func BenchmarkAssembly(b *testing.B) {
+	for _, rank := range []int{0, 288} {
+		ls := newLayerSystem(b, rank)
+		b.Run(fmt.Sprintf("G/rank=%d", rank), func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				ls.net.G()
+			}
+		})
+		b.Run(fmt.Sprintf("RCM/rank=%d", rank), func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				sparse.RCM(ls.g)
+			}
+		})
+	}
 }
 
 // BenchmarkSMWSetup times the whole SMW setup of thermal.NewReusableSystem

@@ -1,7 +1,8 @@
 package sparse
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // RCM computes a reverse Cuthill-McKee ordering for the symmetric sparsity
@@ -10,41 +11,52 @@ import (
 // improves cache behaviour of SpMV and the quality of IC(0).
 //
 // Disconnected components are ordered one after another, each started from
-// a pseudo-peripheral vertex found by repeated BFS.
+// a pseudo-peripheral vertex found by repeated BFS. The neighbours of a
+// vertex are read from a's own column arrays, and the work buffers are
+// allocated once per call, not per vertex.
 func RCM(a *CSR) []int {
 	n := a.Rows()
-	adj := adjacency(a)
 	deg := make([]int, n)
 	level := make([]int, n)
-	for i := range adj {
-		deg[i] = len(adj[i])
+	maxDeg := 0
+	for i := range deg {
+		for _, j := range a.neighbours(i) {
+			if j != i {
+				deg[i]++
+			}
+		}
+		maxDeg = max(maxDeg, deg[i])
 		level[i] = -1
 	}
+	byDegree := func(x, y int) int { return cmp.Compare(deg[x], deg[y]) }
 
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
-	var next []int
+	reached := make([]int, 0, n)
+	next := make([]int, 0, maxDeg)
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, deg, visited, level, start)
+		var root int
+		root, reached = pseudoPeripheral(a, deg, visited, level, start, reached)
 		// Cuthill-McKee BFS from root, neighbors by increasing degree;
 		// order doubles as the queue, since vertices leave a FIFO queue
-		// in the order they entered it.
+		// in the order they entered it. A row's own diagonal is skipped
+		// as visited.
 		head := len(order)
 		order = append(order, root)
 		visited[root] = true
 		for ; head < len(order); head++ {
 			u := order[head]
 			next = next[:0]
-			for _, v := range adj[u] {
+			for _, v := range a.neighbours(u) {
 				if !visited[v] {
 					visited[v] = true
 					next = append(next, v)
 				}
 			}
-			sort.Slice(next, func(x, y int) bool { return deg[next[x]] < deg[next[y]] })
+			slices.SortFunc(next, byDegree)
 			order = append(order, next...)
 		}
 	}
@@ -57,41 +69,31 @@ func RCM(a *CSR) []int {
 	return perm
 }
 
-// adjacency extracts the symmetric adjacency lists (off-diagonal pattern).
-func adjacency(a *CSR) [][]int {
-	n := a.Rows()
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		cols, _ := a.RowNNZ(i)
-		for _, j := range cols {
-			if j != i {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	return adj
-}
+// neighbours returns the stored columns of row i, its diagonal included:
+// the vertex itself and its neighbours in the symmetric pattern. The
+// slice aliases a's storage.
+func (a *CSR) neighbours(i int) []int { return a.colIdx[a.rowPtr[i]:a.rowPtr[i+1]] }
 
 // pseudoPeripheral finds a vertex of (locally) maximal eccentricity in the
 // component containing start, using the standard alternating-BFS heuristic.
-// level holds -1 for every vertex on entry and again on return.
-func pseudoPeripheral(adj [][]int, deg []int, visited []bool, level []int, start int) int {
-	var reached []int
+// level holds -1 for every vertex on entry and again on return. It
+// returns buf, grown to the reached vertices, for the next call to reuse.
+func pseudoPeripheral(a *CSR, deg []int, visited []bool, level []int, start int, buf []int) (int, []int) {
 	root, lastEcc := start, -1
 	for {
 		var ecc int
-		reached, ecc = bfsLevels(adj, visited, level, root, reached[:0])
+		buf, ecc = bfsLevels(a, visited, level, root, buf[:0])
 		// Pick the minimum-degree vertex in the last level, the first
 		// one reached on a tie, and reset the levels for the next BFS.
 		best, bestDeg := root, int(^uint(0)>>1)
-		for _, v := range reached {
+		for _, v := range buf {
 			if level[v] == ecc && deg[v] < bestDeg {
 				best, bestDeg = v, deg[v]
 			}
 			level[v] = -1
 		}
 		if ecc <= lastEcc || best == root {
-			return root
+			return root, buf
 		}
 		lastEcc = ecc
 		root = best
@@ -101,13 +103,13 @@ func pseudoPeripheral(adj [][]int, deg []int, visited []bool, level []int, start
 // bfsLevels runs a BFS from root over the unvisited vertices, setting
 // level[v] for each vertex it reaches. It returns those vertices in the
 // order reached, appended to buf, and the eccentricity of root within
-// the component.
-func bfsLevels(adj [][]int, visited []bool, level []int, root int, buf []int) ([]int, int) {
+// the component. A row's own diagonal is skipped as already reached.
+func bfsLevels(a *CSR, visited []bool, level []int, root int, buf []int) ([]int, int) {
 	level[root] = 0
 	reached := append(buf, root)
 	for head := 0; head < len(reached); head++ {
 		u := reached[head]
-		for _, v := range adj[u] {
+		for _, v := range a.neighbours(u) {
 			if !visited[v] && level[v] < 0 {
 				level[v] = level[u] + 1
 				reached = append(reached, v)

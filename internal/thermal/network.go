@@ -100,18 +100,6 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // Node returns the node metadata for index i.
 func (n *Network) Node(i int) Node { return n.nodes[i] }
 
-// NodesOfKind returns the indices of all nodes of the given kind, in
-// insertion order.
-func (n *Network) NodesOfKind(k NodeKind) []int {
-	var out []int
-	for i, nd := range n.nodes {
-		if nd.Kind == k {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // AddConductance joins nodes i and j with a thermal conductance g (W/K).
 // Zero conductances are ignored; negative ones are rejected because a
 // passive network cannot contain them (the TEC's negative Peltier
@@ -156,17 +144,74 @@ func (n *Network) AddGround(i int, g, sourceK float64) {
 // edges plus the ground-leg conductances on the diagonal. The result is
 // an irreducible positive definite Stieltjes matrix for any connected
 // network with at least one ground leg (Lemma 1).
+//
+// The stamps are written straight into CSR. Each diagonal is summed in
+// stamp order: the node's edges in the order AddConductance recorded
+// them, then its ground legs. Parallel edges between one pair of nodes
+// are summed in stamp order too. A node with no stamp stores no
+// diagonal (Validate rejects it). Every call returns a new matrix.
 func (n *Network) G() *sparse.CSR {
-	b := sparse.NewBuilder(len(n.nodes), len(n.nodes))
+	nn := len(n.nodes)
+	// Row sizes and diagonals: an off-diagonal slot for each end of
+	// every edge, and a diagonal slot for each stamped node. Conductances
+	// are positive, so a diagonal is nonzero exactly when stamped.
+	diag := make([]float64, nn)
+	rowPtr := make([]int, nn+1)
 	for _, e := range n.edges {
-		b.AddSym(e.i, e.j, -e.g)
-		b.Add(e.i, e.i, e.g)
-		b.Add(e.j, e.j, e.g)
+		diag[e.i] += e.g
+		diag[e.j] += e.g
+		rowPtr[e.i+1]++
+		rowPtr[e.j+1]++
 	}
 	for _, gr := range n.grounds {
-		b.Add(gr.i, gr.i, gr.g)
+		diag[gr.i] += gr.g
 	}
-	return b.Build()
+	for i, d := range diag {
+		if !num.IsZero(d) {
+			rowPtr[i+1]++
+		}
+		rowPtr[i+1] += rowPtr[i]
+	}
+	cols := make([]int, rowPtr[nn])
+	vals := make([]float64, rowPtr[nn])
+	end := make([]int, nn)
+	copy(end, rowPtr)
+	put := func(i, j int, v float64) {
+		cols[end[i]], vals[end[i]] = j, v
+		end[i]++
+	}
+	for _, e := range n.edges {
+		put(e.i, e.j, -e.g)
+		put(e.j, e.i, -e.g)
+	}
+	for i, d := range diag {
+		if !num.IsZero(d) {
+			put(i, i, d)
+		}
+	}
+	// Sort each short row by column, stably so that parallel edges keep
+	// their stamp order, and merge them, compacting the rows in place.
+	w := 0
+	for i := 0; i < nn; i++ {
+		lo, hi := rowPtr[i], end[i]
+		for k := lo + 1; k < hi; k++ {
+			for m := k; m > lo && cols[m] < cols[m-1]; m-- {
+				cols[m], cols[m-1] = cols[m-1], cols[m]
+				vals[m], vals[m-1] = vals[m-1], vals[m]
+			}
+		}
+		rowPtr[i] = w
+		for k := lo; k < hi; k++ {
+			if w > rowPtr[i] && cols[w-1] == cols[k] {
+				vals[w-1] += vals[k]
+				continue
+			}
+			cols[w], vals[w] = cols[k], vals[k]
+			w++
+		}
+	}
+	rowPtr[nn] = w
+	return sparse.NewCSR(nn, nn, rowPtr, cols[:w], vals[:w])
 }
 
 // BaseRHS returns the right-hand-side contribution of the eliminated
@@ -211,15 +256,4 @@ func (n *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalGroundConductance returns the summed conductance to fixed nodes,
-// useful for sanity checks (it must equal 1/Rconvec for the package
-// model).
-func (n *Network) TotalGroundConductance() float64 {
-	var s float64
-	for _, gr := range n.grounds {
-		s += gr.g
-	}
-	return s
 }

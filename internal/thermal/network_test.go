@@ -51,9 +51,6 @@ func TestNetworkBaseRHS(t *testing.T) {
 			t.Fatalf("BaseRHS = %v, want %v", rhs, want)
 		}
 	}
-	if g := n.TotalGroundConductance(); !num.ExactEqual(g, 1) {
-		t.Fatalf("TotalGroundConductance = %v", g)
-	}
 }
 
 func TestNetworkNoPowerEqualsAmbient(t *testing.T) {
@@ -127,16 +124,6 @@ func TestAddConductanceValidation(t *testing.T) {
 			}()
 			bad()
 		}()
-	}
-}
-
-func TestNodesOfKind(t *testing.T) {
-	n := tinyNetwork()
-	if got := n.NodesOfKind(KindSilicon); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("NodesOfKind(SIL) = %v", got)
-	}
-	if got := n.NodesOfKind(KindTECHot); got != nil {
-		t.Fatalf("NodesOfKind(HOT) = %v, want none", got)
 	}
 }
 

@@ -37,6 +37,18 @@ func testPackage(t *testing.T) (*PackageNetwork, *sparse.CSR, []float64) {
 	return pn, pn.Net.G(), rhs
 }
 
+// nodesOfKind returns the indices of n's nodes of kind k, in insertion
+// order.
+func nodesOfKind(n *Network, k NodeKind) []int {
+	var out []int
+	for i, nd := range n.nodes {
+		if nd.Kind == k {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func defaultPN(t *testing.T, tecSites map[int]bool) *PackageNetwork {
 	t.Helper()
 	opts := DefaultBuildOptions()
@@ -58,10 +70,10 @@ func TestBuildPackageNodeCounts(t *testing.T) {
 	if got := pn.Net.NumNodes(); got != wantNodes {
 		t.Fatalf("nodes = %d, want %d", got, wantNodes)
 	}
-	if len(pn.Net.NodesOfKind(KindSilicon)) != 144 {
+	if len(nodesOfKind(pn.Net, KindSilicon)) != 144 {
 		t.Error("silicon node count wrong")
 	}
-	if len(pn.Net.NodesOfKind(KindTIM)) != 144 {
+	if len(nodesOfKind(pn.Net, KindTIM)) != 144 {
 		t.Error("TIM node count wrong")
 	}
 }
@@ -69,8 +81,8 @@ func TestBuildPackageNodeCounts(t *testing.T) {
 func TestBuildPackageTECSitesSkipTIM(t *testing.T) {
 	sites := map[int]bool{5: true, 77: true}
 	pn := defaultPN(t, sites)
-	if len(pn.Net.NodesOfKind(KindTIM)) != 142 {
-		t.Fatalf("TIM nodes = %d, want 142", len(pn.Net.NodesOfKind(KindTIM)))
+	if got := len(nodesOfKind(pn.Net, KindTIM)); got != 142 {
+		t.Fatalf("TIM nodes = %d, want 142", got)
 	}
 	for tile := range sites {
 		if pn.TIMNode[tile] != -1 {
@@ -85,7 +97,11 @@ func TestBuildPackageTECSitesSkipTIM(t *testing.T) {
 func TestBuildPackageGroundConductanceMatchesConvection(t *testing.T) {
 	pn := defaultPN(t, nil)
 	want := 1 / pn.Geom.ConvectionResistance
-	if got := pn.Net.TotalGroundConductance(); math.Abs(got-want) > 1e-9*want {
+	var got float64
+	for _, gr := range pn.Net.grounds {
+		got += gr.g
+	}
+	if math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("ground conductance = %v, want %v", got, want)
 	}
 }
@@ -351,7 +367,7 @@ func TestBuildPackageOverlapsMatchFullScan(t *testing.T) {
 		}
 		spr := &layerGrid{cells: opts.SpreaderCells, pitch: geom.SpreaderSide / float64(opts.SpreaderCells), origin: -geom.SpreaderSide / 2}
 		snk := &layerGrid{cells: opts.SinkCells, pitch: geom.SinkSide / float64(opts.SinkCells), origin: -geom.SinkSide / 2}
-		sprNode, snkNode := pn.Net.NodesOfKind(KindSpreader), pn.Net.NodesOfKind(KindSink)
+		sprNode, snkNode := nodesOfKind(pn.Net, KindSpreader), nodesOfKind(pn.Net, KindSink)
 		tileW, tileH := geom.DieWidth/float64(opts.Cols), geom.DieHeight/float64(opts.Rows)
 		for tile, got := range pn.SprShares {
 			c, r := tile%opts.Cols, tile/opts.Cols
