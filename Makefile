@@ -70,10 +70,10 @@ benchmark-check:
 
 # Benchmark snapshot: runs the Table I engine benchmarks (default-path,
 # explicit-SMW, and explicit-direct variants), the h_kl-sweep SMW vs
-# direct benchmark and the solver layer benchmarks (assembly of G and
-# its RCM ordering, SMW setup, eigendecomposition, band factorization,
-# band solves, SMW correction of a field, pole-form silicon rows and
-# one h_kl point) through `go test -bench -json` and
+# direct benchmark and the solver layer benchmarks (assembly of G, its
+# minimum-degree and RCM orderings, SMW setup, eigendecomposition,
+# sparse Cholesky factorization, solves, SMW correction of a field,
+# pole-form silicon rows and one h_kl point) through `go test -bench -json` and
 # distills name / ns/op / allocs into
 # BENCH_solver.json (committed; EXPERIMENTS.md tracks history).
 # -benchtime=1x for the engine benchmarks because Table I is a full
@@ -82,7 +82,7 @@ benchmark-check:
 # the snapshot keeps the median of each figure. -merge keeps snapshot
 # entries a partial run did not re-measure; the temp file exists
 # because the merge reads the same file the pipeline writes.
-LAYER_BENCH = ^Benchmark(Assembly|SMWSetup|EigenSym|BandFactor|BandSolve|BandSolveUnits|SMWCorrect|SMWReadRows|SMWEntry)$$
+LAYER_BENCH = ^Benchmark(Assembly|Ordering|SMWSetup|EigenSym|CholeskyFactor|CholeskySolve|CholeskySolveUnits|SMWCorrect|SMWReadRows|SMWEntry)$$
 
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine_(TableI|HklSweep)(_SMW|_Direct)?$$' \
@@ -109,18 +109,24 @@ bench-gate:
 # arbitrary function bodies at the lint CFG builder, which must never
 # panic on code that parses; FuzzDataflow pushes the resulting graphs
 # through the fixpoint engine (step-bound termination, state isolation).
-# FuzzServeRequest feeds arbitrary bodies to the service's request
-# decoding and system resolution (only typed invalid-input rejections).
+# FuzzCholesky factors random small SPD patterns and values under the
+# minimum-degree ordering (solution, backward error, unit columns
+# bitwise the solve). FuzzServeRequest feeds arbitrary bodies to the
+# service's request decoding and system resolution (only typed
+# invalid-input rejections).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFLP -fuzztime=$(FUZZTIME) -run='^$$' ./internal/floorplan
 	$(GO) test -fuzz=FuzzParsePtrace -fuzztime=$(FUZZTIME) -run='^$$' ./internal/power
 	$(GO) test -fuzz=FuzzCFG -fuzztime=$(FUZZTIME) -run='^$$' ./internal/lint
 	$(GO) test -fuzz=FuzzDataflow -fuzztime=$(FUZZTIME) -run='^$$' ./internal/lint
 	$(GO) test -fuzz=FuzzSMWGuard -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
+	$(GO) test -fuzz=FuzzCholesky -fuzztime=$(FUZZTIME) -run='^$$' ./internal/sparse
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
-# Observability overhead gate: runs the Table I workload with the obs
-# registry off and on, and fails if instrumentation costs more than 5%.
+# Observability overhead gate: times one Alpha row of Table I in process
+# CPU time with the obs registry off and on, over 64 alternated pairs,
+# and fails if the median on/off ratio shows instrumentation costing
+# more than 5%.
 obs-overhead:
 	OBS_OVERHEAD=1 $(GO) test -count=1 -run TestObsOverheadOnTableI -v ./internal/bench
 

@@ -327,9 +327,10 @@ func alphaSystem(b *testing.B) *core.System {
 	return sys
 }
 
-// BenchmarkSteadySolve_BandCholesky times one factor+solve of the
-// ~1100-node compact model with the RCM+banded direct path.
-func BenchmarkSteadySolve_BandCholesky(b *testing.B) {
+// BenchmarkSteadySolve_Cholesky times one ordering, factor and solve of
+// the ~1100-node compact model on the minimum-degree sparse Cholesky
+// direct path.
+func BenchmarkSteadySolve_Cholesky(b *testing.B) {
 	sys := alphaSystem(b)
 	m := sys.Matrix(6)
 	rhs := sys.RHS(6)

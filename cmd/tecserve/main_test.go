@@ -210,7 +210,10 @@ func TestServeBinarySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap struct {
-		Counters map[string]uint64 `json:"counters"`
+		Counters   map[string]uint64 `json:"counters"`
+		Histograms map[string]struct {
+			Count, Max uint64
+		} `json:"histograms"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode /metrics: %v", err)
@@ -218,6 +221,11 @@ func TestServeBinarySmoke(t *testing.T) {
 	resp.Body.Close()
 	if snap.Counters["core.system.reusable_setups"] < 1 {
 		t.Errorf("core.system.reusable_setups = %d, want >= 1", snap.Counters["core.system.reusable_setups"])
+	}
+	// Each setup reports its factor's health: the backward error of the
+	// base load's solve, in machine epsilons.
+	if be := snap.Histograms["thermal.reusable.backward_error_eps"]; be.Count < 1 || be.Max > 16 {
+		t.Errorf("thermal.reusable.backward_error_eps: %d observations, max %d; want >= 1, max <= 16", be.Count, be.Max)
 	}
 	if snap.Counters["tecserve.system_cache.hits"] < 1 {
 		t.Errorf("tecserve.system_cache.hits = %d, want >= 1", snap.Counters["tecserve.system_cache.hits"])

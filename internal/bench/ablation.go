@@ -79,7 +79,7 @@ type SolverAblationRow struct {
 }
 
 // RunSolverAblation solves the same deployed system at its optimum with
-// the banded direct solver and with preconditioned CG.
+// the sparse Cholesky direct solver and with preconditioned CG.
 func RunSolverAblation() ([]SolverAblationRow, error) {
 	sys, err := alphaDeployedSystem()
 	if err != nil {

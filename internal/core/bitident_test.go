@@ -29,10 +29,11 @@ var bitIdentityFractions = []float64{0, 0.1, 0.5, 0.9, 0.999}
 // outputs on the paper's inputs: the tile powers of the generated chips,
 // and for the eleven Table I chips under three deployments the runaway
 // limit (bisection and spectral) and the solved field at five currents
-// below it. The kernels behind them (chip generation, band
-// factorization, the blocked unit-column solve, the SMW setup and the
-// eigendecomposition) promise the same floating-point operations in the
-// same order across refactors, so the hash must not move. A change that
+// below it. The kernels behind them (chip generation, the minimum-degree
+// ordering, the sparse Cholesky factorization, the blocked unit-column
+// solve, the SMW setup and the eigendecomposition) promise the same
+// floating-point operations in the same order across refactors, so the
+// hash must not move. A change that
 // moves it on purpose regenerates testdata/bitident.sha256 with
 //
 //	go test ./internal/core -run TestSolverOutputsBitIdentical -update
@@ -122,7 +123,7 @@ func eachPinnedSystem(t *testing.T, fn func(name string, sys *System, lam, spect
 			if err != nil {
 				t.Fatalf("%s: runaway limit: %v", name, err)
 			}
-			rs := sys.reusable()
+			rs := sys.reusable(context.Background())
 			if rs == nil {
 				t.Fatalf("%s: SMW setup failed", name)
 			}

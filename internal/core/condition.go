@@ -17,8 +17,8 @@ import (
 // the runaway phenomenon.
 
 // ConditionNumber estimates kappa_2(G - i*D) via power iteration on the
-// operator (largest eigenvalue) and on its inverse through the banded
-// factorization (smallest eigenvalue). It returns +Inf past lambda_m.
+// operator (largest eigenvalue) and on its inverse through the sparse
+// Cholesky factorization (smallest eigenvalue). It returns +Inf past lambda_m.
 func (s *System) ConditionNumber(i float64) (float64, error) {
 	m := s.Matrix(i)
 	fact, err := s.Factor(i)

@@ -174,7 +174,7 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 		if ctxErr != nil {
 			return math.Inf(1)
 		}
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx); err != nil {
 			ctxErr = tecerr.Cancelled("core.optimize_current", err)
 			return math.Inf(1)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func TestFastPathBuiltOnceUnderConcurrentFirstSolves(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			states[g] = sys.reusable()
+			states[g] = sys.reusable(context.Background())
 		}(g)
 	}
 	wg.Wait()
@@ -59,7 +60,7 @@ func TestSystemsNeverShareFastPathState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb := a.reusable(), b.reusable()
+	ra, rb := a.reusable(context.Background()), b.reusable(context.Background())
 	if ra == nil || rb == nil {
 		t.Fatal("fast-path setup failed")
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"tecopt/internal/obs"
 )
@@ -99,11 +100,7 @@ func GreedyDeploy(cfg Config, limitK float64, opt CurrentOptions) (res *DeployRe
 		sites := sortedKeys(covered)
 
 		// Line 8-9: optimize the current for this deployment and solve.
-		sys, err := NewSystem(cfg, sites)
-		if err != nil {
-			return nil, err
-		}
-		cur, err := sys.OptimizeCurrent(opt)
+		sys, cur, err := deployPass(cfg, sites, added, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -136,6 +133,32 @@ func GreedyDeploy(cfg Config, limitK float64, opt CurrentOptions) (res *DeployRe
 			return res, nil
 		}
 	}
+}
+
+// deployPass builds the system of one pass of the greedy loop and
+// optimizes its current. In a recorded trace the pass is a
+// "core.greedy.iteration" span under opt.Ctx's span, annotated with the
+// tiles it added.
+func deployPass(cfg Config, sites, added []int, opt CurrentOptions) (*System, *CurrentResult, error) {
+	if r := obs.Enabled(); r.Tracing() {
+		var sp obs.Span
+		opt.Ctx, sp = r.StartSpanCtx(opt.Ctx, "core.greedy.iteration")
+		tiles := make([]string, len(added))
+		for k, t := range added {
+			tiles[k] = strconv.Itoa(t)
+		}
+		sp.Annotate("added", strings.Join(tiles, ","))
+		defer sp.End()
+	}
+	sys, err := NewSystem(cfg, sites)
+	if err != nil {
+		return nil, nil, err
+	}
+	cur, err := sys.OptimizeCurrent(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, cur, nil
 }
 
 // FullCover runs the paper's baseline: a TEC on every tile, with the

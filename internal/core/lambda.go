@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 
 	"tecopt/internal/engine"
 	"tecopt/internal/faults"
@@ -24,8 +25,9 @@ import (
 // H(i) = (G - i*D)^{-1} diverges to +infinity as i -> lambda_m^-, i.e.
 // the whole chip overheats without bound: thermal runaway. The paper
 // computes lambda_m by binary search with Cholesky positive-definiteness
-// tests, which is exactly what RunawayLimit does (each probe one
-// RCM-ordered envelope factorization).
+// tests, which is exactly what RunawayLimit does (each probe one sparse
+// Cholesky factorization, or with the SMW fast path up the spectral
+// comparison).
 
 // ErrNoRunawayLimit indicates an operation that needs a finite lambda_m
 // (such as RunawayMode) was asked about a system that has none because D
@@ -69,6 +71,22 @@ func (o RunawayOptions) withDefaults() RunawayOptions {
 	return o
 }
 
+// expired returns ctx's error, or context.DeadlineExceeded once ctx's
+// deadline has passed though the timer that cancels ctx has not run
+// yet. On a loaded host that timer can fire milliseconds late, and a
+// search whose probes take microseconds would otherwise finish, and
+// report a result, past its deadline.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// teclint:ignore obsclock compared with the context's deadline, which is on the time package's clock; nothing is timed
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // RunawayLimit computes lambda_m for the system. A system that cannot
 // run away — no TEC deployed (see HasRunawayLimit), or a limit beyond
 // maxBracketCurrentA (1e6 A) — reports lambda_m = +Inf with a nil
@@ -109,14 +127,14 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 	// bisection converges to the same limit (the spectral and
 	// Cholesky-breakdown boundaries agree far inside RelTol's bracket)
 	// for the cost of none of the probes.
-	rs := s.reusable()
+	rs := s.reusable(ctx)
 	tracing := r.Tracing()
 	var ctxErr error
 	pd := func(i float64) bool {
 		if ctxErr != nil {
 			return false
 		}
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx); err != nil {
 			ctxErr = tecerr.Cancelled("core.runaway", err)
 			return false
 		}
@@ -240,7 +258,7 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 		r.Counter("core.hkl.evals").Inc()
 		defer r.ObserveSince("core.hkl.eval_ns", r.Now())
 	}
-	if rs := s.reusable(); rs != nil {
+	if rs := s.reusable(ctx); rs != nil {
 		return rs.EntryAtCurrent(ctx, i, k, l)
 	}
 	e := make([]float64, s.NumNodes())
@@ -315,7 +333,7 @@ func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64,
 				"core: HColumns node %d out of range %d", l, n)
 		}
 	}
-	rs := s.reusable()
+	rs := s.reusable(context.TODO())
 	var f *thermal.Factorization
 	if rs == nil {
 		// Direct path: one factorization serves every column, and a

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"tecopt/internal/engine"
 	"tecopt/internal/faults"
@@ -349,5 +350,26 @@ func TestHColumnsMatchHkl(t *testing.T) {
 	}
 	if _, err := sys.HColumns(2.0, []int{-1}, engine.Serial); err == nil {
 		t.Fatal("HColumns accepted an out-of-range column")
+	}
+}
+
+// lateContext is a context whose deadline has passed but whose timer
+// has not cancelled it yet, as a loaded host can leave one for
+// milliseconds.
+type lateContext struct{ context.Context }
+
+func (lateContext) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// The runaway search and the current optimizer stop at a passed
+// deadline even before the context reports it, instead of finishing
+// and returning a result past the deadline.
+func TestSearchesStopAtPassedDeadline(t *testing.T) {
+	sys := mustSystem(t, smallConfig(), []int{27, 28, 35, 36})
+	ctx := lateContext{context.Background()}
+	if _, err := sys.RunawayLimit(RunawayOptions{Ctx: ctx}); !errors.Is(err, tecerr.ErrCancelled) {
+		t.Errorf("RunawayLimit past the deadline: err = %v, want CodeCancelled", err)
+	}
+	if _, err := sys.OptimizeCurrent(CurrentOptions{Ctx: ctx}); !errors.Is(err, tecerr.ErrCancelled) {
+		t.Errorf("OptimizeCurrent past the deadline: err = %v, want CodeCancelled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestRectangularDieDeployAndOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := res.System.reusable()
+	rs := res.System.reusable(context.Background())
 	if rs == nil {
 		t.Fatal("SMW setup failed on rectangular die")
 	}

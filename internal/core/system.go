@@ -56,7 +56,7 @@ const (
 	// of G - i*D near the runaway limit and when the capacitance matrix
 	// loses conditioning.
 	SolveAuto SolvePath = iota
-	// SolveDirect forces the legacy path: one banded Cholesky
+	// SolveDirect forces the legacy path: one sparse Cholesky
 	// factorization per current.
 	SolveDirect
 )
@@ -131,7 +131,7 @@ type System struct {
 	g    *sparse.CSR
 	d    []float64
 	base []float64 // ambient legs + silicon tile powers (current-free RHS)
-	perm []int     // RCM ordering of g's pattern, shared by every G - i*D
+	perm []int     // minimum-degree ordering of g's pattern, shared by every G - i*D
 
 	fastOnce sync.Once               // guards the one fast-path setup
 	fast     *thermal.ReusableSystem // nil under SolveDirect or after a failed setup
@@ -202,7 +202,7 @@ func NewSystem(cfg Config, sites []int) (*System, error) {
 		g:     g,
 		d:     arr.DVector(pn.Net.NumNodes()),
 		base:  base,
-		perm:  sparse.RCM(g),
+		perm:  sparse.MinDegree(g),
 	}, nil
 }
 
@@ -222,7 +222,7 @@ func (s *System) Matrix(i float64) *sparse.CSR {
 	return s.g.AddScaledDiag(-i, s.d)
 }
 
-// Factor factors G - i*D (reusing the shared RCM ordering). It returns
+// Factor factors G - i*D (reusing the System's ordering). It returns
 // thermal.ErrNotPD when i is at or beyond the runaway limit, and a
 // tecerr.CodeInvalidInput error for a non-finite i, as the fast path
 // does. Every call is a fresh factorization; Factor is safe for
@@ -249,8 +249,10 @@ func (s *System) RHS(i float64) []float64 {
 // path or the setup failed (a degenerate update; the caller then factors
 // per current). A failed setup is not retried, so the direct fallback
 // costs one failed setup per System, not one per solve. Concurrent
-// first callers share one setup.
-func (s *System) reusable() *thermal.ReusableSystem {
+// first callers share one setup. In a recorded trace the setup is a
+// "thermal.reusable.setup" span under ctx's span, the read that
+// triggered it, annotated with the backward error of the load's solve.
+func (s *System) reusable(ctx context.Context) *thermal.ReusableSystem {
 	if s.Cfg.Solve == SolveDirect {
 		return nil
 	}
@@ -260,9 +262,14 @@ func (s *System) reusable() *thermal.ReusableSystem {
 		if r != nil {
 			r.Counter("core.system.reusable_setups").Inc()
 		}
-		rs, err := thermal.NewReusableSystem(s.g, s.d, s.perm)
+		if r.Tracing() {
+			var sp obs.Span
+			ctx, sp = r.StartSpanCtx(ctx, "thermal.reusable.setup")
+			defer sp.End()
+		}
+		rs, err := thermal.NewReusableSystem(ctx, s.g, s.d, s.perm)
 		if err == nil {
-			s.load, err = rs.Form(s.base)
+			s.load, err = rs.Form(ctx, s.base)
 		}
 		if err != nil {
 			if r != nil {
@@ -280,7 +287,7 @@ func (s *System) reusable() *thermal.ReusableSystem {
 // per-current factorization otherwise, both ErrNotPD at or beyond the
 // runaway limit. The solve's regime span parents to ctx's span.
 func (s *System) solveVec(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
-	if rs := s.reusable(); rs != nil {
+	if rs := s.reusable(ctx); rs != nil {
 		return rs.SolveAtCurrent(ctx, i, rhs)
 	}
 	f, err := s.Factor(i)
@@ -315,7 +322,7 @@ func (s *System) readLoad(ctx context.Context, i float64, rows []int, out []floa
 	if err := checkCurrent("core.system", i); err != nil {
 		return err
 	}
-	if rs := s.reusable(); rs != nil {
+	if rs := s.reusable(ctx); rs != nil {
 		c := 0.5 * s.Array.Params.Resistance * i * i // JoulePower's source
 		return rs.LoadAtCurrent(ctx, i, c, s.load, func() []float64 { return s.RHS(i) }, rows, out)
 	}

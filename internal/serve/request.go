@@ -146,10 +146,15 @@ type errorBody struct {
 
 // Model-size caps of a /v1 request, checked before any assembly. A
 // layer of n cells has about n^2 nodes, and the setup plus first solve
-// grows faster than the node count: on a 2-CPU Xeon a 4x4 map took
-// 0.66 s and 53 MB with 64-cell layers, 3.2 s and 166 MB with 100-cell
-// layers. The heaviest accepted input, a fully covered 24x24 map with
-// 64-cell layers, took 12.1 s and 281 MB there.
+// grows faster than the node count. On a 2-CPU Xeon, assembly, the
+// setup and the first PeakAt of a fully covered map took (medians of
+// three, peak RSS of the process):
+//   - 4x4 map, 64-cell layers: 8,240 nodes, 262,923 entries of L,
+//     0.10 s and 26 MB;
+//   - 4x4 map, 100-cell layers: 20,048 nodes, 838,100 entries of L,
+//     0.36 s and 91 MB;
+//   - the heaviest accepted input, a 24x24 map with 64-cell layers:
+//     9,920 nodes, rank 1,152, 291,577 entries of L, 4.2 s and 185 MB.
 const (
 	maxTiling     = 24 // chip.cols and chip.rows
 	maxLayerCells = 64 // chip.spreader_cells and chip.sink_cells

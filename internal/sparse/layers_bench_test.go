@@ -1,6 +1,7 @@
 package sparse_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // the tiles. Rank 14 and 36 are the SMW ranks of the Table I greedy
 // deployments of Alpha and HC07, rank 288 that of a full cover.
 
-// layerSystem is one deployment's network, G, D, RCM ordering and
-// silicon rows.
+// layerSystem is one deployment's network, G, D, minimum-degree
+// ordering and silicon rows.
 type layerSystem struct {
 	net  *thermal.Network
 	g    *sparse.CSR
@@ -40,10 +41,10 @@ func newLayerSystem(tb testing.TB, rank int) layerSystem {
 		tb.Fatal(err)
 	}
 	g := sys.Matrix(0)
-	return layerSystem{net: sys.PN.Net, g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.RCM(g), sil: sys.PN.SilNode}
+	return layerSystem{net: sys.PN.Net, g: g, d: sys.Array.DVector(sys.NumNodes()), perm: sparse.MinDegree(g), sil: sys.PN.SilNode}
 }
 
-// factor is the base factorization of G in RCM order.
+// factor is the base factorization of G in minimum-degree order.
 func (ls layerSystem) factor(tb testing.TB) *thermal.Factorization {
 	tb.Helper()
 	f, err := thermal.Factor(ls.g, ls.perm)
@@ -56,27 +57,27 @@ func (ls layerSystem) factor(tb testing.TB) *thermal.Factorization {
 // smw is the production SMW setup over the base factorization.
 func (ls layerSystem) smw(tb testing.TB, f *thermal.Factorization) *sparse.SMW {
 	tb.Helper()
-	s, err := sparse.NewSMWUnits(ls.d, f.SolveUnits)
+	s, err := sparse.NewSMWUnits(context.Background(), ls.d, f.SolveUnits)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return s
 }
 
-// support is the update's support in the factor's (RCM) ordering.
+// support is the update's support, the rows of W's unit columns.
 func (ls layerSystem) support() []int {
 	var idx []int
 	for k, v := range ls.d {
 		if !num.IsZero(v) {
-			idx = append(idx, ls.perm[k])
+			idx = append(idx, k)
 		}
 	}
 	return idx
 }
 
-// BenchmarkAssembly times the two steps core.NewSystem takes after
-// building the package network, on the passive and full-cover networks:
-// the assembly of G from the network's stamps, and G's RCM ordering.
+// BenchmarkAssembly times the assembly of G from the network's stamps,
+// the step core.NewSystem takes after building the package network, on
+// the passive and full-cover networks.
 func BenchmarkAssembly(b *testing.B) {
 	for _, rank := range []int{0, 288} {
 		ls := newLayerSystem(b, rank)
@@ -84,6 +85,22 @@ func BenchmarkAssembly(b *testing.B) {
 			b.ReportAllocs()
 			for k := 0; k < b.N; k++ {
 				ls.net.G()
+			}
+		})
+	}
+}
+
+// BenchmarkOrdering times the two orderings of G on the passive and
+// full-cover networks: MinDegree, which core.NewSystem runs once per
+// System, and RCM, which only the repository benchmark's replay still
+// runs.
+func BenchmarkOrdering(b *testing.B) {
+	for _, rank := range []int{0, 288} {
+		ls := newLayerSystem(b, rank)
+		b.Run(fmt.Sprintf("MinDegree/rank=%d", rank), func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				sparse.MinDegree(ls.g)
 			}
 		})
 		b.Run(fmt.Sprintf("RCM/rank=%d", rank), func(b *testing.B) {
@@ -112,36 +129,40 @@ func BenchmarkSMWSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkBandFactor times the envelope Cholesky factorization of the
-// full-cover G in RCM order, loading the envelope through the
-// permutation as thermal.Factor does.
-func BenchmarkBandFactor(b *testing.B) {
-	ls := newLayerSystem(b, 288)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for k := 0; k < b.N; k++ {
-		if _, err := sparse.NewBandCholesky(ls.g, ls.perm); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkCholeskyFactor times the sparse Cholesky factorization of
+// the passive and full-cover G in minimum-degree order, symbolic
+// analysis included, as thermal.Factor runs it.
+func BenchmarkCholeskyFactor(b *testing.B) {
+	for _, rank := range []int{0, 288} {
+		b.Run(fmt.Sprintf("rank=%d", rank), func(b *testing.B) {
+			ls := newLayerSystem(b, rank)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				if _, err := sparse.NewCholesky(ls.g, ls.perm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// bandFactor factors the full-cover G in RCM order.
-func bandFactor(b *testing.B, ls layerSystem) *sparse.BandCholesky {
+// cholesky factors the full-cover G in minimum-degree order.
+func cholesky(b *testing.B, ls layerSystem) *sparse.Cholesky {
 	b.Helper()
-	c, err := sparse.NewBandCholesky(ls.g, ls.perm)
+	c, err := sparse.NewCholesky(ls.g, ls.perm)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return c
 }
 
-// BenchmarkBandSolve times one forward and backward substitution, the
-// base solve of every per-current SMW solve.
-func BenchmarkBandSolve(b *testing.B) {
+// BenchmarkCholeskySolve times one forward and backward substitution,
+// the base solve of every per-current SMW solve.
+func BenchmarkCholeskySolve(b *testing.B) {
 	ls := newLayerSystem(b, 288)
-	c := bandFactor(b, ls)
-	rhs := make([]float64, c.Size())
+	c := cholesky(b, ls)
+	rhs := make([]float64, len(ls.d))
 	for i := range rhs {
 		rhs[i] = 1
 	}
@@ -154,12 +175,11 @@ func BenchmarkBandSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkBandSolveUnits times the blocked solve of the 288 unit
-// columns of a full cover's W; the SolveUnits block width is chosen
-// from it.
-func BenchmarkBandSolveUnits(b *testing.B) {
+// BenchmarkCholeskySolveUnits times the blocked solve of the 288 unit
+// columns of a full cover's W.
+func BenchmarkCholeskySolveUnits(b *testing.B) {
 	ls := newLayerSystem(b, 288)
-	c := bandFactor(b, ls)
+	c := cholesky(b, ls)
 	idx := ls.support()
 	b.Run(fmt.Sprintf("rank=%d", len(idx)), func(b *testing.B) {
 		b.ReportAllocs()

@@ -281,7 +281,7 @@ func TestRCMSolveEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(20)
-		a := randomEnvelopeSPD(rng, n, 0, 0.2)
+		a := randomLaplacian(rng, n, 0, 0.2)
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -75,14 +76,14 @@ var ErrSMWIllConditioned error = tecerr.New(tecerr.CodeDiverged, "sparse.smw",
 const defaultSMWGapTol = 1e-7
 
 // NewSMW builds the correction data for the diagonal update d (length
-// n), using solve to apply G^{-1} (typically a banded Cholesky solve of
-// the unshifted base matrix). solve is called m times with unit vectors
+// n), using solve to apply G^{-1} (typically a Cholesky solve of the
+// unshifted base matrix). solve is called m times with unit vectors
 // during construction and never retained. A zero-support d yields an
 // SMW whose Correct is the identity and whose Lambda is +Inf. It is
 // NewSMWUnits with one solve per unit column, bitwise equal to it when
 // the column solves are.
 func NewSMW(d []float64, solve func([]float64) ([]float64, error)) (*SMW, error) {
-	return NewSMWUnits(d, func(idx []int) ([][]float64, error) {
+	return NewSMWUnits(context.Background(), d, func(idx []int) ([][]float64, error) {
 		w := make([][]float64, len(idx))
 		e := make([]float64, len(d))
 		for j, k := range idx {
@@ -101,10 +102,12 @@ func NewSMW(d []float64, solve func([]float64) ([]float64, error)) (*SMW, error)
 
 // NewSMWUnits builds the correction data for the diagonal update d
 // (length n). solveUnits returns the columns G^{-1} e_k for k in the
-// support of d, in the order given (W = G^{-1} U; for a band factor,
-// BandCholesky.SolveUnits); it is called once and never retained. A
-// non-finite entry of d is a tecerr.CodeInvalidInput error.
-func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (*SMW, error) {
+// support of d, in the order given (W = G^{-1} U; for a Cholesky
+// factor, Cholesky.SolveUnits); it is called once and never retained.
+// A non-finite entry of d is a tecerr.CodeInvalidInput error. In a
+// recorded trace the column solves and the dense stage are the spans
+// "sparse.smw.wsolve" and "sparse.smw.dense" under ctx's span.
+func NewSMWUnits(ctx context.Context, d []float64, solveUnits func(idx []int) ([][]float64, error)) (*SMW, error) {
 	n := len(d)
 	var idx []int
 	for k, v := range d {
@@ -119,7 +122,8 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 	s := &SMW{n: n, idx: idx, gapTol: defaultSMWGapTol}
 	s.ones.y = make([]float64, n) // G^{-1} U 1, the sum of W's columns
 	m := len(idx)
-	if r := obs.Enabled(); r != nil {
+	r := obs.Enabled()
+	if r != nil {
 		start := r.Now()
 		defer func() {
 			r.Counter("sparse.smw.setups").Inc()
@@ -130,7 +134,12 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 	if m == 0 {
 		return s, nil
 	}
+	var sp obs.Span
+	if r.Tracing() {
+		_, sp = r.StartSpanCtx(ctx, "sparse.smw.wsolve")
+	}
 	w, err := solveUnits(idx)
+	sp.End()
 	if err != nil {
 		return nil, tecerr.Wrapf(tecerr.CodeOf(err), "sparse.smw", err,
 			"sparse: SMW base solves failed")
@@ -149,6 +158,10 @@ func NewSMWUnits(d []float64, solveUnits func(idx []int) ([][]float64, error)) (
 		}
 	}
 	s.w = w
+	if r.Tracing() {
+		_, sp = r.StartSpanCtx(ctx, "sparse.smw.dense")
+		defer sp.End()
+	}
 	if err := s.project(d); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,11 +13,17 @@ import (
 	"tecopt/internal/tecerr"
 )
 
+// minDegreeCholesky factors a in its minimum-degree ordering, as
+// thermal.Factor does.
+func minDegreeCholesky(a *CSR) (*Cholesky, error) {
+	return NewCholesky(a, MinDegree(a))
+}
+
 // smwDirect solves (a - i*diag(d)) x = b by refactoring the shifted
 // matrix — the reference the SMW fast path must reproduce.
 func smwDirect(t *testing.T, a *CSR, d []float64, i float64, b []float64) []float64 {
 	t.Helper()
-	c, err := NewBandCholesky(a.AddScaledDiag(-i, d), nil)
+	c, err := minDegreeCholesky(a.AddScaledDiag(-i, d))
 	if err != nil {
 		t.Fatalf("direct factorization at shift %g: %v", i, err)
 	}
@@ -29,7 +36,7 @@ func smwDirect(t *testing.T, a *CSR, d []float64, i float64, b []float64) []floa
 
 // newGridSMW builds a grid Laplacian with a mixed-sign low-rank update
 // (positive entries model Seebeck pumping on hot rows, negative on cold
-// rows) and the SMW correction data over its band Cholesky.
+// rows) and the SMW correction data over its Cholesky factor.
 func newGridSMW(t *testing.T) (*CSR, []float64, *SMW) {
 	t.Helper()
 	a := gridLaplacian(9, 7)
@@ -39,7 +46,7 @@ func newGridSMW(t *testing.T) (*CSR, []float64, *SMW) {
 	d[17+9] = -0.03
 	d[40] = 0.05
 	d[40+9] = -0.02
-	base, err := NewBandCholesky(a, nil)
+	base, err := minDegreeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func TestSMWMatchesDirectAcrossShifts(t *testing.T) {
 	if math.IsInf(lam, 1) || lam <= 0 {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
-	base, err := NewBandCholesky(a, nil)
+	base, err := minDegreeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +117,10 @@ func TestSMWLambdaMatchesBreakdown(t *testing.T) {
 	if !num.IsFinite(lam) || lam <= 0 {
 		t.Fatalf("lambda = %v, want finite positive", lam)
 	}
-	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1-1e-3), d), nil); err != nil {
+	if _, err := minDegreeCholesky(a.AddScaledDiag(-lam*(1-1e-3), d)); err != nil {
 		t.Fatalf("shifted matrix below lambda not PD: %v", err)
 	}
-	if _, err := NewBandCholesky(a.AddScaledDiag(-lam*(1+1e-3), d), nil); err == nil {
+	if _, err := minDegreeCholesky(a.AddScaledDiag(-lam*(1+1e-3), d)); err == nil {
 		t.Fatal("shifted matrix beyond lambda still factored")
 	}
 }
@@ -175,7 +182,7 @@ func TestSMWGuardFaultInjection(t *testing.T) {
 
 func TestSMWZeroSupport(t *testing.T) {
 	a := gridLaplacian(4, 4)
-	base, err := NewBandCholesky(a, nil)
+	base, err := minDegreeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestSMWMatchesDirectProperty(t *testing.T) {
 		for j := 0; j < 1+rng.Intn(6); j++ {
 			d[rng.Intn(n)] = 0.5 * rng.NormFloat64()
 		}
-		base, err := NewBandCholesky(a, nil)
+		base, err := minDegreeCholesky(a)
 		if err != nil {
 			return false
 		}
@@ -277,7 +284,7 @@ func TestSMWMatchesDirectProperty(t *testing.T) {
 			if err := s.Correct(shift, y); err != nil {
 				return false
 			}
-			c, err := NewBandCholesky(a.AddScaledDiag(-shift, d), nil)
+			c, err := minDegreeCholesky(a.AddScaledDiag(-shift, d))
 			if err != nil {
 				return false
 			}
@@ -314,7 +321,7 @@ func FuzzSMWGuard(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shift, da, db float64) {
 		d := make([]float64, n)
 		d[3], d[11] = da, db
-		base, err := NewBandCholesky(a, nil)
+		base, err := minDegreeCholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +355,7 @@ func FuzzSMWGuard(f *testing.F) {
 				t.Fatalf("shift %v: NaN at node %d after successful Correct", shift, k)
 			}
 		}
-		c, err := NewBandCholesky(a.AddScaledDiag(-shift, d), nil)
+		c, err := minDegreeCholesky(a.AddScaledDiag(-shift, d))
 		if err != nil {
 			return // guard accepted a shift outside the PD interval? only
 			// possible beyond lambda, where Correct still computed the
@@ -389,7 +396,7 @@ func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
 	for _, k := range rng.Perm(n)[:unitBlock+7] {
 		d[k] = 0.05 * rng.NormFloat64()
 	}
-	base, err := NewBandCholesky(a, nil)
+	base, err := minDegreeCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +404,7 @@ func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, err := NewSMWUnits(d, base.SolveUnits)
+	blocked, err := NewSMWUnits(context.Background(), d, base.SolveUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,15 +433,15 @@ func TestNewSMWAdapterMatchesBlockedBitwise(t *testing.T) {
 func TestNewSMWUnitsSetupErrors(t *testing.T) {
 	d := []float64{0, 0.5, 0, -0.25}
 	boom := tecerr.New(tecerr.CodeNotPD, "test", "boom")
-	if _, err := NewSMWUnits(d, func([]int) ([][]float64, error) { return nil, boom }); tecerr.CodeOf(err) != tecerr.CodeNotPD || !errors.Is(err, boom) {
+	if _, err := NewSMWUnits(context.Background(), d, func([]int) ([][]float64, error) { return nil, boom }); tecerr.CodeOf(err) != tecerr.CodeNotPD || !errors.Is(err, boom) {
 		t.Errorf("failing solve: err = %v, want wrapped CodeNotPD", err)
 	}
 	short := func(idx []int) ([][]float64, error) { return make([][]float64, len(idx)-1), nil }
-	if _, err := NewSMWUnits(d, short); tecerr.CodeOf(err) != tecerr.CodeInternal {
+	if _, err := NewSMWUnits(context.Background(), d, short); tecerr.CodeOf(err) != tecerr.CodeInternal {
 		t.Errorf("missing column: err = %v, want CodeInternal", err)
 	}
 	ragged := func(idx []int) ([][]float64, error) { return [][]float64{make([]float64, 4), make([]float64, 3)}, nil }
-	if _, err := NewSMWUnits(d, ragged); tecerr.CodeOf(err) != tecerr.CodeInternal {
+	if _, err := NewSMWUnits(context.Background(), d, ragged); tecerr.CodeOf(err) != tecerr.CodeInternal {
 		t.Errorf("short column: err = %v, want CodeInternal", err)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {

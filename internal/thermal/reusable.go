@@ -3,6 +3,7 @@ package thermal
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"sync/atomic"
 
@@ -12,7 +13,7 @@ import (
 	"tecopt/internal/tecerr"
 )
 
-// ReusableSystem owns one envelope Cholesky factorization of the base
+// ReusableSystem owns one sparse Cholesky factorization of the base
 // matrix G and reads the whole current family (G - i*D) theta = rhs in
 // pole form (sparse.SMW, rank m = 2 per TEC) instead of refactoring. A
 // load b + c*1_U prepared once by Form (1_U is 1 on D's support) reads
@@ -36,7 +37,6 @@ import (
 type ReusableSystem struct {
 	g    *sparse.CSR
 	d    []float64
-	perm []int
 	base *Factorization
 	smw  *sparse.SMW
 	// lambda is the spectral runaway limit 1/mu_max (+Inf when the
@@ -76,34 +76,46 @@ type nearFactor struct {
 // SMW accuracy contract anyway.
 const reusableWindow = 1e-6
 
-// NewReusableSystem factors G once (reusing perm as the RCM ordering
-// when non-nil) and precomputes the SMW correction data for the
-// diagonal update d. It returns ErrNotPD when G itself is not positive
-// definite; an SMW setup failure (degenerate update) is returned as-is,
-// and callers may fall back to per-current direct factorization.
-func NewReusableSystem(g *sparse.CSR, d []float64, perm []int) (*ReusableSystem, error) {
+// NewReusableSystem factors G once (under perm when non-nil, else its
+// minimum-degree ordering) and precomputes the SMW correction data for
+// the diagonal update d. It returns ErrNotPD when G itself is not
+// positive definite; an SMW setup failure (degenerate update) is
+// returned as-is, and callers may fall back to per-current direct
+// factorization. In a recorded trace the factorization is a
+// "thermal.factor" span under ctx's span, annotated with the order n
+// and the entries of L, beside the SMW setup's own spans.
+func NewReusableSystem(ctx context.Context, g *sparse.CSR, d []float64, perm []int) (*ReusableSystem, error) {
 	if g.Rows() != len(d) {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
 			"thermal: diagonal update length %d, want %d", len(d), g.Rows())
 	}
+	r := obs.Enabled()
+	var sp obs.Span
+	if r.Tracing() {
+		_, sp = r.StartSpanCtx(ctx, "thermal.factor")
+	}
 	base, err := Factor(g, perm)
+	if err == nil {
+		sp.AnnotateInt("n", int64(g.Rows()))
+		sp.AnnotateInt("nnz_l", int64(base.chol.NNZ()))
+	}
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	smw, err := sparse.NewSMWUnits(d, base.SolveUnits)
+	smw, err := sparse.NewSMWUnits(ctx, d, base.SolveUnits)
 	if err != nil {
 		return nil, err
 	}
 	rs := &ReusableSystem{
 		g:      g,
 		d:      d,
-		perm:   base.perm,
 		base:   base,
 		smw:    smw,
 		lambda: smw.Lambda(),
 		window: reusableWindow,
 	}
-	if r := obs.Enabled(); r != nil {
+	if r != nil {
 		r.Counter("thermal.reusable.setups").Inc()
 	}
 	return rs, nil
@@ -123,14 +135,26 @@ func (rs *ReusableSystem) Rank() int { return rs.smw.Rank() }
 // predicate behind the runaway bisection.
 func (rs *ReusableSystem) PD(i float64) bool { return i < rs.lambda }
 
-// Form prepares the load b for LoadAtCurrent with one band solve.
-func (rs *ReusableSystem) Form(b []float64) (sparse.PoleForm, error) {
+// Form prepares the load b for LoadAtCurrent with one base solve. When
+// a registry is installed it also checks that solve: the normwise
+// backward error of y = G^{-1} b, in units of machine epsilon, goes to
+// the "thermal.reusable.backward_error_eps" histogram and onto ctx's
+// span.
+func (rs *ReusableSystem) Form(ctx context.Context, b []float64) (sparse.PoleForm, error) {
 	y, err := rs.base.Solve(b)
 	if err != nil {
 		return sparse.PoleForm{}, err
 	}
+	if r := obs.Enabled(); r != nil {
+		eps := sparse.BackwardError(rs.g, y, b) / epsilon
+		r.Histogram("thermal.reusable.backward_error_eps").Observe(uint64(math.Ceil(eps)))
+		obs.SpanFromContext(ctx).AnnotateFloat("backward_error_eps", eps)
+	}
 	return rs.smw.Form(y), nil
 }
+
+// epsilon is the machine epsilon of float64, 2^-52.
+const epsilon = 0x1p-52
 
 // LoadAtCurrent writes rows of the solution of (G - i*D) theta =
 // b + c*1_U into out, for b from Form, as sparse.SMW.Read does; its SMW
@@ -295,16 +319,16 @@ func (rs *ReusableSystem) pairAt(k, l int) (p *pairWeights, memo bool, err error
 	return p, false, nil
 }
 
-// solveDirect solves with a direct factorization of G - i*D in the
-// System's RCM ordering: deterministic, authoritative on ErrNotPD, and
-// memoized across repeated solves at one current (the h_kl column
+// solveDirect solves with a direct factorization of G - i*D in the base
+// factorization's ordering: deterministic, authoritative on ErrNotPD,
+// and memoized across repeated solves at one current (the h_kl column
 // sweeps solve many right-hand sides at the same i).
 func (rs *ReusableSystem) solveDirect(i float64, rhs []float64, sp obs.Span) ([]float64, error) {
 	nf := rs.near.Load()
 	memo := nf != nil && num.ExactEqual(nf.i, i)
 	sp.Annotate("near_memo", strconv.FormatBool(memo))
 	if !memo {
-		f, err := Factor(rs.g.AddScaledDiag(-i, rs.d), rs.perm)
+		f, err := Factor(rs.g.AddScaledDiag(-i, rs.d), rs.base.chol.Perm())
 		nf = &nearFactor{i: i, f: f, err: err}
 		rs.near.Store(nf)
 	}

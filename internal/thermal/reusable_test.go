@@ -29,7 +29,7 @@ func testReusable(t *testing.T) (*ReusableSystem, *sparse.CSR, []float64, []floa
 		d[k] = 0.08
 		d[k+1] = -0.05
 	}
-	rs, err := NewReusableSystem(g, d, nil)
+	rs, err := NewReusableSystem(context.Background(), g, d, nil)
 	if err != nil {
 		t.Fatalf("NewReusableSystem: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestReusableEntryPairMemo(t *testing.T) {
 // near-limit window and on a guard trip, ErrNotPD beyond the limit.
 func TestReusableLoadMatchesDirect(t *testing.T) {
 	rs, g, d, b := testReusable(t)
-	load, err := rs.Form(b)
+	load, err := rs.Form(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestReusableLoadMatchesDirect(t *testing.T) {
 
 func TestReusableZeroRankAndZeroCurrent(t *testing.T) {
 	_, g, rhs := testPackage(t)
-	rs, err := NewReusableSystem(g, make([]float64, g.Rows()), nil)
+	rs, err := NewReusableSystem(context.Background(), g, make([]float64, g.Rows()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestReusableInvalidInput(t *testing.T) {
 	if _, err := rs.EntryAtCurrent(ctx, math.NaN(), 0, 0); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("entry at NaN current err = %v, want CodeInvalidInput", err)
 	}
-	if _, err := NewReusableSystem(rs.g, make([]float64, 2), nil); !errors.Is(err, tecerr.ErrInvalidInput) {
+	if _, err := NewReusableSystem(context.Background(), rs.g, make([]float64, 2), nil); !errors.Is(err, tecerr.ErrInvalidInput) {
 		t.Errorf("mismatched d err = %v, want CodeInvalidInput", err)
 	}
 }

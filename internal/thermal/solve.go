@@ -1,6 +1,8 @@
 package thermal
 
 import (
+	"errors"
+
 	"tecopt/internal/faults"
 	"tecopt/internal/num"
 	"tecopt/internal/sparse"
@@ -13,76 +15,46 @@ import (
 var ErrNotPD error = tecerr.New(tecerr.CodeNotPD, "thermal.factor",
 	"thermal: system matrix not positive definite (beyond runaway limit?)")
 
-// Factorization is a reusable direct factorization of a system matrix,
-// with the RCM permutation folded in.
+// Factorization is a reusable direct factorization of a system matrix
+// under a fill-reducing ordering.
 type Factorization struct {
-	chol *sparse.BandCholesky
-	perm []int // old -> new
-	inv  []int // new -> old
+	chol *sparse.Cholesky
 }
 
-// Factor computes an RCM-ordered envelope Cholesky factorization of the
-// symmetric positive definite matrix a, loaded from a through the
-// permutation. perm may be a precomputed RCM permutation for a's
-// pattern (pass nil to compute one here); reusing a permutation across
-// the many G - i*D factorizations of the optimizer saves the ordering
-// cost, since the pattern never changes with i.
+// Factor computes a sparse Cholesky factorization of the symmetric
+// positive definite matrix a under the permutation perm (old -> new),
+// or under a's minimum-degree ordering when perm is nil. Reusing a
+// permutation across the many G - i*D factorizations of one network
+// saves the ordering cost, since the pattern never changes with i. Any
+// permutation factors correctly; the fill, and so the cost, is
+// MinDegree's to reduce. A matrix that is not positive definite is
+// ErrNotPD.
 func Factor(a *sparse.CSR, perm []int) (*Factorization, error) {
 	if perm == nil {
-		perm = sparse.RCM(a)
+		perm = sparse.MinDegree(a)
 	}
-	chol, err := sparse.NewBandCholesky(a, perm)
-	if err != nil {
+	chol, err := sparse.NewCholesky(a, perm)
+	if errors.Is(err, tecerr.ErrNotPD) {
 		return nil, ErrNotPD
 	}
-	return &Factorization{chol: chol, perm: perm, inv: sparse.InvertPerm(perm)}, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Factorization{chol: chol}, nil
 }
 
 // Solve solves A x = b using the factorization. A wrong-length rhs is
 // reported as a tecerr.CodeInvalidInput error.
-func (f *Factorization) Solve(b []float64) ([]float64, error) {
-	if len(b) != len(f.perm) {
-		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.factor",
-			"thermal: Factorization.Solve rhs length %d, want %d", len(b), len(f.perm))
-	}
-	xp, err := f.chol.Solve(sparse.PermuteVec(f.perm, b))
-	if err != nil {
-		return nil, err
-	}
-	return sparse.PermuteVec(f.inv, xp), nil
-}
+func (f *Factorization) Solve(b []float64) ([]float64, error) { return f.chol.Solve(b) }
 
 // SolveUnits returns the columns A^{-1} e_k for k in idx, in idx order:
 // W = G^{-1} U of an SMW setup, through the blocked
-// sparse.BandCholesky.SolveUnits. Each column is bitwise the Solve of
-// its unit vector. An index outside [0, n) is a tecerr.CodeInvalidInput
+// sparse.Cholesky.SolveUnits. Each column is bitwise the Solve of its
+// unit vector. An index outside [0, n) is a tecerr.CodeInvalidInput
 // error.
-func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) {
-	n := len(f.perm)
-	pidx := make([]int, len(idx))
-	for j, k := range idx {
-		if k < 0 || k >= n {
-			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.factor",
-				"thermal: Factorization.SolveUnits index %d out of range %d", k, n)
-		}
-		pidx[j] = f.perm[k]
-	}
-	cols, err := f.chol.SolveUnits(pidx)
-	if err != nil {
-		return nil, err
-	}
-	// Back to the original ordering in place: x[i] = xp[perm[i]].
-	xp := make([]float64, n)
-	for _, col := range cols {
-		copy(xp, col)
-		for i, p := range f.perm {
-			col[i] = xp[p]
-		}
-	}
-	return cols, nil
-}
+func (f *Factorization) SolveUnits(idx []int) ([][]float64, error) { return f.chol.SolveUnits(idx) }
 
-// SolveSteady solves G*theta = rhs by an RCM-ordered envelope
+// SolveSteady solves G*theta = rhs by a minimum-degree ordered sparse
 // Cholesky factorization of G.
 func SolveSteady(g *sparse.CSR, rhs []float64) ([]float64, error) {
 	f, err := Factor(g, nil)
