@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race chaos serve-chaos serve-smoke vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden check
+.PHONY: all build test race chaos serve-chaos serve-smoke vet fmt-check lint benchmark-check bench-json bench-gate fuzz-smoke obs-overhead trace-golden loc check
 
 all: check
 
@@ -141,6 +141,12 @@ trace-golden:
 	$(GO) test -count=1 -run 'TestFlightSpanHierarchy|TestEventCtxFlightLinks|TestPerfettoExport' ./internal/obs
 	$(GO) test -count=1 ./cmd/tectrace
 	$(GO) test -count=1 -run TestMapTasksCtxFlight ./internal/engine
+
+# Size of the program: non-test Go lines outside the benchmark module,
+# its build output and testdata directories. A report, not a gate.
+loc:
+	@find . -path ./benchmark -prune -o -path ./.bench_build -prune -o -name testdata -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # The full gate, in the order CI runs it.
 check: build vet fmt-check lint test benchmark-check trace-golden race chaos serve-chaos serve-smoke

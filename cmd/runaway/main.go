@@ -15,11 +15,8 @@ import (
 	"os"
 
 	"tecopt/internal/bench"
-	"tecopt/internal/core"
-	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
 	"tecopt/internal/obs"
-	"tecopt/internal/power"
 	"tecopt/internal/transient"
 )
 
@@ -52,15 +49,8 @@ func main() {
 		}
 
 		if *doTransient {
-			f, g := floorplan.Alpha21364Grid()
-			p := power.AlphaTilePowers(f, g)
-			dep, err := core.GreedyDeploy(core.Config{TilePower: p}, material.CelsiusToKelvin(85), core.CurrentOptions{Ctx: ctx})
-			if err != nil {
-				return err
-			}
-			sys := dep.System
 			fmt.Printf("\ntransient at 1.2 * lambda_m = %.2f A (dynamic runaway):\n", 1.2*res.LambdaM)
-			tr, err := transient.Simulate(sys, []transient.Phase{{Current: 1.2 * res.LambdaM, Duration: 600}},
+			tr, err := transient.Simulate(res.System, []transient.Phase{{Current: 1.2 * res.LambdaM, Duration: 600}},
 				transient.Options{Dt: 0.05, SampleEvery: 100, RunawayCeilingK: 600, Ctx: ctx})
 			if err != nil {
 				return err

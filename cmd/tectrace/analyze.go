@@ -12,9 +12,10 @@ import (
 // reusableSolveSpan is the per-current solve span. Its "regime"
 // attribute names which path served the current: "smw" (the
 // Sherman-Morrison-Woodbury fast path, including the rank-0 shortcut),
-// "direct" (memoized near-limit factorization), "fallback" (the SMW
-// conditioning guard tripped; same memoized direct factorization, with
-// the trip's "guard_reason") or "beyond-limit" (past lambda_m, expected
+// "direct" (memoized factorization: the near-limit window, or any read
+// of a direct-only solver), "fallback" (the SMW conditioning guard
+// tripped; same memoized direct factorization, with the trip's
+// "guard_reason") or "beyond-limit" (past lambda_m, expected
 // indefinite).
 const reusableSolveSpan = "thermal.reusable.solve"
 

@@ -31,6 +31,8 @@ type Figure6Result struct {
 	// PeakC is the peak silicon temperature at each current — the
 	// physically observable version of the same divergence.
 	PeakC []float64
+	// System is the greedy deployment the curve was sampled on.
+	System *core.System
 }
 
 // Figure6Options configures the runaway-curve sweep.
@@ -73,6 +75,7 @@ func RunFigure6Opts(opt Figure6Options) (*Figure6Result, error) {
 		LambdaM:  lambda,
 		Currents: make([]float64, points),
 		PeakC:    make([]float64, points),
+		System:   sys,
 	}
 	for n := range res.Currents {
 		// Denser sampling near the limit, where the curve shoots up.

@@ -32,11 +32,13 @@ func (s *System) EtaZeta(i float64, tile int) (eta, etaPrime, zeta float64, err 
 	}
 	n := s.NumNodes()
 	k := s.PN.SilNode[tile]
+	ctx := context.TODO()
+	rs := s.reusable(ctx)
 
 	// x = H e_k (row k of H by symmetry).
 	e := make([]float64, n)
 	e[k] = 1
-	x, err := s.solveVec(context.Background(), i, e)
+	x, err := rs.SolveAtCurrent(ctx, i, e)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -60,7 +62,7 @@ func (s *System) EtaZeta(i float64, tile int) (eta, etaPrime, zeta float64, err 
 		}
 	}
 	// eta' = x' D y with y = H 1_{HC}.
-	y, err := s.solveVec(context.Background(), i, ind)
+	y, err := rs.SolveAtCurrent(ctx, i, ind)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -206,37 +206,16 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 			"core: empty feasible current range (lambda_m = %g)", lambda)
 	}
 
-	var iOpt float64
+	var res optimize.Result
 	switch opt.Method {
 	case CurrentGolden:
-		res, err := optimize.GoldenSection(objective, 0, hi, opt.Tol, 300)
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		iOpt = res.X
+		res, err = optimize.GoldenSection(objective, 0, hi, opt.Tol, 300)
 	case CurrentBrent:
-		res, err := optimize.Brent(objective, 0, hi, opt.Tol/math.Max(hi, 1), 300)
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		iOpt = res.X
+		res, err = optimize.Brent(objective, 0, hi, opt.Tol/math.Max(hi, 1), 300)
 	case CurrentGradient:
-		res, err := optimize.GradientDescent(objective, optimize.GradientDescentOptions{
+		res, err = optimize.GradientDescent(objective, optimize.GradientDescentOptions{
 			Lo: 0, Hi: hi, X0: hi / 4, Tol: opt.Tol, GradEps: opt.Tol / 4,
 		})
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		iOpt = res.X
 	default:
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "core.optimize_current",
 			"core: unknown current method %d", opt.Method)
@@ -244,6 +223,10 @@ func (s *System) OptimizeCurrent(opt CurrentOptions) (*CurrentResult, error) {
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
+	if err != nil {
+		return nil, err
+	}
+	iOpt := res.X
 
 	peak, tile, theta, err := s.PeakAtCtx(ctx, iOpt)
 	if err != nil {

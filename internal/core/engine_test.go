@@ -105,6 +105,41 @@ func TestHColumnsDirectFactorsOnce(t *testing.T) {
 	}
 }
 
+func TestDirectConcurrentFirstReadsFactorOnce(t *testing.T) {
+	// Concurrent first reads at one current on a SolveDirect System share
+	// one factorization of G - i*D and read the same bits.
+	cfg := smallConfig()
+	cfg.Solve = SolveDirect
+	sys := mustSystem(t, cfg, []int{27, 28})
+	k, l := sys.PN.SilNode[27], sys.Array.Hot[0]
+
+	r := obs.New(nil)
+	prev := obs.SetGlobal(r)
+	h := make([]float64, 8)
+	errs := make([]error, len(h))
+	var wg sync.WaitGroup
+	for g := range h {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h[g], errs[g] = sys.Hkl(2.0, k, l)
+		}(g)
+	}
+	wg.Wait()
+	obs.SetGlobal(prev)
+	if got := r.Snapshot().Counters["sparse.band.factors"]; got != 1 {
+		t.Fatalf("%d concurrent first reads ran %d factorizations, want 1", len(h), got)
+	}
+	for g := range h {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !num.ExactEqual(h[g], h[0]) {
+			t.Fatalf("reader %d: h_kl = %v, reader 0 read %v", g, h[g], h[0])
+		}
+	}
+}
+
 func TestRepeatedSolveBitIdentical(t *testing.T) {
 	// A second solve at one current, on the state the first one built,
 	// must reproduce the first bit-for-bit.

@@ -26,8 +26,8 @@ import (
 // the whole chip overheats without bound: thermal runaway. The paper
 // computes lambda_m by binary search with Cholesky positive-definiteness
 // tests, which is exactly what RunawayLimit does (each probe one sparse
-// Cholesky factorization, or with the SMW fast path up the spectral
-// comparison).
+// Cholesky factorization on a direct-only solver, or with the SMW fast
+// path up the spectral comparison).
 
 // ErrNoRunawayLimit indicates an operation that needs a finite lambda_m
 // (such as RunawayMode) was asked about a system that has none because D
@@ -126,7 +126,8 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 	// comparison i < 1/mu_max instead of a factorization attempt — the
 	// bisection converges to the same limit (the spectral and
 	// Cholesky-breakdown boundaries agree far inside RelTol's bracket)
-	// for the cost of none of the probes.
+	// for the cost of none of the probes. A direct-only solver attempts
+	// the factorization.
 	rs := s.reusable(ctx)
 	tracing := r.Tracing()
 	var ctxErr error
@@ -139,13 +140,7 @@ func (s *System) RunawayLimit(opt RunawayOptions) (float64, error) {
 			return false
 		}
 		probes++
-		var ok bool
-		if rs != nil {
-			ok = rs.PD(i)
-		} else {
-			_, err := s.Factor(i)
-			ok = err == nil
-		}
+		ok := rs.PD(i)
 		if tracing {
 			// Per-probe outcomes are the trace's record of the
 			// bisection's path; the guard keeps the attribute slice off
@@ -237,8 +232,8 @@ func (s *System) RunawayMode(lambda float64) ([]float64, error) {
 // Figure 6). The fast path reads it in pole form from (G^{-1})_kl and
 // pair weights memoized per System for the last (k, l), so a sweep over
 // currents at one (k, l) costs one base solve, then O(m) per current;
-// the direct path factors G - i*D and solves with e_l. A non-finite or
-// negative i is a tecerr.CodeInvalidInput error, as in SolveAt.
+// the direct regimes solve with e_l. A non-finite or negative i is a
+// tecerr.CodeInvalidInput error, as in SolveAt.
 func (s *System) Hkl(i float64, k, l int) (float64, error) {
 	return s.HklCtx(context.Background(), i, k, l)
 }
@@ -258,16 +253,7 @@ func (s *System) HklCtx(ctx context.Context, i float64, k, l int) (float64, erro
 		r.Counter("core.hkl.evals").Inc()
 		defer r.ObserveSince("core.hkl.eval_ns", r.Now())
 	}
-	if rs := s.reusable(ctx); rs != nil {
-		return rs.EntryAtCurrent(ctx, i, k, l)
-	}
-	e := make([]float64, s.NumNodes())
-	e[l] = 1
-	x, err := s.solveVec(ctx, i, e)
-	if err != nil {
-		return 0, err
-	}
-	return x[k], nil
+	return s.reusable(ctx).EntryAtCurrent(ctx, i, k, l)
 }
 
 // HklSweep evaluates h_kl over a set of currents, for regenerating
@@ -317,11 +303,11 @@ func (s *System) HklSweep(ctx context.Context, k, l int, currents []float64) ([]
 
 // HColumns solves for the requested columns of H(i) = (G - i*D)^{-1}:
 // column l is the full nodal response to one watt injected at node l
-// (h_kl for all k at once). The base state is prepared once (the SMW
-// fast-path data, or one factorization of G - i*D on the direct path)
-// and the unit solves run on the given worker pool; results are ordered
-// as cols, identical at every worker count, and agree with per-column
-// Hkl calls to rounding. The current is validated as in Hkl.
+// (h_kl for all k at once). The unit solves run on the given worker
+// pool and share the System's solver, so a direct regime factors G - i*D
+// once for all of them; results are ordered as cols, identical at every
+// worker count, and agree with per-column Hkl calls to rounding. The
+// current is validated as in Hkl.
 func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64, error) {
 	if err := checkCurrent("core.hkl", i); err != nil {
 		return nil, err
@@ -334,26 +320,11 @@ func (s *System) HColumns(i float64, cols []int, pool engine.Pool) ([][]float64,
 		}
 	}
 	rs := s.reusable(context.TODO())
-	var f *thermal.Factorization
-	if rs == nil {
-		// Direct path: one factorization serves every column, and a
-		// not-PD current fails here instead of once per column.
-		var err error
-		if f, err = s.Factor(i); err != nil {
-			return nil, err
-		}
-	}
 	out := make([][]float64, len(cols))
 	err := pool.MapTasksCtx(context.Background(), len(cols), func(tctx context.Context, idx int) error {
 		e := make([]float64, n)
 		e[cols[idx]] = 1
-		var x []float64
-		var err error
-		if rs != nil {
-			x, err = rs.SolveAtCurrent(tctx, i, e)
-		} else {
-			x, err = f.Solve(e)
-		}
+		x, err := rs.SolveAtCurrent(tctx, i, e)
 		if err != nil {
 			return err
 		}

@@ -56,8 +56,9 @@ const (
 	// of G - i*D near the runaway limit and when the capacitance matrix
 	// loses conditioning.
 	SolveAuto SolvePath = iota
-	// SolveDirect forces the legacy path: one sparse Cholesky
-	// factorization per current.
+	// SolveDirect reads every current through a direct factorization of
+	// G - i*D, memoized for repeated reads at one current: the SMW
+	// path's oracle in tests.
 	SolveDirect
 )
 
@@ -121,8 +122,8 @@ func (c Config) withDefaults() Config {
 
 // System is an assembled thermal model of a package with a fixed TEC
 // deployment, ready for current-domain analysis: (G - i*D) theta = p(i).
-// It owns the SMW fast-path state its solves share, so it is used by
-// pointer and never copied.
+// It owns the solver its reads share, so it is used by pointer and
+// never copied.
 type System struct {
 	Cfg   Config
 	PN    *thermal.PackageNetwork
@@ -133,9 +134,9 @@ type System struct {
 	base []float64 // ambient legs + silicon tile powers (current-free RHS)
 	perm []int     // minimum-degree ordering of g's pattern, shared by every G - i*D
 
-	fastOnce sync.Once               // guards the one fast-path setup
-	fast     *thermal.ReusableSystem // nil under SolveDirect or after a failed setup
-	load     sparse.PoleForm         // base in pole form, built with fast
+	solverOnce sync.Once               // guards the one solver setup
+	solver     *thermal.ReusableSystem // answers every read
+	load       sparse.PoleForm         // base in pole form, built with an SMW solver
 }
 
 // fastPathSetups counts the SMW fast-path setups started by every
@@ -244,19 +245,20 @@ func (s *System) RHS(i float64) []float64 {
 	return rhs
 }
 
-// reusable returns the system's SMW fast-path state, built with s.load
-// by the first call, or nil when the configuration forces the direct
-// path or the setup failed (a degenerate update; the caller then factors
-// per current). A failed setup is not retried, so the direct fallback
-// costs one failed setup per System, not one per solve. Concurrent
-// first callers share one setup. In a recorded trace the setup is a
-// "thermal.reusable.setup" span under ctx's span, the read that
-// triggered it, annotated with the backward error of the load's solve.
+// reusable returns the system's solver, built by the first call: the
+// SMW fast path with s.load, or a direct-only solver under SolveDirect
+// and when the SMW setup fails (a degenerate update). A failed setup is
+// not retried, so it costs one attempt per System, not one per read.
+// Concurrent first callers share one setup. In a recorded trace the SMW
+// setup is a "thermal.reusable.setup" span under ctx's span, the read
+// that triggered it, annotated with the backward error of the load's
+// solve.
 func (s *System) reusable(ctx context.Context) *thermal.ReusableSystem {
-	if s.Cfg.Solve == SolveDirect {
-		return nil
-	}
-	s.fastOnce.Do(func() {
+	s.solverOnce.Do(func() {
+		if s.Cfg.Solve == SolveDirect {
+			s.solver = thermal.NewDirectSystem(s.g, s.d, s.perm)
+			return
+		}
 		fastPathSetups.Add(1)
 		r := obs.Enabled()
 		if r != nil {
@@ -275,26 +277,11 @@ func (s *System) reusable(ctx context.Context) *thermal.ReusableSystem {
 			if r != nil {
 				r.Counter("core.system.reusable_setup_failures").Inc()
 			}
-			return
+			rs = thermal.NewDirectSystem(s.g, s.d, s.perm)
 		}
-		s.fast = rs
+		s.solver = rs
 	})
-	return s.fast
-}
-
-// solveVec solves (G - i*D) x = rhs on the fastest available path: a
-// base solve and the SMW correction when the fast path is up, a
-// per-current factorization otherwise, both ErrNotPD at or beyond the
-// runaway limit. The solve's regime span parents to ctx's span.
-func (s *System) solveVec(ctx context.Context, i float64, rhs []float64) ([]float64, error) {
-	if rs := s.reusable(ctx); rs != nil {
-		return rs.SolveAtCurrent(ctx, i, rhs)
-	}
-	f, err := s.Factor(i)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(rhs)
+	return s.solver
 }
 
 // SolveAt solves the steady state at supply current i.
@@ -315,28 +302,16 @@ func (s *System) SolveAtCtx(ctx context.Context, i float64) ([]float64, error) {
 }
 
 // readLoad writes rows of the field at current i into out: row rows[r]
-// to out[r], or every row when rows is nil. The fast path reads the load
-// p(i) = base + (r*i^2/2)*1_HC in pole form with no band solve (1_HC is
-// D's support, as the Seebeck coefficient is positive).
+// to out[r], or every row when rows is nil. The SMW regime reads the
+// load p(i) = base + (r*i^2/2)*1_HC in pole form with no band solve
+// (1_HC is D's support, as the Seebeck coefficient is positive); the
+// direct regimes solve p(i).
 func (s *System) readLoad(ctx context.Context, i float64, rows []int, out []float64) error {
 	if err := checkCurrent("core.system", i); err != nil {
 		return err
 	}
-	if rs := s.reusable(ctx); rs != nil {
-		c := 0.5 * s.Array.Params.Resistance * i * i // JoulePower's source
-		return rs.LoadAtCurrent(ctx, i, c, s.load, func() []float64 { return s.RHS(i) }, rows, out)
-	}
-	x, err := s.solveVec(ctx, i, s.RHS(i))
-	if err != nil {
-		return err
-	}
-	if rows == nil {
-		copy(out, x)
-	}
-	for r, k := range rows {
-		out[r] = x[k]
-	}
-	return nil
+	c := 0.5 * s.Array.Params.Resistance * i * i // JoulePower's source
+	return s.reusable(ctx).LoadAtCurrent(ctx, i, c, s.load, func() []float64 { return s.RHS(i) }, rows, out)
 }
 
 // checkCurrent rejects a supply current outside the model's domain:

@@ -350,6 +350,95 @@ func TestChaosSMWGuardTripSweep(t *testing.T) {
 	})
 }
 
+// solverReads is what TestChaosSMWSetupFailure compares across solve
+// paths: one answer of every System read.
+type solverReads struct {
+	lambda float64
+	field  []float64
+	hkl    float64
+	sweep  []float64
+	cols   [][]float64
+}
+
+// readAll takes every read of sys at half its runaway limit, with a
+// sweep that ends beyond the limit.
+func readAll(t *testing.T, sys *core.System) solverReads {
+	t.Helper()
+	var out solverReads
+	var err error
+	if out.lambda, err = sys.RunawayLimit(core.RunawayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	i := 0.5 * out.lambda
+	k, l := sys.PN.SilNode[5], sys.Array.Hot[0]
+	if _, _, out.field, err = sys.PeakAt(i); err != nil {
+		t.Fatal(err)
+	}
+	if out.hkl, err = sys.Hkl(i, k, l); err != nil {
+		t.Fatal(err)
+	}
+	currents := append(sweepCurrents(8), i, 1.01*out.lambda)
+	if out.sweep, err = sys.HklSweep(context.Background(), k, l, currents); err != nil {
+		t.Fatal(err)
+	}
+	if out.cols, err = sys.HColumns(i, []int{k, l}, engine.Pool{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestChaosSMWSetupFailure fails the SMW setup of a SolveAuto System:
+// the System must fall back to its direct-only solver and answer every
+// read bitwise like a SolveDirect System, counting the failed setup
+// once and never retrying it.
+func TestChaosSMWSetupFailure(t *testing.T) {
+	want := readAll(t, tinySystem(t, core.SolveDirect))
+
+	r := obs.New(nil)
+	prev := obs.SetGlobal(r)
+	defer obs.SetGlobal(prev)
+	in := faults.New(11).Arm(faults.Rule{Site: faults.SiteSMWSetup, Kind: faults.KindError})
+	faults.Install(in)
+	defer faults.Uninstall()
+	got := readAll(t, tinySystem(t, core.SolveAuto))
+
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d values, want %d", what, len(a), len(b))
+		}
+		for n := range a {
+			if math.Float64bits(a[n]) != math.Float64bits(b[n]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, n, a[n], b[n])
+			}
+		}
+	}
+	same("lambda_m", []float64{got.lambda}, []float64{want.lambda})
+	same("field", got.field, want.field)
+	same("h_kl", []float64{got.hkl}, []float64{want.hkl})
+	same("sweep", got.sweep, want.sweep)
+	if !math.IsInf(got.sweep[len(got.sweep)-1], 1) {
+		t.Fatalf("beyond-limit sweep point = %v, want +Inf", got.sweep[len(got.sweep)-1])
+	}
+	for c := range want.cols {
+		same("HColumns", got.cols[c], want.cols[c])
+	}
+
+	if n := in.Hits(faults.SiteSMWSetup); n != 1 {
+		t.Fatalf("SMW setup attempted %d times, want 1", n)
+	}
+	counters := r.Snapshot().Counters
+	if n := counters["core.system.reusable_setup_failures"]; n != 1 {
+		t.Fatalf("core.system.reusable_setup_failures = %d, want 1", n)
+	}
+	for _, name := range []string{"thermal.reusable.setups", "thermal.reusable.smw_hits",
+		"thermal.reusable.near_limit", "thermal.reusable.fallbacks"} {
+		if n := counters[name]; n != 0 {
+			t.Fatalf("%s = %d on a direct-only solver, want 0", name, n)
+		}
+	}
+}
+
 // TestChaosConjectureCancel cancels a Conjecture-1 campaign from inside
 // a pool task and checks the partial report plus the typed error come
 // back instead of a hang or a fabricated full count.

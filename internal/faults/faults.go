@@ -52,6 +52,10 @@ const (
 	// force the guard to trip and exercise the fallback to the direct
 	// factorization of the shifted matrix.
 	SiteSMWGuard = "sparse.smw.guard"
+	// SiteSMWSetup fires at the start of every Sherman-Morrison-Woodbury
+	// setup, so chaos tests can fail it and exercise a System's fallback
+	// to its direct-only solver.
+	SiteSMWSetup = "sparse.smw.setup"
 	// SiteServeAdmit fires as the serving layer (tecserve) classifies a
 	// request, before admission control — faults here exercise the
 	// reject-early paths (shed, unavailable, malformed).

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // ErrPath is the path-sensitive upgrade of droppederr: an error value
@@ -91,18 +92,7 @@ func (a *epAnalysis) tracks(obj types.Object) bool {
 
 func (a *epAnalysis) Entry() FlowState { return epState{} }
 
-func (a *epAnalysis) Equal(x, y FlowState) bool {
-	sx, sy := x.(epState), y.(epState)
-	if len(sx) != len(sy) {
-		return false
-	}
-	for k, v := range sx {
-		if w, ok := sy[k]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
+func (a *epAnalysis) Equal(x, y FlowState) bool { return maps.Equal(x.(epState), y.(epState)) }
 
 // Join unions pending assignments: an error unconsumed on either
 // incoming path is still unconsumed. When the same variable is pending
@@ -128,11 +118,7 @@ func (a *epAnalysis) Transfer(n ast.Node, in FlowState) FlowState {
 	cloned := false
 	ensure := func() epState {
 		if !cloned {
-			c := make(epState, len(st)+1)
-			for k, v := range st {
-				c[k] = v
-			}
-			out, cloned = c, true
+			out, cloned = maps.Clone(st), true
 		}
 		return out
 	}

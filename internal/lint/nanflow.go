@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 var NaNFlow = &Analyzer{
@@ -56,19 +57,7 @@ type nanAnalysis struct{ pass *Pass }
 
 func (a *nanAnalysis) Entry() FlowState { return nanState{} }
 
-func (a *nanAnalysis) Equal(x, y FlowState) bool {
-	sx, sy := x.(nanState), y.(nanState)
-	if len(sx) != len(sy) {
-		return false
-	}
-	for k, v := range sx {
-		w, ok := sy[k]
-		if !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
+func (a *nanAnalysis) Equal(x, y FlowState) bool { return maps.Equal(x.(nanState), y.(nanState)) }
 
 // Join unions taint: a value unchecked on either incoming path is
 // still dangerous.
@@ -92,11 +81,7 @@ func (a *nanAnalysis) Transfer(n ast.Node, in FlowState) FlowState {
 	cloned := false
 	ensure := func() nanState {
 		if !cloned {
-			c := make(nanState, len(st)+1)
-			for k, v := range st {
-				c[k] = v
-			}
-			out, cloned = c, true
+			out, cloned = maps.Clone(st), true
 		}
 		return out
 	}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -79,19 +80,7 @@ type vfAnalysis struct{ pass *Pass }
 
 func (a *vfAnalysis) Entry() FlowState { return vfState{} }
 
-func (a *vfAnalysis) Equal(x, y FlowState) bool {
-	sx, sy := x.(vfState), y.(vfState)
-	if len(sx) != len(sy) {
-		return false
-	}
-	for k, v := range sx {
-		w, ok := sy[k]
-		if !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
+func (a *vfAnalysis) Equal(x, y FlowState) bool { return maps.Equal(x.(vfState), y.(vfState)) }
 
 // Join keeps a variable tainted when it is unvalidated on either
 // path; a value validated on one path but untracked on the other is
@@ -128,11 +117,7 @@ func (a *vfAnalysis) Transfer(n ast.Node, in FlowState) FlowState {
 	cloned := false
 	ensure := func() vfState {
 		if !cloned {
-			c := make(vfState, len(st)+1)
-			for k, v := range st {
-				c[k] = v
-			}
-			out, cloned = c, true
+			out, cloned = maps.Clone(st), true
 		}
 		return out
 	}

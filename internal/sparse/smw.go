@@ -108,6 +108,9 @@ func NewSMW(d []float64, solve func([]float64) ([]float64, error)) (*SMW, error)
 // recorded trace the column solves and the dense stage are the spans
 // "sparse.smw.wsolve" and "sparse.smw.dense" under ctx's span.
 func NewSMWUnits(ctx context.Context, d []float64, solveUnits func(idx []int) ([][]float64, error)) (*SMW, error) {
+	if err := faults.Check(faults.SiteSMWSetup); err != nil {
+		return nil, err
+	}
 	n := len(d)
 	var idx []int
 	for k, v := range d {

@@ -109,11 +109,6 @@ func BuildPackage(geom material.PackageGeometry, opts BuildOptions) (*PackageNet
 	if opts.SinkCells <= 0 {
 		opts.SinkCells = 20
 	}
-	if !num.ExactEqual(geom.DieWidth, geom.DieHeight) && opts.Cols != opts.Rows {
-		// Non-square dies are fine; the layer grids stay square.
-		_ = geom
-	}
-
 	pn := &PackageNetwork{Net: NewNetwork(), Geom: geom, Opts: opts}
 	nt := opts.Cols * opts.Rows
 	pn.SilNode = make([]int, nt)

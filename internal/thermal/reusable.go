@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"tecopt/internal/num"
@@ -33,10 +34,16 @@ import (
 // trip outside that window — or under fault injection — the read
 // falls back to the same memoized direct factorization.
 //
+// A direct-only system (NewDirectSystem) has no SMW data: every read
+// takes that memoized factorization, and PD is a factorization
+// attempt.
+//
 // All methods are safe for concurrent use.
 type ReusableSystem struct {
 	g    *sparse.CSR
 	d    []float64
+	perm []int // the ordering of every factorization of G - i*D
+	// base and smw are nil in a direct-only system.
 	base *Factorization
 	smw  *sparse.SMW
 	// lambda is the spectral runaway limit 1/mu_max (+Inf when the
@@ -44,9 +51,10 @@ type ReusableSystem struct {
 	// near-limit band handled by direct factorization.
 	lambda float64
 	window float64
-	// near memoizes the last direct factorization of G - i*D, shared by
-	// the near-limit window and the guard-trip fallback.
-	near atomic.Pointer[nearFactor]
+	// mu guards shifted, the last direct factorization of G - i*D,
+	// which every direct read shares.
+	mu      sync.Mutex
+	shifted *shiftedFactor
 	// pair memoizes the last (k, l) EntryAtCurrent read: an h_kl sweep
 	// repeats it at every current.
 	pair atomic.Pointer[pairWeights]
@@ -60,12 +68,14 @@ type pairWeights struct {
 	z    []float64
 }
 
-// nearFactor is one memoized direct factorization of G - i*D (err keeps
-// a not-PD outcome without refactoring).
-type nearFactor struct {
-	i   float64
-	f   *Factorization
-	err error
+// shiftedFactor is one direct factorization of G - i*D, made once by
+// the first caller at i (err keeps a not-PD outcome without
+// refactoring).
+type shiftedFactor struct {
+	i    float64
+	once sync.Once
+	f    *Factorization
+	err  error
 }
 
 // reusableWindow is the relative band around the spectral limit where
@@ -80,10 +90,10 @@ const reusableWindow = 1e-6
 // minimum-degree ordering) and precomputes the SMW correction data for
 // the diagonal update d. It returns ErrNotPD when G itself is not
 // positive definite; an SMW setup failure (degenerate update) is
-// returned as-is, and callers may fall back to per-current direct
-// factorization. In a recorded trace the factorization is a
-// "thermal.factor" span under ctx's span, annotated with the order n
-// and the entries of L, beside the SMW setup's own spans.
+// returned as-is, and callers may fall back to NewDirectSystem. In a
+// recorded trace the factorization is a "thermal.factor" span under
+// ctx's span, annotated with the order n and the entries of L, beside
+// the SMW setup's own spans.
 func NewReusableSystem(ctx context.Context, g *sparse.CSR, d []float64, perm []int) (*ReusableSystem, error) {
 	if g.Rows() != len(d) {
 		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "thermal.reusable",
@@ -110,6 +120,7 @@ func NewReusableSystem(ctx context.Context, g *sparse.CSR, d []float64, perm []i
 	rs := &ReusableSystem{
 		g:      g,
 		d:      d,
+		perm:   base.chol.Perm(),
 		base:   base,
 		smw:    smw,
 		lambda: smw.Lambda(),
@@ -119,6 +130,15 @@ func NewReusableSystem(ctx context.Context, g *sparse.CSR, d []float64, perm []i
 		r.Counter("thermal.reusable.setups").Inc()
 	}
 	return rs, nil
+}
+
+// NewDirectSystem returns a direct-only ReusableSystem: every read
+// takes the memoized direct factorization of G - i*D under perm, G's
+// fill-reducing ordering, and PD is a factorization attempt. It
+// factors nothing up front and counts no setup. Lambda, Rank and Form
+// belong to the SMW regime and must not be called on it.
+func NewDirectSystem(g *sparse.CSR, d []float64, perm []int) *ReusableSystem {
+	return &ReusableSystem{g: g, d: d, perm: perm}
 }
 
 // Lambda returns the spectral runaway limit 1/mu_max of the system
@@ -132,8 +152,15 @@ func (rs *ReusableSystem) Rank() int { return rs.smw.Rank() }
 // in O(1): i < lambda. The spectral limit and the Cholesky-breakdown
 // boundary agree to roughly eps*kappa(G) relative — far tighter than
 // any physically meaningful probe — which makes PD the constant-time
-// predicate behind the runaway bisection.
-func (rs *ReusableSystem) PD(i float64) bool { return i < rs.lambda }
+// predicate behind the runaway bisection. A direct-only system
+// attempts the factorization, as the paper does (Section V.C.1).
+func (rs *ReusableSystem) PD(i float64) bool {
+	if rs.smw == nil {
+		sf, _ := rs.factorAt(i)
+		return sf.err == nil
+	}
+	return i < rs.lambda
+}
 
 // Form prepares the load b for LoadAtCurrent with one base solve. When
 // a registry is installed it also checks that solve: the normwise
@@ -229,9 +256,9 @@ func (rs *ReusableSystem) EntryAtCurrent(ctx context.Context, i float64, k, l in
 // and span; T is what the caller reads of the solution. fast answers
 // from the base factorization in pole form (with no pole at i = 0 or
 // rank 0), returning the guard's error. read picks the answer from the
-// solution of the direct factorization of G - i*D, used in the
-// near-limit window and when the conditioning guard trips; rhs builds
-// that solve's right-hand side.
+// solution of the direct factorization of G - i*D, used by a
+// direct-only system, in the near-limit window and when the
+// conditioning guard trips; rhs builds that solve's right-hand side.
 func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func() []float64,
 	fast func(sp obs.Span) (T, error), read func(x []float64) T) (T, error) {
 	var zero T
@@ -258,9 +285,12 @@ func solveAt[T any](ctx context.Context, rs *ReusableSystem, i float64, rhs func
 		}
 		return read(x), nil
 	}
-	// With rank 0 or i = 0, lambda is +Inf or above i: neither case
-	// below holds.
+	// A direct-only system has no regime to decide. With rank 0 or
+	// i = 0, lambda is +Inf or above i: neither limit case holds.
 	switch {
+	case rs.smw == nil:
+		sp.Annotate("regime", "direct")
+		return direct()
 	case i >= rs.lambda*(1+rs.window):
 		// Unambiguously beyond the limit: indefinite, like a failed
 		// factorization attempt, without paying for one.
@@ -319,21 +349,32 @@ func (rs *ReusableSystem) pairAt(k, l int) (p *pairWeights, memo bool, err error
 	return p, false, nil
 }
 
-// solveDirect solves with a direct factorization of G - i*D in the base
-// factorization's ordering: deterministic, authoritative on ErrNotPD,
-// and memoized across repeated solves at one current (the h_kl column
-// sweeps solve many right-hand sides at the same i).
+// solveDirect solves with the direct factorization of G - i*D from
+// factorAt. It stays out of solveAt's direct closure so that the
+// closure is small enough to inline and an SMW read never builds it.
 func (rs *ReusableSystem) solveDirect(i float64, rhs []float64, sp obs.Span) ([]float64, error) {
-	nf := rs.near.Load()
-	memo := nf != nil && num.ExactEqual(nf.i, i)
+	sf, memo := rs.factorAt(i)
 	sp.Annotate("near_memo", strconv.FormatBool(memo))
+	if sf.err != nil {
+		return nil, sf.err
+	}
+	return sf.f.Solve(rhs)
+}
+
+// factorAt returns the direct factorization of G - i*D under perm:
+// deterministic, authoritative on ErrNotPD, and memoized (memo true)
+// for repeated reads at one current, as the h_kl column sweeps make.
+// Concurrent first callers at one current share one factorization;
+// callers at different currents do not wait for each other.
+func (rs *ReusableSystem) factorAt(i float64) (sf *shiftedFactor, memo bool) {
+	rs.mu.Lock()
+	sf = rs.shifted
+	memo = sf != nil && num.ExactEqual(sf.i, i)
 	if !memo {
-		f, err := Factor(rs.g.AddScaledDiag(-i, rs.d), rs.base.chol.Perm())
-		nf = &nearFactor{i: i, f: f, err: err}
-		rs.near.Store(nf)
+		sf = &shiftedFactor{i: i}
+		rs.shifted = sf
 	}
-	if nf.err != nil {
-		return nil, nf.err
-	}
-	return nf.f.Solve(rhs)
+	rs.mu.Unlock()
+	sf.once.Do(func() { sf.f, sf.err = Factor(rs.g.AddScaledDiag(-i, rs.d), rs.perm) })
+	return sf, memo
 }
