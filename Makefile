@@ -1,5 +1,5 @@
-# Development targets. CI (.github/workflows/ci.yml) runs the same
-# commands; keep the two in sync.
+# Development targets. Every step of CI (.github/workflows/ci.yml) calls
+# one of them, and its gate job runs the targets of `check` in order.
 
 GO ?= go
 FUZZTIME ?= 10s

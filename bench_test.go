@@ -195,8 +195,10 @@ func BenchmarkEndToEnd_Alpha(b *testing.B) {
 // BenchmarkAblation_Optimizer compares golden-section, Brent and the
 // paper's gradient descent for the current setting.
 func BenchmarkAblation_Optimizer(b *testing.B) {
+	sys := alphaDeployment(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunOptimizerAblation()
+		rows, err := bench.RunOptimizerAblation(sys)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,11 +208,13 @@ func BenchmarkAblation_Optimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Solver compares the banded direct solver against
-// preconditioned CG for the steady-state solves.
+// BenchmarkAblation_Solver compares the minimum-degree sparse Cholesky
+// against preconditioned CG for the steady-state solves.
 func BenchmarkAblation_Solver(b *testing.B) {
+	sys := alphaDeployment(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunSolverAblation(); err != nil {
+		if _, err := bench.RunSolverAblation(sys); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,8 +223,10 @@ func BenchmarkAblation_Solver(b *testing.B) {
 // BenchmarkAblation_ConvexityCheckRanges sweeps the Theorem-4 subrange
 // count (runtime/pessimism trade-off).
 func BenchmarkAblation_ConvexityCheckRanges(b *testing.B) {
+	sys := alphaDeployment(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunConvexityAblation([]int{1, 2, 4})
+		rows, err := bench.RunConvexityAblation(sys, []int{1, 2, 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,8 +239,10 @@ func BenchmarkAblation_ConvexityCheckRanges(b *testing.B) {
 // BenchmarkAblation_LambdaTolerance sweeps the lambda_m binary-search
 // tolerance.
 func BenchmarkAblation_LambdaTolerance(b *testing.B) {
+	sys := alphaDeployment(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunLambdaToleranceAblation([]float64{1e-4, 1e-8, 1e-12}); err != nil {
+		if _, err := bench.RunLambdaToleranceAblation(sys, []float64{1e-4, 1e-8, 1e-12}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,6 +317,19 @@ func BenchmarkExtension_MultiPin(b *testing.B) {
 		gain = single.PeakK - zoned.PeakK
 	}
 	b.ReportMetric(gain, "gain_C")
+}
+
+// alphaDeployment is the system the ablations study: the Alpha chip,
+// greedily deployed at 85 C.
+func alphaDeployment(b *testing.B) *core.System {
+	b.Helper()
+	f, g := floorplan.Alpha21364Grid()
+	dep, err := core.GreedyDeploy(core.Config{TilePower: power.AlphaTilePowers(f, g)},
+		material.CelsiusToKelvin(85), core.CurrentOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dep.System
 }
 
 // --- Solver micro-benchmarks --------------------------------------------

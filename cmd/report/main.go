@@ -40,19 +40,20 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("\nFigure 7(b): %d TEC sites %v\n%s\n", len(f7.Sites), f7.Sites, f7.Map)
 
-	opt, err := bench.RunOptimizerAblation()
+	// The ablations study Figure 6's system: Alpha deployed at 85 C.
+	opt, err := bench.RunOptimizerAblation(f6.System)
 	if err != nil {
 		return err
 	}
-	sol, err := bench.RunSolverAblation()
+	sol, err := bench.RunSolverAblation(f6.System)
 	if err != nil {
 		return err
 	}
-	cvx, err := bench.RunConvexityAblation([]int{1, 2, 4, 8})
+	cvx, err := bench.RunConvexityAblation(f6.System, []int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
-	lam, err := bench.RunLambdaToleranceAblation([]float64{1e-3, 1e-6, 1e-10})
+	lam, err := bench.RunLambdaToleranceAblation(f6.System, []float64{1e-3, 1e-6, 1e-10})
 	if err != nil {
 		return err
 	}

@@ -7,25 +7,15 @@ import (
 	"time"
 
 	"tecopt/internal/core"
-	"tecopt/internal/floorplan"
 	"tecopt/internal/material"
-	"tecopt/internal/power"
 	"tecopt/internal/sparse"
 	"tecopt/internal/thermal"
 )
 
-// Ablation studies for the design choices called out in DESIGN.md.
-
-// alphaDeployedSystem builds the Alpha chip with its greedy deployment.
-func alphaDeployedSystem() (*core.System, error) {
-	f, g := floorplan.Alpha21364Grid()
-	p := power.AlphaTilePowers(f, g)
-	dep, err := core.GreedyDeploy(core.Config{TilePower: p}, material.CelsiusToKelvin(85), core.CurrentOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return dep.System, nil
-}
+// Ablation studies for the design choices called out in DESIGN.md. Each
+// takes the deployed system it studies, the Alpha chip's greedy
+// deployment at 85 C in the report (Figure6Result.System), so one
+// deployment serves all four.
 
 // OptimizerAblationRow compares one current-setting method.
 type OptimizerAblationRow struct {
@@ -39,11 +29,7 @@ type OptimizerAblationRow struct {
 // RunOptimizerAblation compares golden-section, Brent and gradient
 // descent on the same deployed system. All must reach (near) the same
 // minimum; the evaluation counts expose their relative cost.
-func RunOptimizerAblation() ([]OptimizerAblationRow, error) {
-	sys, err := alphaDeployedSystem()
-	if err != nil {
-		return nil, err
-	}
+func RunOptimizerAblation(sys *core.System) ([]OptimizerAblationRow, error) {
 	methods := []struct {
 		name string
 		m    core.CurrentMethod
@@ -80,11 +66,7 @@ type SolverAblationRow struct {
 
 // RunSolverAblation solves the same deployed system at its optimum with
 // the sparse Cholesky direct solver and with preconditioned CG.
-func RunSolverAblation() ([]SolverAblationRow, error) {
-	sys, err := alphaDeployedSystem()
-	if err != nil {
-		return nil, err
-	}
+func RunSolverAblation(sys *core.System) ([]SolverAblationRow, error) {
 	res, err := sys.OptimizeCurrent(core.CurrentOptions{})
 	if err != nil {
 		return nil, err
@@ -115,7 +97,7 @@ func RunSolverAblation() ([]SolverAblationRow, error) {
 	peakD, _ := sys.PN.PeakSilicon(direct)
 	peakC, _ := sys.PN.PeakSilicon(cg.X)
 	return []SolverAblationRow{
-		{Method: "band-cholesky (direct)", Runtime: tDirect, PeakC: material.KelvinToCelsius(peakD)},
+		{Method: "cholesky (min-degree)", Runtime: tDirect, PeakC: material.KelvinToCelsius(peakD)},
 		{Method: "pcg (ic0)", Runtime: tCG, PeakC: material.KelvinToCelsius(peakC), MaxDiffC: maxDiff},
 	}, nil
 }
@@ -131,11 +113,7 @@ type ConvexityAblationRow struct {
 // RunConvexityAblation sweeps the Theorem-4 subrange count — the
 // runtime/accuracy trade-off the paper describes after Theorem 4 (more
 // subranges tighten the eta' lower bound at higher cost).
-func RunConvexityAblation(rangeCounts []int) ([]ConvexityAblationRow, error) {
-	sys, err := alphaDeployedSystem()
-	if err != nil {
-		return nil, err
-	}
+func RunConvexityAblation(sys *core.System, rangeCounts []int) ([]ConvexityAblationRow, error) {
 	peakTile := sys.Sites()[0]
 	var rows []ConvexityAblationRow
 	for _, rc := range rangeCounts {
@@ -158,11 +136,7 @@ type LambdaToleranceRow struct {
 
 // RunLambdaToleranceAblation sweeps the binary-search tolerance of the
 // runaway-limit computation.
-func RunLambdaToleranceAblation(tols []float64) ([]LambdaToleranceRow, error) {
-	sys, err := alphaDeployedSystem()
-	if err != nil {
-		return nil, err
-	}
+func RunLambdaToleranceAblation(sys *core.System, tols []float64) ([]LambdaToleranceRow, error) {
 	var rows []LambdaToleranceRow
 	for _, tol := range tols {
 		start := time.Now()

@@ -3,8 +3,35 @@ package bench
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"tecopt/internal/core"
+	"tecopt/internal/floorplan"
+	"tecopt/internal/material"
+	"tecopt/internal/power"
 )
+
+// alphaDeployment is the system every ablation studies, the Alpha chip
+// greedily deployed at 85 C, deployed once for all the tests here.
+var alphaDeployment = sync.OnceValues(func() (*core.System, error) {
+	f, g := floorplan.Alpha21364Grid()
+	dep, err := core.GreedyDeploy(core.Config{TilePower: power.AlphaTilePowers(f, g)},
+		material.CelsiusToKelvin(85), core.CurrentOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return dep.System, nil
+})
+
+func deployedAlpha(t *testing.T) *core.System {
+	t.Helper()
+	sys, err := alphaDeployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 // skipIfRace skips the full-pipeline report tests under the race
 // detector. The whole package is single-goroutine, so -race adds no
@@ -19,7 +46,7 @@ func skipIfRace(t *testing.T) {
 
 func TestRunOptimizerAblation(t *testing.T) {
 	skipIfRace(t)
-	rows, err := RunOptimizerAblation()
+	rows, err := RunOptimizerAblation(deployedAlpha(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +69,7 @@ func TestRunOptimizerAblation(t *testing.T) {
 
 func TestRunSolverAblation(t *testing.T) {
 	skipIfRace(t)
-	rows, err := RunSolverAblation()
+	rows, err := RunSolverAblation(deployedAlpha(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +87,7 @@ func TestRunSolverAblation(t *testing.T) {
 
 func TestRunConvexityAblation(t *testing.T) {
 	skipIfRace(t)
-	rows, err := RunConvexityAblation([]int{1, 4})
+	rows, err := RunConvexityAblation(deployedAlpha(t), []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +104,7 @@ func TestRunConvexityAblation(t *testing.T) {
 
 func TestRunLambdaToleranceAblation(t *testing.T) {
 	skipIfRace(t)
-	rows, err := RunLambdaToleranceAblation([]float64{1e-3, 1e-8})
+	rows, err := RunLambdaToleranceAblation(deployedAlpha(t), []float64{1e-3, 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +121,19 @@ func TestRunLambdaToleranceAblation(t *testing.T) {
 
 func TestFormatAblations(t *testing.T) {
 	skipIfRace(t)
-	opt, err := RunOptimizerAblation()
+	opt, err := RunOptimizerAblation(deployedAlpha(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := RunSolverAblation()
+	sol, err := RunSolverAblation(deployedAlpha(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cvx, err := RunConvexityAblation([]int{2})
+	cvx, err := RunConvexityAblation(deployedAlpha(t), []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lam, err := RunLambdaToleranceAblation([]float64{1e-6})
+	lam, err := RunLambdaToleranceAblation(deployedAlpha(t), []float64{1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

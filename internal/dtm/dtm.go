@@ -23,7 +23,6 @@ import (
 	"tecopt/internal/num"
 	"tecopt/internal/obs"
 	"tecopt/internal/tecerr"
-	"tecopt/internal/thermal"
 	"tecopt/internal/transient"
 )
 
@@ -113,19 +112,13 @@ type PowerPhase struct {
 	TilePower []float64
 }
 
-// RunOptions configures a policy simulation.
+// RunOptions configures a policy simulation. Runs start at the ambient
+// temperature everywhere and sample at every control decision.
 type RunOptions struct {
 	// Dt is the integration step (default 0.01 s).
 	Dt float64
 	// ControlEvery is the controller period in steps (default 10).
 	ControlEvery int
-	// CurrentQuantumA rounds commanded currents so factorizations can be
-	// cached (default 0.05 A).
-	CurrentQuantumA float64
-	// Theta0 is the initial field (ambient when nil).
-	Theta0 []float64
-	// SampleEvery records every n-th step (default = ControlEvery).
-	SampleEvery int
 	// Ctx, when non-nil, cancels the simulation between steps. A
 	// cancelled Run returns the partial result accumulated so far
 	// alongside a tecerr.CodeCancelled error.
@@ -139,13 +132,20 @@ func (o RunOptions) withDefaults() RunOptions {
 	if o.ControlEvery <= 0 {
 		o.ControlEvery = 10
 	}
-	if o.CurrentQuantumA <= 0 {
-		o.CurrentQuantumA = 0.05
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = o.ControlEvery
-	}
 	return o
+}
+
+// currentQuantumA rounds commanded currents, so a run factors its
+// implicit matrix at few distinct currents.
+const currentQuantumA = 0.05
+
+// quantize rounds a command to the quantum and a finite negative one to
+// zero; the stepper rejects a non-finite one.
+func quantize(i float64) float64 {
+	if i < 0 && num.IsFinite(i) {
+		i = 0
+	}
+	return math.Round(i/currentQuantumA) * currentQuantumA
 }
 
 // Sample is one recorded point of a policy run.
@@ -169,12 +169,24 @@ type RunResult struct {
 }
 
 // Run simulates the controller against the workload phases on the given
-// deployed system, using backward Euler with a factorization cache over
-// the quantized currents.
+// deployed system, stepping a transient.Stepper at the quantized current
+// last commanded. A bad Dt or duration fails as invalid input before
+// the first step, a non-finite command at the step it would drive or,
+// made last, at the end.
 func Run(sys *core.System, phases []PowerPhase, ctrl Controller, limitK float64, opt RunOptions) (*RunResult, error) {
 	opt = opt.withDefaults()
 	if len(phases) == 0 {
 		return nil, tecerr.New(tecerr.CodeInvalidInput, "dtm.run", "dtm: no workload phases")
+	}
+	st, err := transient.NewStepper(sys, opt.Dt)
+	if err != nil {
+		return nil, err
+	}
+	steps := make([]int, len(phases))
+	for k, ph := range phases {
+		if steps[k], err = st.StepsIn(ph.Duration); err != nil {
+			return nil, err
+		}
 	}
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -188,107 +200,40 @@ func Run(sys *core.System, phases []PowerPhase, ctrl Controller, limitK float64,
 		defer sp.End()
 		r.Counter("dtm.runs").Inc()
 	}
-	n := sys.NumNodes()
-	caps := transient.Capacitances(sys.PN)
-	cOverDt := make([]float64, n)
-	for i, c := range caps {
-		cOverDt[i] = c / opt.Dt
-	}
-
-	theta := make([]float64, n)
-	if opt.Theta0 != nil {
-		if len(opt.Theta0) != n {
-			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "dtm.run",
-				"dtm: theta0 length %d, want %d", len(opt.Theta0), n)
-		}
-		copy(theta, opt.Theta0)
-	} else {
-		for i := range theta {
-			theta[i] = sys.Cfg.Geom.AmbientK
-		}
-	}
-
-	factCache := map[int64]*thermal.Factorization{}
-	factorFor := func(i float64) (*thermal.Factorization, error) {
-		key := int64(math.Round(i / opt.CurrentQuantumA))
-		if f, ok := factCache[key]; ok {
-			return f, nil
-		}
-		m := sys.Matrix(float64(key)*opt.CurrentQuantumA).AddScaledDiag(1, cOverDt)
-		f, err := thermal.Factor(m, nil)
-		if err != nil {
-			return nil, fmt.Errorf("dtm: implicit matrix not factorable at i=%g: %w", i, err)
-		}
-		factCache[key] = f
-		return f, nil
-	}
-	quantize := func(i float64) float64 {
-		if i < 0 {
-			i = 0
-		}
-		return math.Round(i/opt.CurrentQuantumA) * opt.CurrentQuantumA
-	}
 
 	res := &RunResult{Policy: ctrl.Name()}
-	now := 0.0
-	step := 0
-	peak, _ := sys.PN.PeakSilicon(theta)
-	current := quantize(ctrl.Next(now, peak))
-	res.Samples = append(res.Samples, Sample{TimeS: now, PeakK: peak, CurrentA: current})
+	peak, _ := sys.PN.PeakSilicon(st.Theta())
+	current := quantize(ctrl.Next(st.TimeS(), peak))
+	res.Samples = append(res.Samples, Sample{TimeS: st.TimeS(), PeakK: peak, CurrentA: current})
 	res.MaxPeakK = peak
 
-	rhs := make([]float64, n)
-	for _, ph := range phases {
-		if ph.Duration <= 0 {
-			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "dtm.run",
-				"dtm: nonpositive phase duration %g", ph.Duration)
-		}
-		base, err := sys.PN.PowerVector(ph.TilePower)
+	for k, ph := range phases {
+		load, err := sys.PN.PowerVector(ph.TilePower)
 		if err != nil {
 			return nil, err
 		}
 		amb := sys.PN.Net.BaseRHS()
-		for i := range base {
-			base[i] += amb[i]
+		for i := range load {
+			load[i] += amb[i]
 		}
-		steps := int(math.Ceil(ph.Duration / opt.Dt))
-		for s := 0; s < steps; s++ {
-			if step&63 == 0 {
-				if err := ctx.Err(); err != nil {
-					return res, tecerr.Cancelled("dtm.run", err)
-				}
+		for s := 0; s < steps[k]; s++ {
+			if st.Steps()&63 == 0 && ctx.Err() != nil {
+				return res, tecerr.Cancelled("dtm.run", ctx.Err())
 			}
-			stepStart := r.Now()
-			fact, err := factorFor(current)
-			if err != nil {
+			if err := st.Step(current, load); err != nil {
 				return nil, err
 			}
-			copy(rhs, base)
-			sys.Array.JoulePower(rhs, current)
-			for i := range rhs {
-				rhs[i] += cOverDt[i] * theta[i]
-			}
-			if theta, err = fact.Solve(rhs); err != nil {
-				return nil, err
-			}
-			if r != nil {
-				r.Counter("dtm.steps").Inc()
-				r.ObserveSince("dtm.step_ns", stepStart)
-			}
-			now += opt.Dt
-			step++
-
-			peak, _ = sys.PN.PeakSilicon(theta)
+			peak, _ = sys.PN.PeakSilicon(st.Theta())
 			if peak > res.MaxPeakK {
 				res.MaxPeakK = peak
 			}
 			if peak > limitK {
 				res.TimeAboveLimitS += opt.Dt
 			}
-			res.TECEnergyJ += sys.TECPower(theta, current) * opt.Dt
+			res.TECEnergyJ += sys.TECPower(st.Theta(), current) * opt.Dt
 
-			if step%opt.ControlEvery == 0 {
-				next := quantize(ctrl.Next(now, peak))
+			if st.Steps()%opt.ControlEvery == 0 {
+				next := quantize(ctrl.Next(st.TimeS(), peak))
 				if r != nil {
 					r.Counter("dtm.control_decisions").Inc()
 					if !num.ExactEqual(next, current) {
@@ -298,11 +243,12 @@ func Run(sys *core.System, phases []PowerPhase, ctrl Controller, limitK float64,
 					r.FloatGauge("dtm.last_current_a").Set(next)
 				}
 				current = next
-			}
-			if step%opt.SampleEvery == 0 {
-				res.Samples = append(res.Samples, Sample{TimeS: now, PeakK: peak, CurrentA: current})
+				res.Samples = append(res.Samples, Sample{TimeS: st.TimeS(), PeakK: peak, CurrentA: current})
 			}
 		}
+	}
+	if !num.IsFinite(current) { // the last command drove no step
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "dtm.run", "dtm: %s commanded %g A", ctrl.Name(), current)
 	}
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"tecopt/internal/material"
 	"tecopt/internal/num"
 	"tecopt/internal/tec"
+	"tecopt/internal/tecerr"
 )
 
 // smallSystem is a fast 6x6 deployed system with a central hotspot.
@@ -81,10 +82,49 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(sys, []PowerPhase{{Duration: 1, TilePower: []float64{1}}}, AlwaysOff{}, 400, RunOptions{}); err == nil {
 		t.Error("wrong power length accepted")
 	}
-	if _, err := Run(sys, []PowerPhase{{Duration: 1, TilePower: busy}}, AlwaysOff{}, 400, RunOptions{Theta0: []float64{1}}); err == nil {
-		t.Error("wrong theta0 length accepted")
+	// Non-finite durations and steps are invalid input before the first
+	// step, also in a late phase, and so is a non-finite command whenever
+	// it is made.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		phases []PowerPhase
+		ctrl   Controller
+		opt    RunOptions
+	}{
+		{"infinite duration", []PowerPhase{{Duration: inf, TilePower: busy}}, AlwaysOff{}, RunOptions{}},
+		{"NaN duration", []PowerPhase{{Duration: nan, TilePower: busy}}, AlwaysOff{}, RunOptions{}},
+		{"step count beyond int", []PowerPhase{{Duration: 1e20, TilePower: busy}}, AlwaysOff{}, RunOptions{Dt: 1}},
+		{"NaN dt", []PowerPhase{{Duration: 1, TilePower: busy}}, AlwaysOff{}, RunOptions{Dt: nan}},
+		{"infinite dt", []PowerPhase{{Duration: 1, TilePower: busy}}, AlwaysOff{}, RunOptions{Dt: inf}},
+		{"bad late phase", []PowerPhase{{Duration: 1, TilePower: busy}, {Duration: inf, TilePower: busy}}, AlwaysOff{}, RunOptions{}},
+		{"NaN command", []PowerPhase{{Duration: 1, TilePower: busy}}, Constant{CurrentA: nan}, RunOptions{}},
+		{"infinite command", []PowerPhase{{Duration: 1, TilePower: busy}}, Constant{CurrentA: inf}, RunOptions{}},
+		{"negative infinite command", []PowerPhase{{Duration: 1, TilePower: busy}}, Constant{CurrentA: -inf}, RunOptions{}},
+		{"NaN command mid-run", []PowerPhase{{Duration: 1, TilePower: busy}}, lateCommand{afterS: 0.5, currentA: nan}, RunOptions{Dt: 0.01}},
+		{"NaN last command", []PowerPhase{{Duration: 1, TilePower: busy}}, lateCommand{afterS: 0.95, currentA: nan}, RunOptions{Dt: 0.01}},
+	} {
+		res, err := Run(sys, tc.phases, tc.ctrl, 400, tc.opt)
+		if code := tecerr.CodeOf(err); err == nil || code != tecerr.CodeInvalidInput {
+			t.Errorf("%s: err = %v (code %v), want invalid input", tc.name, err, code)
+		}
+		if res != nil {
+			t.Errorf("%s: returned a result of %d samples", tc.name, len(res.Samples))
+		}
 	}
 }
+
+// lateCommand commands 1 A until afterS, then currentA.
+type lateCommand struct{ afterS, currentA float64 }
+
+func (c lateCommand) Next(timeS, _ float64) float64 {
+	if timeS >= c.afterS {
+		return c.currentA
+	}
+	return 1
+}
+
+func (lateCommand) Name() string { return "late" }
 
 func TestConstantCoolsBelowAlwaysOff(t *testing.T) {
 	sys, busy, _ := smallSystem(t)

@@ -22,7 +22,9 @@ import (
 
 	"tecopt/internal/core"
 	"tecopt/internal/material"
+	"tecopt/internal/num"
 	"tecopt/internal/obs"
+	"tecopt/internal/sparse"
 	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
@@ -55,6 +57,119 @@ func Capacitances(pn *thermal.PackageNetwork) []float64 {
 	return caps
 }
 
+// Stepper advances the package ODE by backward Euler with a fixed step
+// dt, summing the right-hand side in the order
+//
+//	(C/dt + G - i*D) theta_{n+1} = (p + Joule(i)) + (C/dt) theta_n.
+//
+// It owns the field (ambient at time 0), C/dt and one factorization of
+// the implicit matrix per current it is stepped at. C/dt and -i*D
+// change only the diagonal, which the minimum-degree order does not
+// read, so all of them take the order of the first.
+type Stepper struct {
+	sys     *core.System
+	dt      float64
+	cOverDt []float64
+	theta   []float64
+	rhs     []float64
+	perm    []int
+	facts   map[float64]*thermal.Factorization
+	steps   int
+	timeS   float64
+	r       *obs.Registry
+}
+
+// NewStepper starts an integration of sys at ambient temperature with
+// step dt (s). A dt that is not finite and positive is a
+// tecerr.CodeInvalidInput error.
+func NewStepper(sys *core.System, dt float64) (*Stepper, error) {
+	if !num.IsFinite(dt) || dt <= 0 {
+		return nil, tecerr.Newf(tecerr.CodeInvalidInput, "transient.step",
+			"transient: time step %g, want finite and positive", dt)
+	}
+	n := sys.NumNodes()
+	cOverDt := Capacitances(sys.PN)
+	theta := make([]float64, n)
+	for i := range theta {
+		cOverDt[i] /= dt
+		theta[i] = sys.Cfg.Geom.AmbientK
+	}
+	return &Stepper{sys: sys, dt: dt, cOverDt: cOverDt, theta: theta, rhs: make([]float64, n),
+		facts: map[float64]*thermal.Factorization{}, r: obs.Enabled()}, nil
+}
+
+// StepsIn returns ceil(d/dt), the number of steps covering d seconds.
+// A d that is not finite and positive, or that takes more steps than
+// an int holds, is a tecerr.CodeInvalidInput error.
+func (s *Stepper) StepsIn(d float64) (int, error) {
+	steps := math.Ceil(d / s.dt)
+	if !num.IsFinite(d) || d <= 0 || steps >= math.MaxInt {
+		return 0, tecerr.Newf(tecerr.CodeInvalidInput, "transient.step",
+			"transient: phase duration %g, want finite, positive and fewer than MaxInt steps of %g s", d, s.dt)
+	}
+	return int(steps), nil
+}
+
+// Step advances the field by dt at supply current i (A) under the load
+// p: ambient legs plus tile powers, without Joule heat. A current that
+// is not finite and non-negative is a tecerr.CodeInvalidInput error.
+func (s *Stepper) Step(i float64, p []float64) error {
+	if !num.IsFinite(i) || i < 0 {
+		return tecerr.Newf(tecerr.CodeInvalidInput, "transient.step",
+			"transient: supply current %g, want finite and non-negative", i)
+	}
+	fact, err := s.factor(i)
+	if err != nil {
+		return err
+	}
+	start := s.r.Now()
+	copy(s.rhs, p)
+	s.sys.Array.JoulePower(s.rhs, i)
+	for k := range s.rhs {
+		s.rhs[k] += s.cOverDt[k] * s.theta[k]
+	}
+	if s.theta, err = fact.Solve(s.rhs); err != nil {
+		return err
+	}
+	s.steps++
+	s.timeS += s.dt
+	s.r.Counter("transient.steps").Inc()
+	s.r.ObserveSince("transient.step_ns", start)
+	return nil
+}
+
+// factor returns the factorization of C/dt + G - i*D, made on the first
+// step at i.
+func (s *Stepper) factor(i float64) (*thermal.Factorization, error) {
+	if f, ok := s.facts[i]; ok {
+		return f, nil
+	}
+	start := s.r.Now()
+	m := s.sys.Matrix(i).AddScaledDiag(1, s.cOverDt)
+	if s.perm == nil {
+		s.perm = sparse.MinDegree(m)
+	}
+	f, err := thermal.Factor(m, s.perm)
+	if err != nil {
+		// C/dt dominates for reasonable dt; a failure means dt is far
+		// too large for this current.
+		return nil, fmt.Errorf("transient: implicit matrix not PD at i=%g (dt too large?): %w", i, err)
+	}
+	s.r.ObserveSince("transient.factor_ns", start)
+	s.facts[i] = f
+	return f, nil
+}
+
+// Theta returns the field after the last step. Callers must not modify
+// it; a later step replaces it without writing to it.
+func (s *Stepper) Theta() []float64 { return s.theta }
+
+// Steps returns the number of steps taken.
+func (s *Stepper) Steps() int { return s.steps }
+
+// TimeS returns the integrated time (s), dt added once per step.
+func (s *Stepper) TimeS() float64 { return s.timeS }
+
 // Phase is one segment of a piecewise-constant supply-current schedule.
 type Phase struct {
 	// Current is the TEC supply current during the phase (A).
@@ -63,13 +178,11 @@ type Phase struct {
 	Duration float64
 }
 
-// Options configures a simulation.
+// Options configures a simulation. Runs start at the ambient
+// temperature everywhere.
 type Options struct {
 	// Dt is the time step (s). Default 1e-3.
 	Dt float64
-	// Theta0 is the initial field; defaults to the ambient temperature
-	// everywhere.
-	Theta0 []float64
 	// RunawayCeilingK aborts the run when the peak silicon temperature
 	// exceeds this value, flagging runaway. Default 1000 K.
 	RunawayCeilingK float64
@@ -112,7 +225,7 @@ type Trace struct {
 	Final []float64
 }
 
-// ErrBadSchedule reports an empty or non-positive schedule.
+// ErrBadSchedule reports an empty schedule.
 var ErrBadSchedule error = tecerr.New(tecerr.CodeInvalidInput, "transient.simulate",
 	"transient: schedule must contain positive-duration phases")
 
@@ -120,11 +233,26 @@ var ErrBadSchedule error = tecerr.New(tecerr.CodeInvalidInput, "transient.simula
 // backward Euler: (C/dt + G - i*D) theta_{n+1} = (C/dt) theta_n + p(i).
 // Backward Euler is unconditionally stable for the stable regime and
 // reproduces exponential growth in the runaway regime (for dt small
-// against the unstable mode's time constant).
+// against the unstable mode's time constant). A bad Dt, current or
+// duration fails as invalid input before the first step.
 func Simulate(sys *core.System, schedule []Phase, opt Options) (*Trace, error) {
 	opt = opt.withDefaults()
 	if len(schedule) == 0 {
 		return nil, ErrBadSchedule
+	}
+	st, err := NewStepper(sys, opt.Dt)
+	if err != nil {
+		return nil, err
+	}
+	steps := make([]int, len(schedule))
+	for k, ph := range schedule {
+		if !num.IsFinite(ph.Current) || ph.Current < 0 {
+			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "transient.simulate",
+				"transient: phase %d current %g, want finite and non-negative", k, ph.Current)
+		}
+		if steps[k], err = st.StepsIn(ph.Duration); err != nil {
+			return nil, err
+		}
 	}
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -138,100 +266,48 @@ func Simulate(sys *core.System, schedule []Phase, opt Options) (*Trace, error) {
 		r.Counter("transient.simulations").Inc()
 		r.Counter("transient.phases").Add(uint64(len(schedule)))
 	}
-	n := sys.NumNodes()
-	caps := Capacitances(sys.PN)
 
-	theta := make([]float64, n)
-	if opt.Theta0 != nil {
-		if len(opt.Theta0) != n {
-			return nil, tecerr.Newf(tecerr.CodeInvalidInput, "transient.simulate",
-				"transient: theta0 length %d, want %d", len(opt.Theta0), n)
-		}
-		copy(theta, opt.Theta0)
-	} else {
-		for i := range theta {
-			theta[i] = sys.Cfg.Geom.AmbientK
-		}
-	}
-
+	load := sys.RHS(0) // the System's own load; Step adds the Joule heat
 	tr := &Trace{}
-	record := func(t float64, i float64) {
-		peak, tile := sys.PN.PeakSilicon(theta)
-		tr.Samples = append(tr.Samples, Sample{TimeS: t, PeakK: peak, PeakTile: tile, Current: i})
+	record := func(i float64) {
+		peak, tile := sys.PN.PeakSilicon(st.Theta())
+		tr.Samples = append(tr.Samples, Sample{TimeS: st.TimeS(), PeakK: peak, PeakTile: tile, Current: i})
 	}
-	now := 0.0
-	record(now, schedule[0].Current)
-
-	cOverDt := make([]float64, n)
-	for i, c := range caps {
-		cOverDt[i] = c / opt.Dt
-	}
-
-	step := 0
-	for _, ph := range schedule {
-		// Each phase runs in a closure so its span (one per
-		// factor-and-integrate segment) closes on every exit path.
-		res, err := func(ph Phase) (*Trace, error) {
+	record(schedule[0].Current)
+	for k, ph := range schedule {
+		// Each phase runs in a closure so its span closes on every exit
+		// path.
+		res, err := func() (*Trace, error) {
 			_, psp := r.StartSpanCtx(ctx, "transient.phase")
 			psp.AnnotateFloat("current", ph.Current)
 			psp.AnnotateFloat("duration_s", ph.Duration)
 			defer psp.End()
-			if ph.Duration <= 0 || ph.Current < 0 {
-				return nil, ErrBadSchedule
-			}
-			// System matrix for this phase: (G - iD) + C/dt on the diagonal.
-			m := sys.Matrix(ph.Current).AddScaledDiag(1, cOverDt)
-			factStart := r.Now()
-			fact, err := thermal.Factor(m, nil)
-			if r != nil {
-				r.ObserveSince("transient.phase_factor_ns", factStart)
-			}
-			if err != nil {
-				// C/dt should dominate for reasonable dt; a failure means dt
-				// is far too large for this current.
-				return nil, fmt.Errorf("transient: implicit matrix not PD at i=%g (dt too large?): %w", ph.Current, err)
-			}
-			rhsConst := sys.RHS(ph.Current)
-			steps := int(math.Ceil(ph.Duration / opt.Dt))
-			rhs := make([]float64, n)
-			for s := 0; s < steps; s++ {
-				if step&63 == 0 {
-					if err := ctx.Err(); err != nil {
-						tr.Final = theta
-						return tr, tecerr.Cancelled("transient.simulate", err)
-					}
+			for s := 0; s < steps[k]; s++ {
+				if st.Steps()&63 == 0 && ctx.Err() != nil {
+					tr.Final = st.Theta()
+					return tr, tecerr.Cancelled("transient.simulate", ctx.Err())
 				}
-				stepStart := r.Now()
-				for i := range rhs {
-					rhs[i] = rhsConst[i] + cOverDt[i]*theta[i]
-				}
-				if theta, err = fact.Solve(rhs); err != nil {
+				if err := st.Step(ph.Current, load); err != nil {
 					return nil, err
 				}
-				if r != nil {
-					r.Counter("transient.steps").Inc()
-					r.ObserveSince("transient.step_ns", stepStart)
+				if st.Steps()%opt.SampleEvery == 0 {
+					record(ph.Current)
 				}
-				now += opt.Dt
-				step++
-				if step%opt.SampleEvery == 0 {
-					record(now, ph.Current)
-				}
-				peak, _ := sys.PN.PeakSilicon(theta)
+				peak, _ := sys.PN.PeakSilicon(st.Theta())
 				if peak > opt.RunawayCeilingK {
 					tr.Runaway = true
-					tr.Final = theta
-					record(now, ph.Current)
+					tr.Final = st.Theta()
+					record(ph.Current)
 					return tr, nil
 				}
 			}
 			return nil, nil
-		}(ph)
+		}()
 		if res != nil || err != nil {
 			return res, err
 		}
 	}
-	tr.Final = theta
+	tr.Final = st.Theta()
 	return tr, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"tecopt/internal/core"
 	"tecopt/internal/tec"
+	"tecopt/internal/tecerr"
 	"tecopt/internal/thermal"
 )
 
@@ -159,8 +160,30 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(sys, []Phase{{Current: -1, Duration: 1}}, Options{}); err == nil {
 		t.Error("negative current accepted")
 	}
-	if _, err := Simulate(sys, []Phase{{Current: 0, Duration: 1}}, Options{Theta0: []float64{1}}); err == nil {
-		t.Error("wrong theta0 length accepted")
+	// Non-finite durations, currents and steps are rejected as invalid
+	// input before the first step, also in a late phase.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name     string
+		schedule []Phase
+		opt      Options
+	}{
+		{"infinite duration", []Phase{{Current: 0, Duration: inf}}, Options{}},
+		{"NaN duration", []Phase{{Current: 0, Duration: nan}}, Options{}},
+		{"step count beyond int", []Phase{{Current: 0, Duration: 1e20}}, Options{Dt: 1}},
+		{"NaN current", []Phase{{Current: nan, Duration: 1}}, Options{}},
+		{"infinite current", []Phase{{Current: inf, Duration: 1}}, Options{}},
+		{"NaN dt", []Phase{{Current: 0, Duration: 1}}, Options{Dt: nan}},
+		{"infinite dt", []Phase{{Current: 0, Duration: 1}}, Options{Dt: inf}},
+		{"bad late phase", []Phase{{Current: 0, Duration: 1}, {Current: 0, Duration: nan}}, Options{}},
+	} {
+		tr, err := Simulate(sys, tc.schedule, tc.opt)
+		if code := tecerr.CodeOf(err); err == nil || code != tecerr.CodeInvalidInput {
+			t.Errorf("%s: err = %v (code %v), want invalid input", tc.name, err, code)
+		}
+		if tr != nil {
+			t.Errorf("%s: returned a trace of %d samples", tc.name, len(tr.Samples))
+		}
 	}
 }
 
